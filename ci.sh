@@ -32,7 +32,7 @@ QCF_WORKERS=4 cargo test --release -q -p qtensor --test cache_proptests
 # (counting global allocator; release mode so dead allocs can't hide).
 echo "== allocation regression (release) =="
 cargo test --release -q -p qcf-bench --test alloc_regression
-cargo test --release -q -p qcf-bench --test alloc_arena
+cargo test --release -q -p qcf-bench --test alloc_cuszx
 cargo test --release -q -p qcf-bench --test alloc_cusz_table
 
 # One pass over every bench workload with assertions instead of timing:

@@ -362,7 +362,7 @@ impl StateRunCfg {
 
 /// Runs a QAOA circuit through the chunk-compressed statevector simulator
 /// (`qcfz state`). Exercises the write-back chunk cache, so the
-/// `state.cache.*` and `workspace.*` registry counters populate for
+/// `state.cache.*` and `scratch.*` registry counters populate for
 /// `--metrics`; with a memory budget set, the out-of-core spill tier and
 /// its prefetcher populate `state.spill.*` / `state.prefetch.*` too.
 ///
@@ -924,6 +924,7 @@ mod tests {
 
     #[test]
     fn verify_state_healthy_run_is_ok() {
+        let _t = crate::telemetry_test_lock();
         let _g = qcf_telemetry::faults::chaos_guard();
         qcf_telemetry::faults::disarm();
         let s = verify_state(8, 3, 3, "LZ4", ErrorBound::Abs(0.0), Some(2), None).unwrap();
@@ -938,6 +939,7 @@ mod tests {
 
     #[test]
     fn verify_state_scrubs_the_disk_tier() {
+        let _t = crate::telemetry_test_lock();
         let _g = qcf_telemetry::faults::chaos_guard();
         qcf_telemetry::faults::disarm();
         // All-spill budget: every sealed frame lives on disk, and the
@@ -953,6 +955,7 @@ mod tests {
 
     #[test]
     fn verify_state_detects_injected_bitflip() {
+        let _t = crate::telemetry_test_lock();
         let _g = qcf_telemetry::faults::chaos_guard();
         qcf_telemetry::faults::arm_from_spec("seed=5,state.chunk.bitflip@3").unwrap();
         let s = verify_state(8, 3, 3, "LZ4", ErrorBound::Abs(0.0), Some(2), None).unwrap();
@@ -966,6 +969,7 @@ mod tests {
 
     #[test]
     fn state_demo_reports_tier_breakdown() {
+        let _t = crate::telemetry_test_lock();
         let mut cfg = StateRunCfg::new(8, 5, 4, "LZ4");
         cfg.bound = ErrorBound::Abs(0.0);
         cfg.cache = Some(2);
@@ -1007,6 +1011,7 @@ mod tests {
 
     #[test]
     fn qaoa_demo_trace_and_metrics_are_parseable() {
+        let _t = crate::telemetry_test_lock();
         qcf_telemetry::set_enabled(true);
         let s = qaoa_demo(10, 21, "QCF-ratio", ErrorBound::Abs(1e-5)).unwrap();
         assert!(s.tensors_compressed > 0);

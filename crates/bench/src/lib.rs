@@ -20,5 +20,5 @@ pub mod top;
 #[cfg(test)]
 pub(crate) fn telemetry_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    qcf_telemetry::lock_unpoisoned(&LOCK)
 }

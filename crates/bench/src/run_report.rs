@@ -741,13 +741,18 @@ impl RunReport {
             self.slo.rows.len()
         );
 
-        let arena = gpu_model::thread_arena_stats();
-        let _ = writeln!(out, "## Workspace arena (reporting thread)\n");
-        let _ = writeln!(
-            out,
-            "- bytes in use {} | high water {} | phase resets {} | chunks {}\n",
-            arena.bytes_in_use, arena.high_water, arena.resets, arena.chunks
-        );
+        let pools = [
+            ("u8", compressors::scratch::u8s().stats()),
+            ("u32", compressors::scratch::u32s().stats()),
+            ("u64", compressors::scratch::u64s().stats()),
+            ("f64", compressors::scratch::f64s().stats()),
+            ("complex", tensornet::einsum::scratch().stats()),
+        ];
+        let pools: Vec<String> = pools
+            .iter()
+            .map(|(ty, (hits, misses))| format!("{ty} {hits}/{misses}"))
+            .collect();
+        let _ = writeln!(out, "Scratch pools (hits/misses): {}\n", pools.join(" | "));
 
         let frames = qcf_telemetry::flight::frames();
         if !frames.is_empty() {

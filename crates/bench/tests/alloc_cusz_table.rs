@@ -1,10 +1,10 @@
 //! Chunked-Huffman table pooling guard (cuSZ's warm compress path).
 //!
 //! Installs a counting global allocator and asserts that, once the
-//! thread-local bump arena, the workspace pools and the codec's encode
-//! pool are warm, a cuSZ `compress_raw_into` allocates at most once per
-//! call: the dual-quant kernel's per-block outlier table, which is the
-//! only remaining cold structure. Everything the chunked-Huffman stage
+//! scratch pools and the codec's encode pool are warm, a cuSZ
+//! `compress_raw_into` allocates at most once per call: the dual-quant
+//! kernel's per-block outlier table, which is the only remaining cold
+//! structure. Everything the chunked-Huffman stage
 //! used to allocate per call — partial histograms, the merged frequency
 //! table, the code-length/code tables (heap, parent links, counting
 //! arrays) and the per-chunk payload writers — now lives in the codec's
@@ -17,13 +17,13 @@
 
 use compressors::cusz::CuSz;
 use compressors::{Compressor, ErrorBound};
-use gpu_model::exec::worker_count;
+use gpu_model::exec::with_serial_workers;
 use gpu_model::{DeviceSpec, Stream};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// System allocator wrapped with an allocation-event counter; only the
-/// opted-in test thread is counted (see `alloc_arena.rs` for why).
+/// opted-in test thread is counted (see `alloc_cuszx.rs` for why).
 struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
@@ -65,13 +65,12 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 #[test]
 fn warm_cusz_compress_tables_come_from_the_pool() {
     COUNT_THIS_THREAD.with(|c| c.set(true));
-    if worker_count() != 1 {
-        // The pooled contract is the single-worker fast path; scoped
-        // worker threads allocate stacks by construction.
-        eprintln!("skipping: worker_count()={} (needs 1)", worker_count());
-        return;
-    }
+    // The pooled contract is the single-worker fast path; scoped worker
+    // threads allocate stacks by construction, so pin it.
+    with_serial_workers(warm_compress_rounds);
+}
 
+fn warm_compress_rounds() {
     let comp = CuSz::default();
     let stream = Stream::new(DeviceSpec::a100());
     // Smooth signal: small Lorenzo deltas, zero outliers — the outlier
@@ -82,7 +81,7 @@ fn warm_cusz_compress_tables_come_from_the_pool() {
     let bound = ErrorBound::Abs(1e-3);
     let mut bytes = Vec::new();
 
-    // Warm-up: grow the arena chunk, the workspace payload buffer, the
+    // Warm-up: grow the pooled symbol plane and payload buffer, the
     // codec's thread-local encode pool and the stream's event log. 40
     // rounds of 5 launches put the event log's doubling capacity (256)
     // well past the measured window below.

@@ -159,7 +159,7 @@ pub fn decode_chunked_into(data: &[u8], out: &mut Vec<u32>) -> Result<(), CodecE
 }
 
 /// [`decode_chunked`] into an exactly-sized slice — the zero-allocation
-/// variant the compressors' arena-backed paths use. Errors with
+/// variant behind cuSZ's pooled symbol plane. Errors with
 /// `Corrupt("symbol count mismatch")` when the stream's declared element
 /// count differs from `out.len()`.
 pub fn decode_chunked_into_slice(data: &[u8], out: &mut [u32]) -> Result<(), CodecError> {

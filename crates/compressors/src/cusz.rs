@@ -18,6 +18,7 @@
 //! chunks with a gap array ([`codec_kit::chunked`]), matching cuSZ's
 //! thread-block-parallel decode layout.
 
+use crate::scratch;
 use crate::traits::{
     read_stream_header, stream_header_into, value_range, Compressor, CompressorKind, ErrorBound,
 };
@@ -25,7 +26,7 @@ use codec_kit::chunked::{decode_chunked_into_slice, encode_chunked_into, DEFAULT
 use codec_kit::varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
 use codec_kit::CodecError;
 use gpu_model::exec::par_map_chunks_mut;
-use gpu_model::{with_arena_phase, KernelSpec, MemoryPattern, Stream};
+use gpu_model::{KernelSpec, MemoryPattern, Stream};
 
 /// Stream id of cuSZ.
 pub const CUSZ_ID: u8 = 1;
@@ -230,68 +231,63 @@ impl Compressor for CuSz {
         let twoeb = 2.0 * eb;
         let n = data.len();
         let nbytes = (n * 8) as u64;
-        let ws = crate::workspace();
 
-        // The symbol buffer lives in the caller thread's bump arena for the
-        // duration of this compression phase; the phase release reclaims it
-        // with one cursor move.
-        with_arena_phase(|arena| {
-            // Kernel 1: fused pre-quant + Lorenzo delta (streaming; writes
-            // u16 codes and the sparse outlier list).
-            let symbols = arena.alloc_u32(n);
-            let outliers = stream.launch(
-                &KernelSpec::streaming("cusz::dual_quant", nbytes, (n * 2) as u64)
-                    .with_flops((n * 4) as u64),
-                || dual_quant_into(data, twoeb, self.radius, &mut *symbols),
-            );
+        // Kernel 1: fused pre-quant + Lorenzo delta (streaming; writes u16
+        // codes into a pooled symbol plane and the sparse outlier list).
+        let mut symbols = scratch::u32s().take(n);
+        let outliers = stream.launch(
+            &KernelSpec::streaming("cusz::dual_quant", nbytes, (n * 2) as u64)
+                .with_flops((n * 4) as u64),
+            || dual_quant_into(data, twoeb, self.radius, &mut symbols),
+        );
 
-            // Kernel 2: histogram (shared-memory atomics → Random pattern).
-            let alphabet = (2 * self.radius) as usize;
-            stream.launch(
-                &KernelSpec::streaming("cusz::histogram", (n * 2) as u64, 4 * alphabet as u64)
-                    .with_pattern(MemoryPattern::Random),
-                || (),
-            );
+        // Kernel 2: histogram (shared-memory atomics → Random pattern).
+        let alphabet = (2 * self.radius) as usize;
+        stream.launch(
+            &KernelSpec::streaming("cusz::histogram", (n * 2) as u64, 4 * alphabet as u64)
+                .with_pattern(MemoryPattern::Random),
+            || (),
+        );
 
-            // Kernel 3: codebook construction — tiny but partially serial.
-            stream.launch(
-                &KernelSpec::streaming("cusz::huffman_build", 8 * alphabet as u64, alphabet as u64)
-                    .with_serial_fraction(0.02),
-                || (),
-            );
+        // Kernel 3: codebook construction — tiny but partially serial.
+        stream.launch(
+            &KernelSpec::streaming("cusz::huffman_build", 8 * alphabet as u64, alphabet as u64)
+                .with_serial_fraction(0.02),
+            || (),
+        );
 
-            stream_header_into(CUSZ_ID, n, out);
-            out.extend_from_slice(&eb.to_le_bytes());
-            write_uvarint(out, self.radius as u64);
+        stream_header_into(CUSZ_ID, n, out);
+        out.extend_from_slice(&eb.to_le_bytes());
+        write_uvarint(out, self.radius as u64);
 
-            // Kernel 4: Huffman emission — the bit-serial stage that
-            // dominates. Chunked with a gap array, as real cuSZ lays it out
-            // for block-parallel decode (the codebook build above feeds it).
-            let mut payload = ws.take_u8_spare(n / 2 + 64);
-            stream.launch(
-                &KernelSpec::streaming("cusz::huffman_encode", (n * 2) as u64, n as u64 / 2)
-                    .with_pattern(MemoryPattern::BitSerial),
-                || encode_chunked_into(symbols, alphabet, DEFAULT_CHUNK, &mut payload),
-            );
-            write_uvarint(out, payload.len() as u64);
-            out.extend_from_slice(&payload);
-            ws.put_u8(payload);
+        // Kernel 4: Huffman emission — the bit-serial stage that dominates.
+        // Chunked with a gap array, as real cuSZ lays it out for
+        // block-parallel decode (the codebook build above feeds it).
+        let mut payload = scratch::u8s().take_spare(n / 2 + 64);
+        stream.launch(
+            &KernelSpec::streaming("cusz::huffman_encode", (n * 2) as u64, n as u64 / 2)
+                .with_pattern(MemoryPattern::BitSerial),
+            || encode_chunked_into(&symbols, alphabet, DEFAULT_CHUNK, &mut payload),
+        );
+        scratch::u32s().put(symbols);
+        write_uvarint(out, payload.len() as u64);
+        out.extend_from_slice(&payload);
+        scratch::u8s().put(payload);
 
-            // Outliers: gather kernel (sparse, Random).
-            stream.launch(
-                &KernelSpec::streaming("cusz::outlier_gather", 0, (outliers.len() * 12) as u64)
-                    .with_pattern(MemoryPattern::Random),
-                || (),
-            );
-            write_uvarint(out, outliers.len() as u64);
-            let mut last_idx = 0usize;
-            for &(idx, ep) in &outliers {
-                write_uvarint(out, (idx - last_idx) as u64);
-                write_ivarint(out, ep);
-                last_idx = idx;
-            }
-            Ok(())
-        })
+        // Outliers: gather kernel (sparse, Random).
+        stream.launch(
+            &KernelSpec::streaming("cusz::outlier_gather", 0, (outliers.len() * 12) as u64)
+                .with_pattern(MemoryPattern::Random),
+            || (),
+        );
+        write_uvarint(out, outliers.len() as u64);
+        let mut last_idx = 0usize;
+        for &(idx, ep) in &outliers {
+            write_uvarint(out, (idx - last_idx) as u64);
+            write_ivarint(out, ep);
+            last_idx = idx;
+        }
+        Ok(())
     }
 
     fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
@@ -326,70 +322,70 @@ impl Compressor for CuSz {
         let payload = &bytes[pos..pos + payload_len];
         pos += payload_len;
 
-        with_arena_phase(|arena| {
-            // Kernel 1: Huffman decode — chunk-parallel thanks to the gap
-            // array, written straight into the arena-backed symbol buffer.
-            let symbols = arena.alloc_u32(n);
-            stream.launch(
-                &KernelSpec::streaming("cusz::huffman_decode", payload_len as u64, (n * 2) as u64)
-                    .with_pattern(MemoryPattern::BitSerial),
-                || decode_chunked_into_slice(payload, &mut *symbols),
-            )?;
+        // Kernel 1: Huffman decode — chunk-parallel thanks to the gap
+        // array, written straight into a pooled symbol plane. Error returns
+        // below simply drop the plane; the pool misses once next call.
+        let mut symbols = scratch::u32s().take(n);
+        stream.launch(
+            &KernelSpec::streaming("cusz::huffman_decode", payload_len as u64, (n * 2) as u64)
+                .with_pattern(MemoryPattern::BitSerial),
+            || decode_chunked_into_slice(payload, &mut symbols),
+        )?;
 
-            // Outlier scatter.
-            let outlier_count = read_uvarint(bytes, &mut pos)? as usize;
-            if outlier_count > n {
-                return Err(CodecError::Corrupt("more outliers than elements"));
+        // Outlier scatter.
+        let outlier_count = read_uvarint(bytes, &mut pos)? as usize;
+        if outlier_count > n {
+            return Err(CodecError::Corrupt("more outliers than elements"));
+        }
+        let mut outliers = Vec::with_capacity(outlier_count);
+        let mut idx = 0usize;
+        for k in 0..outlier_count {
+            let delta = read_uvarint(bytes, &mut pos)? as usize;
+            // checked_add: a forged delta must not overflow (debug panic)
+            // before the range check fires.
+            idx = idx
+                .checked_add(delta)
+                .filter(|&i| i < n)
+                .ok_or(CodecError::Corrupt("outlier index out of range"))?;
+            if k > 0 && delta == 0 {
+                return Err(CodecError::Corrupt("duplicate outlier index"));
             }
-            let mut outliers = Vec::with_capacity(outlier_count);
-            let mut idx = 0usize;
-            for k in 0..outlier_count {
-                let delta = read_uvarint(bytes, &mut pos)? as usize;
-                // checked_add: a forged delta must not overflow (debug
-                // panic) before the range check fires.
-                idx = idx
-                    .checked_add(delta)
-                    .filter(|&i| i < n)
-                    .ok_or(CodecError::Corrupt("outlier index out of range"))?;
-                if k > 0 && delta == 0 {
-                    return Err(CodecError::Corrupt("duplicate outlier index"));
-                }
-                let ep = read_ivarint(bytes, &mut pos)?;
-                outliers.push((idx, ep));
-            }
+            let ep = read_ivarint(bytes, &mut pos)?;
+            outliers.push((idx, ep));
+        }
 
-            // Kernel 2: inverse Lorenzo (a prefix-sum; block-scan → Strided).
-            let twoeb = 2.0 * eb;
-            stream.launch(
-                &KernelSpec::streaming("cusz::lorenzo_reconstruct", (n * 2) as u64, (n * 8) as u64)
-                    .with_pattern(MemoryPattern::Strided)
-                    .with_flops((n * 2) as u64),
-                || {
-                    out.clear();
-                    out.reserve(n);
-                    let mut ep = 0i64;
-                    let mut next_outlier = 0usize;
-                    for (i, &sym) in symbols.iter().enumerate() {
-                        if sym == 0 {
-                            if next_outlier >= outliers.len() || outliers[next_outlier].0 != i {
-                                return Err(CodecError::Corrupt("missing outlier record"));
-                            }
-                            ep = outliers[next_outlier].1;
-                            next_outlier += 1;
-                        } else {
-                            // Wrapping: forged outlier levels can sit at the
-                            // i64 edges; reconstruction must not panic on
-                            // overflow (the values are garbage either way
-                            // and the checksum layer catches real
-                            // corruption).
-                            ep = ep.wrapping_add(sym as i64 - radius);
+        // Kernel 2: inverse Lorenzo (a prefix-sum; block-scan → Strided).
+        let twoeb = 2.0 * eb;
+        let res = stream.launch(
+            &KernelSpec::streaming("cusz::lorenzo_reconstruct", (n * 2) as u64, (n * 8) as u64)
+                .with_pattern(MemoryPattern::Strided)
+                .with_flops((n * 2) as u64),
+            || {
+                out.clear();
+                out.reserve(n);
+                let mut ep = 0i64;
+                let mut next_outlier = 0usize;
+                for (i, &sym) in symbols.iter().enumerate() {
+                    if sym == 0 {
+                        if next_outlier >= outliers.len() || outliers[next_outlier].0 != i {
+                            return Err(CodecError::Corrupt("missing outlier record"));
                         }
-                        out.push(ep as f64 * twoeb);
+                        ep = outliers[next_outlier].1;
+                        next_outlier += 1;
+                    } else {
+                        // Wrapping: forged outlier levels can sit at the i64
+                        // edges; reconstruction must not panic on overflow
+                        // (the values are garbage either way and the
+                        // checksum layer catches real corruption).
+                        ep = ep.wrapping_add(sym as i64 - radius);
                     }
-                    Ok(())
-                },
-            )
-        })
+                    out.push(ep as f64 * twoeb);
+                }
+                Ok(())
+            },
+        );
+        scratch::u32s().put(symbols);
+        res
     }
 }
 

@@ -12,6 +12,7 @@
 //! Both paths are branch-light single-pass streaming work, which is exactly
 //! why SZx tops out near memory bandwidth on real GPUs.
 
+use crate::scratch;
 use crate::traits::{
     read_stream_header, stream_header_into, value_range, Compressor, CompressorKind, ErrorBound,
 };
@@ -21,7 +22,7 @@ use codec_kit::varint::{read_uvarint, write_uvarint};
 use codec_kit::varint::{unzigzag, zigzag};
 use codec_kit::CodecError;
 use gpu_model::exec::{par_map_blocks, serial_for_blocks, worker_count};
-use gpu_model::{with_arena_phase, KernelSpec, MemoryPattern, Stream};
+use gpu_model::{KernelSpec, MemoryPattern, Stream};
 
 /// Stream id of cuSZx.
 pub const CUSZX_ID: u8 = 2;
@@ -91,7 +92,6 @@ impl Compressor for CuSzx {
         let n = data.len();
         let bs = self.block_size;
         let nbytes = (n * 8) as u64;
-        let ws = crate::workspace();
 
         stream_header_into(CUSZX_ID, n, out);
         out.extend_from_slice(&eb.to_le_bytes());
@@ -112,22 +112,21 @@ impl Compressor for CuSzx {
                 let twoeb = 2.0 * eb;
                 if worker_count() == 1 {
                     // Serial fast path: every block encodes straight into
-                    // the pooled output writer, with one arena-backed code
+                    // the pooled output writer, with one pooled code
                     // scratch reused across blocks — zero heap allocation
                     // on the warm path. `BitWriter::append` is bit-exact,
                     // so this emits the same stream as the parallel path,
                     // and `serial_for_blocks` keeps the per-block fault
                     // point and panic accounting of the executor.
-                    return with_arena_phase(|arena| {
-                        let scratch = arena.alloc_u64(bs.min(n));
-                        let mut w = BitWriter::from_vec(ws.take_u8_spare(n));
-                        let mut blocks = data.chunks(bs);
-                        serial_for_blocks(n.div_ceil(bs), |_| {
-                            let block = blocks.next().expect("block count matches chunks");
-                            encode_block(block, eb, twoeb, scratch, &mut w);
-                        });
-                        w.finish()
+                    let mut codes = scratch::u64s().take(bs.min(n));
+                    let mut w = BitWriter::from_vec(scratch::u8s().take_spare(n));
+                    let mut blocks = data.chunks(bs);
+                    serial_for_blocks(n.div_ceil(bs), |_| {
+                        let block = blocks.next().expect("block count matches chunks");
+                        encode_block(block, eb, twoeb, &mut codes, &mut w);
                     });
+                    scratch::u64s().put(codes);
+                    return w.finish();
                 }
                 let parts = par_map_blocks(data, bs, |_, block| {
                     let mut scratch = vec![0u64; block.len()];
@@ -135,7 +134,7 @@ impl Compressor for CuSzx {
                     encode_block(block, eb, twoeb, &mut scratch, &mut w);
                     w
                 });
-                let mut w = BitWriter::from_vec(ws.take_u8_spare(n));
+                let mut w = BitWriter::from_vec(scratch::u8s().take_spare(n));
                 for part in &parts {
                     w.append(part);
                 }
@@ -144,7 +143,7 @@ impl Compressor for CuSzx {
         );
         write_uvarint(out, payload.len() as u64);
         out.extend_from_slice(&payload);
-        ws.put_u8(payload);
+        scratch::u8s().put(payload);
         Ok(())
     }
 
@@ -264,8 +263,8 @@ pub fn encode_block_scalar(block: &[f64], eb: f64, twoeb: f64, w: &mut BitWriter
 /// The vectorized cuSZx block encoder: eight-lane unrolled stats and
 /// emission, bit-identical to [`encode_block_scalar`].
 ///
-/// `scratch` holds the zigzag codes (`len ≥ block.len()`; arena- or
-/// pool-backed by the callers, so the kernel itself performs no heap
+/// `scratch` holds the zigzag codes (`len ≥ block.len()`; pooled or
+/// per-block by the callers, so the kernel itself performs no heap
 /// allocation). Three passes, all width-8: lane-tree sum (see
 /// [`block_mean`]), radius via eight independent `max` accumulators, and
 /// code emission with an OR-accumulated width — `64 −

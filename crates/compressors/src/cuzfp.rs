@@ -9,6 +9,7 @@
 //! group-testing flags), costing some ratio on small-magnitude planes but
 //! preserving the error-bound contract and the performance profile.
 
+use crate::scratch;
 use crate::traits::{
     read_stream_header, stream_header_into, value_range, Compressor, CompressorKind, ErrorBound,
 };
@@ -75,7 +76,6 @@ impl Compressor for CuZfp {
         }
         let n = data.len();
         let e_tol = eb.log2().floor() as i32;
-        let ws = crate::workspace();
 
         stream_header_into(CUZFP_ID, n, out);
         out.extend_from_slice(&eb.to_le_bytes());
@@ -85,7 +85,7 @@ impl Compressor for CuZfp {
                 .with_pattern(MemoryPattern::Strided)
                 .with_flops((n * 12) as u64),
             || {
-                let mut w = BitWriter::from_vec(ws.take_u8_spare(n * 3));
+                let mut w = BitWriter::from_vec(scratch::u8s().take_spare(n * 3));
                 for chunk in data.chunks(BLOCK) {
                     let mut block = [0.0f64; BLOCK];
                     block[..chunk.len()].copy_from_slice(chunk);
@@ -96,7 +96,7 @@ impl Compressor for CuZfp {
         );
         write_uvarint(out, payload.len() as u64);
         out.extend_from_slice(&payload);
-        ws.put_u8(payload);
+        scratch::u8s().put(payload);
         Ok(())
     }
 

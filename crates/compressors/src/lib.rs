@@ -21,7 +21,6 @@
 pub mod bitcomp;
 pub mod cascaded;
 pub mod cusz;
-pub mod cusz2d;
 pub mod cuszx;
 pub mod cuzfp;
 pub mod dummy;
@@ -36,12 +35,37 @@ pub use metrics::{quality, round_trip, QualityMetrics, RoundTripReport};
 pub use registry::{all_compressors, by_name, decompress_any, decompress_any_into};
 pub use traits::{Compressor, CompressorKind, ErrorBound};
 
-/// The crate-wide scratch [`Workspace`](gpu_model::Workspace) backing the
-/// `*_into` fast paths: payload and symbol buffers that would otherwise be
-/// allocated per call are checked out here and returned after use, so every
-/// compressor (and the framework built on them) amortizes one set of
-/// grown-once buffers.
-pub fn workspace() -> &'static gpu_model::Workspace {
-    static WS: std::sync::OnceLock<gpu_model::Workspace> = std::sync::OnceLock::new();
-    WS.get_or_init(gpu_model::Workspace::new)
+/// The process-wide scratch pools of the codec hot paths, one per element
+/// type: payload and symbol buffers that would otherwise be allocated per
+/// call are checked out here and put back after use, so every compressor
+/// (and the framework built on them) amortizes one set of grown-once
+/// buffers. Hits and misses are mirrored into the registry as
+/// `scratch.<type>.hits` / `scratch.<type>.misses`.
+pub mod scratch {
+    use gpu_model::ScratchPool;
+    use std::sync::OnceLock;
+
+    /// Byte streams: codec payloads, plane bodies, backend streams.
+    pub fn u8s() -> &'static ScratchPool<u8> {
+        static POOL: OnceLock<ScratchPool<u8>> = OnceLock::new();
+        POOL.get_or_init(|| ScratchPool::with_metrics("scratch.u8"))
+    }
+
+    /// cuSZ's quant-code symbol plane.
+    pub fn u32s() -> &'static ScratchPool<u32> {
+        static POOL: OnceLock<ScratchPool<u32>> = OnceLock::new();
+        POOL.get_or_init(|| ScratchPool::with_metrics("scratch.u32"))
+    }
+
+    /// cuSZx's block-code scratch on the serial path.
+    pub fn u64s() -> &'static ScratchPool<u64> {
+        static POOL: OnceLock<ScratchPool<u64>> = OnceLock::new();
+        POOL.get_or_init(|| ScratchPool::with_metrics("scratch.u64"))
+    }
+
+    /// The framework's de-interleaved value planes and dedup uniques.
+    pub fn f64s() -> &'static ScratchPool<f64> {
+        static POOL: OnceLock<ScratchPool<f64>> = OnceLock::new();
+        POOL.get_or_init(|| ScratchPool::with_metrics("scratch.f64"))
+    }
 }

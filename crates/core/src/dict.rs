@@ -130,8 +130,10 @@ pub fn encode_ratio(q: &Quantized, eb: f64, out: &mut Vec<u8>) {
     out.extend_from_slice(&deflate_bytes(&bytes));
 }
 
-/// Decodes [`encode_ratio`] back to plane values.
-pub fn decode_ratio(data: &[u8], pos: &mut usize) -> Result<Vec<f64>, CodecError> {
+/// Decodes [`encode_ratio`] back to plane values into `out` (cleared
+/// first, capacity reused).
+pub fn decode_ratio(data: &[u8], pos: &mut usize, out: &mut Vec<f64>) -> Result<(), CodecError> {
+    out.clear();
     let n = read_uvarint(data, pos)? as usize;
     if n > 1 << 40 {
         return Err(CodecError::Corrupt("absurd dictionary element count"));
@@ -148,6 +150,8 @@ pub fn decode_ratio(data: &[u8], pos: &mut usize) -> Result<Vec<f64>, CodecError
         return Err(CodecError::Corrupt("bad index-width flag"));
     }
     let per = if wide == 1 { 2usize } else { 1 };
+    // Inflate yields exactly `n * per` bytes or errors, so the reserve
+    // below is backed by real input.
     let raw = inflate_bytes(data, pos, n * per)?;
     let twoeb = 2.0 * eb;
     let lookup = |idx: usize| -> Result<f64, CodecError> {
@@ -156,13 +160,17 @@ pub fn decode_ratio(data: &[u8], pos: &mut usize) -> Result<Vec<f64>, CodecError
             .map(|&q| q as f64 * twoeb)
             .ok_or(CodecError::Corrupt("dictionary index out of range"))
     };
+    out.reserve(n);
     if wide == 1 {
-        raw.chunks_exact(2)
-            .map(|c| lookup(u16::from_le_bytes([c[0], c[1]]) as usize))
-            .collect()
+        for c in raw.chunks_exact(2) {
+            out.push(lookup(u16::from_le_bytes([c[0], c[1]]) as usize)?);
+        }
     } else {
-        raw.iter().map(|&b| lookup(b as usize)).collect()
+        for &b in &raw {
+            out.push(lookup(b as usize)?);
+        }
     }
+    Ok(())
 }
 
 /// Speed flavour: frequency-sorted dictionary + hot/cold two-level code.
@@ -372,8 +380,9 @@ pub fn encode_speed(q: &Quantized, eb: f64, out: &mut Vec<u8>) {
     out.extend_from_slice(&payload);
 }
 
-/// Decodes [`encode_speed`].
-pub fn decode_speed(data: &[u8], pos: &mut usize) -> Result<Vec<f64>, CodecError> {
+/// Decodes [`encode_speed`] into `out` (cleared first, capacity reused).
+pub fn decode_speed(data: &[u8], pos: &mut usize, out: &mut Vec<f64>) -> Result<(), CodecError> {
+    out.clear();
     let n = read_uvarint(data, pos)? as usize;
     if n > 1 << 40 {
         return Err(CodecError::Corrupt("absurd dictionary element count"));
@@ -414,7 +423,7 @@ pub fn decode_speed(data: &[u8], pos: &mut usize) -> Result<Vec<f64>, CodecError
             if n > payload_len.saturating_mul(8) {
                 return Err(CodecError::Corrupt("declared length exceeds payload"));
             }
-            let mut out = Vec::with_capacity(n);
+            out.reserve(n);
             for _ in 0..n {
                 let cold = r.read_bit()?;
                 let idx = if cold {
@@ -424,7 +433,7 @@ pub fn decode_speed(data: &[u8], pos: &mut usize) -> Result<Vec<f64>, CodecError
                 };
                 out.push(lookup(idx)?);
             }
-            Ok(out)
+            Ok(())
         }
         2 => {
             let sb = *data.get(*pos).ok_or(CodecError::UnexpectedEof)? as u32;
@@ -471,7 +480,11 @@ pub fn decode_speed(data: &[u8], pos: &mut usize) -> Result<Vec<f64>, CodecError
                     }
                 }
             }
-            idxs.into_iter().map(|i| lookup(i as u64)).collect()
+            out.reserve(idxs.len());
+            for i in idxs {
+                out.push(lookup(i as u64)?);
+            }
+            Ok(())
         }
         0 => {
             let payload_len = read_uvarint(data, pos)? as usize;
@@ -481,7 +494,11 @@ pub fn decode_speed(data: &[u8], pos: &mut usize) -> Result<Vec<f64>, CodecError
             let mut r = BitReader::new(&data[*pos..*pos + payload_len]);
             *pos += payload_len;
             let packed = unpack(&mut r, full, n)?;
-            packed.into_iter().map(lookup).collect()
+            out.reserve(packed.len());
+            for idx in packed {
+                out.push(lookup(idx)?);
+            }
+            Ok(())
         }
         _ => Err(CodecError::Corrupt("bad dictionary mode byte")),
     }
@@ -557,7 +574,8 @@ mod tests {
         let mut buf = Vec::new();
         encode_ratio(&q, eb, &mut buf);
         let mut pos = 0;
-        let rec = decode_ratio(&buf, &mut pos).unwrap();
+        let mut rec = Vec::new();
+        decode_ratio(&buf, &mut pos, &mut rec).unwrap();
         assert_eq!(pos, buf.len());
         check_bound(&plane, &rec, eb);
         // zero-heavy small-alphabet stream should crush
@@ -573,7 +591,8 @@ mod tests {
         let mut buf = Vec::new();
         encode_speed(&q, eb, &mut buf);
         let mut pos = 0;
-        let rec = decode_speed(&buf, &mut pos).unwrap();
+        let mut rec = Vec::new();
+        decode_speed(&buf, &mut pos, &mut rec).unwrap();
         assert_eq!(pos, buf.len());
         check_bound(&plane, &rec, eb);
         let cr = (plane.len() * 8) as f64 / buf.len() as f64;
@@ -588,7 +607,8 @@ mod tests {
         let mut buf = Vec::new();
         encode_speed(&q, eb, &mut buf);
         let mut pos = 0;
-        let rec = decode_speed(&buf, &mut pos).unwrap();
+        let mut rec = Vec::new();
+        decode_speed(&buf, &mut pos, &mut rec).unwrap();
         check_bound(&plane, &rec, eb);
     }
 
@@ -601,8 +621,9 @@ mod tests {
         let mut buf = Vec::new();
         encode_speed(&q, eb, &mut buf);
         assert!(buf.len() < 64, "constant plane took {} bytes", buf.len());
-        let mut pos = 0;
-        check_bound(&plane, &decode_speed(&buf, &mut pos).unwrap(), eb);
+        let (mut pos, mut rec) = (0, Vec::new());
+        decode_speed(&buf, &mut pos, &mut rec).unwrap();
+        check_bound(&plane, &rec, eb);
     }
 
     #[test]
@@ -627,10 +648,11 @@ mod tests {
         encode_speed(&q, 1e-4, &mut speed);
         for buf in [&ratio, &speed] {
             for cut in [0usize, 1, 5, buf.len() / 2] {
+                let mut out = Vec::new();
                 let mut pos = 0;
-                let _ = decode_ratio(&buf[..cut], &mut pos);
+                let _ = decode_ratio(&buf[..cut], &mut pos, &mut out);
                 let mut pos = 0;
-                let _ = decode_speed(&buf[..cut], &mut pos);
+                let _ = decode_speed(&buf[..cut], &mut pos, &mut out);
             }
         }
     }

@@ -30,8 +30,8 @@ use compressors::cusz::CuSz;
 use compressors::cuszx::CuSzx;
 use compressors::lz4::{lz4_decode_block, lz4_encode_block};
 use compressors::traits::{read_stream_header, stream_header_into, value_range};
-use compressors::{decompress_any_into, Compressor, CompressorKind, ErrorBound};
-use gpu_model::{with_arena_phase, KernelSpec, MemoryPattern, Stream, Workspace};
+use compressors::{decompress_any_into, scratch, Compressor, CompressorKind, ErrorBound};
+use gpu_model::{KernelSpec, MemoryPattern, Stream};
 use std::borrow::Cow;
 
 /// Stream id of the ratio-mode framework.
@@ -115,9 +115,6 @@ const COLLAPSE_MIN_FRAC: f64 = 0.05;
 pub struct QcfCompressor {
     mode: Mode,
     stages: StageToggles,
-    /// Reusable scratch planes threaded through every stage; clones share
-    /// the underlying pools (see [`Workspace`]).
-    ws: Workspace,
     /// Cached `stage.encode_us` / `stage.decode_us` latency histograms so
     /// per-call observation never takes the registry lock.
     lat_encode: std::sync::Arc<qcf_telemetry::Histogram>,
@@ -158,9 +155,6 @@ impl QcfCompressor {
         QcfCompressor {
             mode,
             stages,
-            // Share the compressor-crate pools so framework planes, backend
-            // payloads, and codec buffers all amortize in one place.
-            ws: compressors::workspace().clone(),
             lat_encode: reg.histogram("stage.encode_us", &STAGE_LATENCY_BOUNDS_US),
             lat_decode: reg.histogram("stage.decode_us", &STAGE_LATENCY_BOUNDS_US),
         }
@@ -190,7 +184,7 @@ impl QcfCompressor {
     /// only then is a mutable copy materialized (`Cow::to_mut`); owned
     /// planes are collapsed in place with no copy at all. Taking the `Cow`
     /// by `&mut` lets the caller recover an owned plane buffer afterwards
-    /// and check it back into the workspace.
+    /// and check it back into the `f64` scratch pool.
     fn encode_plane(
         &self,
         plane: &mut Cow<'_, [f64]>,
@@ -224,7 +218,7 @@ impl QcfCompressor {
                         .counter("stage.dict.engaged")
                         .inc();
                 }
-                let mut body = self.ws.take_u8_spare(plane.len() / 4 + 64);
+                let mut body = scratch::u8s().take_spare(plane.len() / 4 + 64);
                 match self.mode {
                     Mode::Ratio => {
                         flags |= 8;
@@ -255,7 +249,7 @@ impl QcfCompressor {
                     }
                 }
                 let finished = self.finish_plane(flags, &body, stream, out);
-                self.ws.put_u8(body);
+                scratch::u8s().put(body);
                 return finished;
             }
         }
@@ -304,39 +298,31 @@ impl QcfCompressor {
             }
         }
 
-        let mut backend_stream = self.ws.take_u8_spare(plane.len() + 64);
+        let mut backend_stream = scratch::u8s().take_spare(plane.len() + 64);
         {
             let _span = qcf_telemetry::span!("stage.backend");
-            let res = match &deduped {
-                Some(d) => backend.compress_into(
-                    &d.unique,
-                    ErrorBound::Abs(backend_eb),
-                    stream,
-                    &mut backend_stream,
-                ),
-                None => backend.compress_into(
-                    &plane[..],
-                    ErrorBound::Abs(backend_eb),
-                    stream,
-                    &mut backend_stream,
-                ),
+            let input = match &deduped {
+                Some(d) => &d.unique[..],
+                None => &plane[..],
             };
-            if let Err(e) = res {
-                self.ws.put_u8(backend_stream);
-                return Err(e);
-            }
+            backend.compress_into(
+                input,
+                ErrorBound::Abs(backend_eb),
+                stream,
+                &mut backend_stream,
+            )?;
         }
 
-        let mut body = self.ws.take_u8_spare(backend_stream.len() + 64);
+        let mut body = scratch::u8s().take_spare(backend_stream.len() + 64);
         if let Some(d) = &deduped {
             write_uvarint(&mut body, d.block_size as u64);
             write_refs(&d.refs, d.n_unique, &mut body);
         }
         write_uvarint(&mut body, backend_stream.len() as u64);
         body.extend_from_slice(&backend_stream);
-        self.ws.put_u8(backend_stream);
+        scratch::u8s().put(backend_stream);
         let finished = self.finish_plane(flags, &body, stream, out);
-        self.ws.put_u8(body);
+        scratch::u8s().put(body);
         finished
     }
 
@@ -354,7 +340,7 @@ impl QcfCompressor {
                 &KernelSpec::streaming("qcf::tail_lz4", (body.len() * 3) as u64, body.len() as u64)
                     .with_pattern(MemoryPattern::Random),
                 || {
-                    let mut t = self.ws.take_u8_spare(body.len());
+                    let mut t = scratch::u8s().take_spare(body.len());
                     lz4_encode_block(body, &mut t);
                     t
                 },
@@ -372,7 +358,7 @@ impl QcfCompressor {
                 write_uvarint(out, tailed.len() as u64);
                 out.extend_from_slice(&tailed);
             }
-            self.ws.put_u8(tailed);
+            scratch::u8s().put(tailed);
             if wins {
                 return Ok(());
             }
@@ -421,22 +407,18 @@ impl QcfCompressor {
         let mut p = body_pos;
 
         if flags & 8 != 0 {
-            let v = stream.launch(
+            stream.launch(
                 &KernelSpec::streaming("qcf::dict_huffman_decode", (n * 2) as u64, (n * 8) as u64)
                     .with_pattern(MemoryPattern::BitSerial),
-                || dict::decode_ratio(body, &mut p),
+                || dict::decode_ratio(body, &mut p, out),
             )?;
-            // The dict decoders allocate their own result; swap it in and
-            // pool the caller's previous buffer so nothing is wasted.
-            self.ws.put_f64(std::mem::replace(out, v));
         } else if flags & 16 != 0 {
-            let v = stream.launch(
+            stream.launch(
                 &KernelSpec::streaming("qcf::fused_dict_decode", (n * 2) as u64, (n * 8) as u64)
                     .with_pattern(MemoryPattern::Strided)
                     .with_flops(2 * n as u64),
-                || dict::decode_speed(body, &mut p),
+                || dict::decode_speed(body, &mut p, out),
             )?;
-            self.ws.put_f64(std::mem::replace(out, v));
         } else if flags & 2 != 0 {
             let block_size = read_uvarint(body, &mut p)? as usize;
             if block_size == 0 || block_size > 1 << 20 {
@@ -447,22 +429,19 @@ impl QcfCompressor {
             if body.len() < p + backend_len {
                 return Err(CodecError::UnexpectedEof);
             }
-            let mut unique = self.ws.take_f64_spare(n);
-            let res = (|| {
-                decompress_any_into(&body[p..p + backend_len], stream, &mut unique)?;
-                p += backend_len;
-                stream.launch(
-                    &KernelSpec::streaming(
-                        "qcf::dedup_scatter",
-                        (unique.len() * 8) as u64,
-                        (n * 8) as u64,
-                    )
-                    .with_pattern(MemoryPattern::Strided),
-                    || reassemble_blocks_into(&unique, &refs, block_size, n, out),
+            let mut unique = scratch::f64s().take_spare(n);
+            decompress_any_into(&body[p..p + backend_len], stream, &mut unique)?;
+            p += backend_len;
+            stream.launch(
+                &KernelSpec::streaming(
+                    "qcf::dedup_scatter",
+                    (unique.len() * 8) as u64,
+                    (n * 8) as u64,
                 )
-            })();
-            self.ws.put_f64(unique);
-            res?;
+                .with_pattern(MemoryPattern::Strided),
+                || reassemble_blocks_into(&unique, &refs, block_size, n, out),
+            )?;
+            scratch::f64s().put(unique);
         } else {
             let backend_len = read_uvarint(body, &mut p)? as usize;
             if body.len() < p + backend_len {
@@ -478,6 +457,137 @@ impl QcfCompressor {
             *pos = p;
         }
         Ok(())
+    }
+
+    /// The whole compress pipeline: header, optional P1 split, one
+    /// [`encode_plane`](Self::encode_plane) per plane.
+    fn encode(
+        &self,
+        data: &[f64],
+        bound: ErrorBound,
+        stream: &Stream,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        let (min, max) = value_range(data);
+        let abs_eb = bound.to_abs(max - min);
+        if abs_eb.is_nan() || abs_eb <= 0.0 {
+            return Err(CodecError::Unsupported("error bound must be positive"));
+        }
+        let n = data.len();
+        let split = self.stages.deinterleave && n.is_multiple_of(2) && n > 0;
+
+        stream_header_into(self.id(), n, out);
+        out.push(split as u8);
+        out.extend_from_slice(&abs_eb.to_le_bytes());
+
+        if split {
+            // P1: de-interleave into pooled planes. Ratio mode materializes
+            // the planes (one streaming pass); speed mode folds the gather
+            // into its fused encode kernel, so only flops are charged here.
+            let deint_span = qcf_telemetry::span!("stage.deinterleave");
+            let deint_spec = match self.mode {
+                Mode::Ratio => {
+                    KernelSpec::streaming("qcf::deinterleave", (n * 8) as u64, (n * 8) as u64)
+                }
+                Mode::Speed => {
+                    KernelSpec::streaming("qcf::deinterleave_fused", 0, 0).with_flops(n as u64)
+                }
+            };
+            let mut re = scratch::f64s().take_spare(n / 2);
+            let mut im = scratch::f64s().take_spare(n / 2);
+            stream.launch(&deint_spec, || deinterleave_into(data, &mut re, &mut im));
+            drop(deint_span);
+            // The planes are fully independent after the split, so encode
+            // them concurrently into separate buffers and concatenate —
+            // byte-identical to the sequential order. Stream time is charged
+            // at submission (see `gpu_model::Stream`), so the virtual clock
+            // is unaffected by the overlap. Each branch recovers its owned
+            // plane into the pool once encoding is done.
+            if gpu_model::exec::worker_count() > 1 {
+                let (re_buf, im_buf) = std::thread::scope(|s| {
+                    let im_task = s.spawn(move || {
+                        let mut plane = Cow::Owned(im);
+                        let mut buf = scratch::u8s().take_spare(n * 4 + 64);
+                        let res = self
+                            .encode_plane(&mut plane, abs_eb, stream, &mut buf)
+                            .map(|()| buf);
+                        if let Cow::Owned(v) = plane {
+                            scratch::f64s().put(v);
+                        }
+                        res
+                    });
+                    let mut plane = Cow::Owned(re);
+                    let mut buf = scratch::u8s().take_spare(n * 4 + 64);
+                    let re_res = self
+                        .encode_plane(&mut plane, abs_eb, stream, &mut buf)
+                        .map(|()| buf);
+                    if let Cow::Owned(v) = plane {
+                        scratch::f64s().put(v);
+                    }
+                    (re_res, im_task.join().expect("plane encoder panicked"))
+                });
+                let (re_buf, im_buf) = (re_buf?, im_buf?);
+                out.extend_from_slice(&re_buf);
+                out.extend_from_slice(&im_buf);
+                scratch::u8s().put(re_buf);
+                scratch::u8s().put(im_buf);
+            } else {
+                for half in [re, im] {
+                    let mut plane = Cow::Owned(half);
+                    let res = self.encode_plane(&mut plane, abs_eb, stream, out);
+                    if let Cow::Owned(v) = plane {
+                        scratch::f64s().put(v);
+                    }
+                    res?;
+                }
+            }
+        } else {
+            // Borrowed view: encode_plane copies only if zero collapse
+            // actually engages, instead of cloning the whole input up front;
+            // if it did copy, the copy is pooled for next time.
+            let mut plane = Cow::Borrowed(data);
+            let res = self.encode_plane(&mut plane, abs_eb, stream, out);
+            if let Cow::Owned(v) = plane {
+                scratch::f64s().put(v);
+            }
+            res?;
+        }
+        if qcf_telemetry::enabled() && !out.is_empty() {
+            qcf_telemetry::registry()
+                .float_gauge(&format!("compressor.{}.cr", self.name()))
+                .set((n * 8) as f64 / out.len() as f64);
+        }
+        Ok(())
+    }
+
+    /// Inverse of [`encode`](Self::encode).
+    fn decode(&self, bytes: &[u8], stream: &Stream, out: &mut Vec<f64>) -> Result<(), CodecError> {
+        let (n, mut pos) = read_stream_header(bytes, self.id())?;
+        let split = *bytes.get(pos).ok_or(CodecError::UnexpectedEof)?;
+        pos += 1;
+        if split > 1 || (split == 1 && n % 2 != 0) {
+            return Err(CodecError::Corrupt("bad split flag"));
+        }
+        if bytes.len() < pos + 8 {
+            return Err(CodecError::UnexpectedEof);
+        }
+        pos += 8; // abs_eb: informational in the header, not needed to decode
+
+        if split == 1 {
+            let mut re = scratch::f64s().take_spare(n / 2);
+            let mut im = scratch::f64s().take_spare(n / 2);
+            self.decode_plane_into(bytes, &mut pos, n / 2, stream, &mut re)?;
+            self.decode_plane_into(bytes, &mut pos, n / 2, stream, &mut im)?;
+            stream.launch(
+                &KernelSpec::streaming("qcf::interleave", (n * 8) as u64, (n * 8) as u64),
+                || interleave_into(&re, &im, out),
+            );
+            scratch::f64s().put(re);
+            scratch::f64s().put(im);
+            Ok(())
+        } else {
+            self.decode_plane_into(bytes, &mut pos, n, stream, out)
+        }
     }
 }
 
@@ -519,103 +629,7 @@ impl Compressor for QcfCompressor {
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
         let t0 = lat_start();
-        // Pipeline-level arena phase: one compress call is one phase, so
-        // arena scratch taken by any stage below (or the backends they
-        // call, via their own nested phases) is released in a single
-        // cursor reset when the call returns.
-        let res = with_arena_phase(|_| {
-            let (min, max) = value_range(data);
-            let abs_eb = bound.to_abs(max - min);
-            if abs_eb.is_nan() || abs_eb <= 0.0 {
-                return Err(CodecError::Unsupported("error bound must be positive"));
-            }
-            let n = data.len();
-            let split = self.stages.deinterleave && n.is_multiple_of(2) && n > 0;
-
-            stream_header_into(self.id(), n, out);
-            out.push(split as u8);
-            out.extend_from_slice(&abs_eb.to_le_bytes());
-
-            if split {
-                // P1: de-interleave into pooled planes. Ratio mode materializes
-                // the planes (one streaming pass); speed mode folds the gather
-                // into its fused encode kernel, so only flops are charged here.
-                let deint_span = qcf_telemetry::span!("stage.deinterleave");
-                let deint_spec = match self.mode {
-                    Mode::Ratio => {
-                        KernelSpec::streaming("qcf::deinterleave", (n * 8) as u64, (n * 8) as u64)
-                    }
-                    Mode::Speed => {
-                        KernelSpec::streaming("qcf::deinterleave_fused", 0, 0).with_flops(n as u64)
-                    }
-                };
-                let mut re = self.ws.take_f64_spare(n / 2);
-                let mut im = self.ws.take_f64_spare(n / 2);
-                stream.launch(&deint_spec, || deinterleave_into(data, &mut re, &mut im));
-                drop(deint_span);
-                // The planes are fully independent after the split, so encode
-                // them concurrently into separate buffers and concatenate —
-                // byte-identical to the sequential order. Stream time is charged
-                // at submission (see `gpu_model::Stream`), so the virtual clock
-                // is unaffected by the overlap. Each branch recovers its owned
-                // plane into the workspace once encoding is done.
-                if gpu_model::exec::worker_count() > 1 {
-                    let ws = &self.ws;
-                    let (re_buf, im_buf) = std::thread::scope(|s| {
-                        let im_task = s.spawn(move || {
-                            let mut plane = Cow::Owned(im);
-                            let mut buf = ws.take_u8_spare(n * 4 + 64);
-                            let res = self
-                                .encode_plane(&mut plane, abs_eb, stream, &mut buf)
-                                .map(|()| buf);
-                            if let Cow::Owned(v) = plane {
-                                ws.put_f64(v);
-                            }
-                            res
-                        });
-                        let mut plane = Cow::Owned(re);
-                        let mut buf = ws.take_u8_spare(n * 4 + 64);
-                        let re_res = self
-                            .encode_plane(&mut plane, abs_eb, stream, &mut buf)
-                            .map(|()| buf);
-                        if let Cow::Owned(v) = plane {
-                            ws.put_f64(v);
-                        }
-                        (re_res, im_task.join().expect("plane encoder panicked"))
-                    });
-                    let (re_buf, im_buf) = (re_buf?, im_buf?);
-                    out.extend_from_slice(&re_buf);
-                    out.extend_from_slice(&im_buf);
-                    self.ws.put_u8(re_buf);
-                    self.ws.put_u8(im_buf);
-                } else {
-                    for half in [re, im] {
-                        let mut plane = Cow::Owned(half);
-                        let res = self.encode_plane(&mut plane, abs_eb, stream, out);
-                        if let Cow::Owned(v) = plane {
-                            self.ws.put_f64(v);
-                        }
-                        res?;
-                    }
-                }
-            } else {
-                // Borrowed view: encode_plane copies only if zero collapse
-                // actually engages, instead of cloning the whole input up front;
-                // if it did copy, the copy is pooled for next time.
-                let mut plane = Cow::Borrowed(data);
-                let res = self.encode_plane(&mut plane, abs_eb, stream, out);
-                if let Cow::Owned(v) = plane {
-                    self.ws.put_f64(v);
-                }
-                res?;
-            }
-            if qcf_telemetry::enabled() && !out.is_empty() {
-                qcf_telemetry::registry()
-                    .float_gauge(&format!("compressor.{}.cr", self.name()))
-                    .set((n * 8) as f64 / out.len() as f64);
-            }
-            Ok(())
-        });
+        let res = self.encode(data, bound, stream, out);
         if let Some(t0) = t0 {
             self.lat_encode.observe(t0.elapsed().as_secs_f64() * 1e6);
         }
@@ -635,38 +649,7 @@ impl Compressor for QcfCompressor {
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
         let t0 = lat_start();
-        // Mirror of the compress-side phase: see `compress_raw_into`.
-        let res = with_arena_phase(|_| {
-            let (n, mut pos) = read_stream_header(bytes, self.id())?;
-            let split = *bytes.get(pos).ok_or(CodecError::UnexpectedEof)?;
-            pos += 1;
-            if split > 1 || (split == 1 && n % 2 != 0) {
-                return Err(CodecError::Corrupt("bad split flag"));
-            }
-            if bytes.len() < pos + 8 {
-                return Err(CodecError::UnexpectedEof);
-            }
-            pos += 8; // abs_eb: informational in the header, not needed to decode
-
-            if split == 1 {
-                let mut re = self.ws.take_f64_spare(n / 2);
-                let mut im = self.ws.take_f64_spare(n / 2);
-                let res = (|| {
-                    self.decode_plane_into(bytes, &mut pos, n / 2, stream, &mut re)?;
-                    self.decode_plane_into(bytes, &mut pos, n / 2, stream, &mut im)?;
-                    stream.launch(
-                        &KernelSpec::streaming("qcf::interleave", (n * 8) as u64, (n * 8) as u64),
-                        || interleave_into(&re, &im, out),
-                    );
-                    Ok(())
-                })();
-                self.ws.put_f64(re);
-                self.ws.put_f64(im);
-                res
-            } else {
-                self.decode_plane_into(bytes, &mut pos, n, stream, out)
-            }
-        });
+        let res = self.decode(bytes, stream, out);
         if let Some(t0) = t0 {
             self.lat_decode.observe(t0.elapsed().as_secs_f64() * 1e6);
         }

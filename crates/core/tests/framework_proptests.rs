@@ -105,9 +105,13 @@ proptest! {
             let mut speed = Vec::new();
             dict::encode_speed(&q, eb, &mut speed);
             let mut pos = 0;
-            let r1 = dict::decode_ratio(&ratio, &mut pos).unwrap();
+            let mut r1 = Vec::new();
+            dict::decode_ratio(&ratio, &mut pos, &mut r1).unwrap();
+            // A dirty caller buffer must be cleared, not appended to.
             let mut pos = 0;
-            let r2 = dict::decode_speed(&speed, &mut pos).unwrap();
+            let mut r2 = vec![f64::NAN; 7];
+            dict::decode_speed(&speed, &mut pos, &mut r2).unwrap();
+            prop_assert_eq!(r1.len(), r2.len());
             for (a, b) in r1.iter().zip(&r2) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -122,7 +126,7 @@ proptest! {
         garbage in prop::collection::vec(any::<u8>(), 0..256),
         dirt in prop::collection::vec(-1e3f64..1e3, 0..128),
     ) {
-        // The workspace-pooled compress_into/decompress_into must reproduce
+        // The pool-backed compress_into/decompress_into must reproduce
         // the allocating entry points bit for bit, even into dirty buffers,
         // for every stage combination in both flavours.
         let mode = if ratio_mode { Mode::Ratio } else { Mode::Speed };

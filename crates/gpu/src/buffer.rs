@@ -5,20 +5,14 @@
 //! peak bytes, and [`DeviceBuffer`]s return their bytes on drop. The
 //! end-to-end footprint experiment (E9) reads these counters.
 //!
-//! [`ScratchPool`] is the workspace-reuse half: hot loops (the contraction
-//! loop's permute buffers, the plane encoders' byte buffers) check
-//! same-typed `Vec`s back in after use instead of reallocating one per
-//! intermediate, mirroring how the CUDA implementations keep one workspace
-//! arena per stream.
+//! [`ScratchPool`] is the scratch-reuse half: hot loops (the codecs'
+//! symbol planes and payloads, the framework's value planes, `einsum`'s
+//! permute buffers) check same-typed `Vec`s back in after use instead of
+//! reallocating one per call, mirroring how the CUDA implementations keep
+//! one workspace per stream.
 
-use qcf_telemetry::Counter;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Counters and free-lists stay consistent even if a holder panicked
-    // mid-update elsewhere; recover rather than cascade the panic.
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use qcf_telemetry::{lock_unpoisoned, Counter};
+use std::sync::{Arc, Mutex};
 
 /// Shared allocation counters for one simulated device.
 #[derive(Debug, Clone, Default)]
@@ -139,20 +133,25 @@ impl<T> Drop for DeviceBuffer<T> {
 /// buffers are simply dropped. Bounds worst-case memory held by the pool.
 const SCRATCH_POOL_CAP: usize = 16;
 
-/// A thread-safe free-list of reusable `Vec<T>` workspaces.
+/// A thread-safe free-list of reusable `Vec<T>` scratch buffers — the one
+/// scratch mechanism of the workspace.
 ///
-/// `take(len)` returns a vector of exactly `len` default-initialized
-/// elements, reusing the capacity of a previously [`put`]-back buffer when
-/// one is available; `put` checks a buffer back in. Clones share the
-/// free-list.
+/// [`take`] hands out a vector of exactly `len` default-initialized
+/// elements and [`take_spare`] an empty one with at least `cap` spare
+/// capacity, each reusing the best-fitting (smallest sufficient) buffer a
+/// caller checked back in with [`put`]. Clones share the free-list.
 ///
-/// The pool never hands the same buffer to two callers: `take` removes it
-/// from the list and `put` re-inserts it, both under the lock, so pooled
-/// buffers are safe to use from executor workers (each worker takes its
-/// own). Contents of a reused buffer are always reset by `take`, so reuse
-/// can never leak data across users — which also keeps pooled and
-/// non-pooled runs bit-identical.
+/// The pool never hands the same buffer to two callers: checkout removes
+/// it from the list and `put` re-inserts it, both under the lock, so
+/// pooled buffers are safe to use from executor workers (each worker takes
+/// its own). Contents of a reused buffer are always reset, so reuse can
+/// never leak data across users — which also keeps pooled and non-pooled
+/// runs bit-identical. A buffer that is dropped instead of put back (an
+/// early error return, an unwind) simply frees itself; the pool misses
+/// once on the next checkout.
 ///
+/// [`take`]: ScratchPool::take
+/// [`take_spare`]: ScratchPool::take_spare
 /// [`put`]: ScratchPool::put
 #[derive(Debug, Default, Clone)]
 pub struct ScratchPool<T> {
@@ -188,7 +187,7 @@ impl<T: Clone + Default> ScratchPool<T> {
 
     /// A fresh pool that mirrors hits/misses into the telemetry registry
     /// as `<prefix>.hits` / `<prefix>.misses` (counter handles are cached
-    /// here, so `take` pays one atomic add, not a registry lookup).
+    /// here, so a checkout pays one atomic add, not a registry lookup).
     pub fn with_metrics(prefix: &str) -> Self {
         let r = qcf_telemetry::registry();
         ScratchPool {
@@ -203,59 +202,30 @@ impl<T: Clone + Default> ScratchPool<T> {
     /// A vector of `len` default-initialized elements, reusing pooled
     /// capacity when possible.
     pub fn take(&self, len: usize) -> Vec<T> {
-        self.take_reporting(len).0
-    }
-
-    /// Like [`take`](ScratchPool::take), but also reports whether the
-    /// request was served from the free-list (`true`) or had to allocate
-    /// (`false`). [`Workspace`] uses this to count bytes reused vs.
-    /// allocated.
-    pub fn take_reporting(&self, len: usize) -> (Vec<T>, bool) {
-        let reused = {
-            let mut st = lock_unpoisoned(&self.inner);
-            // Prefer the buffer whose capacity fits best, to keep big
-            // buffers available for big requests.
-            let best = st
-                .free
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.capacity() >= len)
-                .min_by_key(|(_, b)| b.capacity())
-                .map(|(i, _)| i);
-            match best {
-                Some(i) => {
-                    st.hits += 1;
-                    Some(st.free.swap_remove(i))
-                }
-                None => {
-                    st.misses += 1;
-                    None
-                }
-            }
-        };
-        if let Some((hits, misses)) = &self.counters {
-            if reused.is_some() {
-                hits.inc();
-            } else {
-                misses.inc();
-            }
-        }
-        match reused {
+        match self.checkout(len) {
             Some(mut buf) => {
-                buf.clear();
                 buf.resize(len, T::default());
-                (buf, true)
+                buf
             }
-            None => (vec![T::default(); len], false),
+            None => vec![T::default(); len],
         }
     }
 
     /// An **empty** vector with at least `cap` spare capacity, reusing
     /// pooled capacity when possible. For output buffers that grow by
     /// `push`/`extend` rather than being indexed up front.
-    pub fn take_spare_reporting(&self, cap: usize) -> (Vec<T>, bool) {
+    pub fn take_spare(&self, cap: usize) -> Vec<T> {
+        self.checkout(cap)
+            .unwrap_or_else(|| Vec::with_capacity(cap))
+    }
+
+    /// Removes and clears the best-fitting pooled buffer with capacity for
+    /// `cap` elements, counting the hit or miss.
+    fn checkout(&self, cap: usize) -> Option<Vec<T>> {
         let reused = {
             let mut st = lock_unpoisoned(&self.inner);
+            // Prefer the buffer whose capacity fits best, to keep big
+            // buffers available for big requests.
             let best = st
                 .free
                 .iter()
@@ -281,13 +251,10 @@ impl<T: Clone + Default> ScratchPool<T> {
                 misses.inc();
             }
         }
-        match reused {
-            Some(mut buf) => {
-                buf.clear();
-                (buf, true)
-            }
-            None => (Vec::with_capacity(cap), false),
-        }
+        reused.map(|mut buf| {
+            buf.clear();
+            buf
+        })
     }
 
     /// Checks `buf` back in for reuse (dropped if the pool is full).
@@ -301,457 +268,12 @@ impl<T: Clone + Default> ScratchPool<T> {
         }
     }
 
-    /// `(hits, misses)` of `take` against the free-list, for tests and
+    /// `(hits, misses)` of checkouts against the free-list, for tests and
     /// footprint reports.
     pub fn stats(&self) -> (u64, u64) {
         let st = lock_unpoisoned(&self.inner);
         (st.hits, st.misses)
     }
-}
-
-/// A grown-once set of reusable scratch buffers for the compression
-/// pipeline: one free-list per element type the stages traffic in — `f64`
-/// value planes, `u8` byte streams, `u32` symbol/reference buffers.
-///
-/// `Workspace` generalizes [`ScratchPool`]: clones share the underlying
-/// pools, so a workspace embedded in a compressor travels with it cheaply
-/// and every user amortizes the same buffers. After a few round trips the
-/// pools hold the high-water-mark capacities and `take_*` stops touching
-/// the allocator entirely.
-///
-/// Reuse accounting is kept locally (always exact, telemetry on or off)
-/// and mirrored into the registry counters `workspace.bytes_reused` /
-/// `workspace.bytes_allocated` when telemetry is enabled.
-#[derive(Debug, Clone)]
-pub struct Workspace {
-    f64s: ScratchPool<f64>,
-    u8s: ScratchPool<u8>,
-    u32s: ScratchPool<u32>,
-    acct: Arc<WorkspaceAcct>,
-}
-
-#[derive(Debug)]
-struct WorkspaceAcct {
-    bytes_reused: std::sync::atomic::AtomicU64,
-    bytes_allocated: std::sync::atomic::AtomicU64,
-    reused_ctr: Arc<Counter>,
-    allocated_ctr: Arc<Counter>,
-}
-
-/// Exact byte-level reuse accounting of one [`Workspace`] (and its clones).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkspaceStats {
-    /// Bytes of `take_*` requests served from pooled capacity (no heap
-    /// allocation performed).
-    pub bytes_reused: u64,
-    /// Bytes of `take_*` requests that had to allocate fresh capacity.
-    pub bytes_allocated: u64,
-}
-
-impl Default for Workspace {
-    fn default() -> Self {
-        Workspace::new()
-    }
-}
-
-impl Workspace {
-    /// A fresh workspace with empty pools.
-    pub fn new() -> Self {
-        let r = qcf_telemetry::registry();
-        Workspace {
-            f64s: ScratchPool::new(),
-            u8s: ScratchPool::new(),
-            u32s: ScratchPool::new(),
-            acct: Arc::new(WorkspaceAcct {
-                bytes_reused: std::sync::atomic::AtomicU64::new(0),
-                bytes_allocated: std::sync::atomic::AtomicU64::new(0),
-                reused_ctr: r.counter("workspace.bytes_reused"),
-                allocated_ctr: r.counter("workspace.bytes_allocated"),
-            }),
-        }
-    }
-
-    #[inline]
-    fn account(&self, bytes: usize, reused: bool) {
-        use std::sync::atomic::Ordering;
-        if reused {
-            self.acct
-                .bytes_reused
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-            self.acct.reused_ctr.add(bytes as u64);
-        } else {
-            self.acct
-                .bytes_allocated
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-            self.acct.allocated_ctr.add(bytes as u64);
-        }
-    }
-
-    /// A zeroed `f64` buffer of `len`, reusing pooled capacity when possible.
-    pub fn take_f64(&self, len: usize) -> Vec<f64> {
-        let (buf, hit) = self.f64s.take_reporting(len);
-        self.account(len * 8, hit);
-        buf
-    }
-
-    /// Checks an `f64` buffer back in for reuse.
-    pub fn put_f64(&self, buf: Vec<f64>) {
-        self.f64s.put(buf);
-    }
-
-    /// A zeroed byte buffer of `len`, reusing pooled capacity when possible.
-    pub fn take_u8(&self, len: usize) -> Vec<u8> {
-        let (buf, hit) = self.u8s.take_reporting(len);
-        self.account(len, hit);
-        buf
-    }
-
-    /// An **empty** byte buffer with at least `cap` spare capacity, for
-    /// streams assembled by `push`/`extend` (codec outputs, plane bodies).
-    pub fn take_u8_spare(&self, cap: usize) -> Vec<u8> {
-        let (buf, hit) = self.u8s.take_spare_reporting(cap);
-        self.account(buf.capacity().max(cap), hit);
-        buf
-    }
-
-    /// Checks a byte buffer back in for reuse.
-    pub fn put_u8(&self, buf: Vec<u8>) {
-        self.u8s.put(buf);
-    }
-
-    /// A zeroed `u32` buffer of `len`, reusing pooled capacity when possible.
-    pub fn take_u32(&self, len: usize) -> Vec<u32> {
-        let (buf, hit) = self.u32s.take_reporting(len);
-        self.account(len * 4, hit);
-        buf
-    }
-
-    /// An **empty** `u32` buffer with at least `cap` spare capacity (symbol
-    /// streams assembled by `push`/`extend`).
-    pub fn take_u32_spare(&self, cap: usize) -> Vec<u32> {
-        let (buf, hit) = self.u32s.take_spare_reporting(cap);
-        self.account((buf.capacity().max(cap)) * 4, hit);
-        buf
-    }
-
-    /// An **empty** `f64` buffer with at least `cap` spare capacity (value
-    /// streams assembled by `push`/`extend`).
-    pub fn take_f64_spare(&self, cap: usize) -> Vec<f64> {
-        let (buf, hit) = self.f64s.take_spare_reporting(cap);
-        self.account((buf.capacity().max(cap)) * 8, hit);
-        buf
-    }
-
-    /// Checks a `u32` buffer back in for reuse.
-    pub fn put_u32(&self, buf: Vec<u32>) {
-        self.u32s.put(buf);
-    }
-
-    /// Bytes served from pooled capacity vs. freshly allocated, across this
-    /// workspace and all its clones.
-    pub fn stats(&self) -> WorkspaceStats {
-        use std::sync::atomic::Ordering;
-        WorkspaceStats {
-            bytes_reused: self.acct.bytes_reused.load(Ordering::Relaxed),
-            bytes_allocated: self.acct.bytes_allocated.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Minimum size of an [`Arena`] chunk. Small enough that idle threads cost
-/// little, big enough that a typical codec phase fits in one chunk.
-const ARENA_MIN_CHUNK: usize = 64 * 1024;
-
-/// Alignment of every arena chunk and every bump allocation. Covers all
-/// element types the pipeline traffics in (`u8`/`u32`/`u64`/`f64`) and
-/// leaves headroom for 16-byte SIMD lanes.
-const ARENA_ALIGN: usize = 16;
-
-/// A bump allocator for phase-scoped codec scratch.
-///
-/// Where [`Workspace`] pools whole `Vec`s across calls, `Arena` hands out
-/// borrowed slices carved from a few large chunks and releases them all at
-/// once when the phase ends. Allocation is a cursor bump (no locks, no
-/// free-list search), chunks double in size as the arena grows, and after
-/// the first warm phase the largest chunk covers the whole working set —
-/// so warm-path allocation count is zero and there is no grown-once
-/// fragmentation: the same chunk bytes are reused verbatim every phase.
-///
-/// The intended entry point is [`with_arena_phase`], which runs a closure
-/// against the calling thread's arena and rolls the cursor back when the
-/// closure returns (or unwinds). Phases nest: an inner phase rolls back to
-/// its own mark, leaving outer allocations intact. Returned slices are
-/// zero-initialized, mirroring `Workspace::take_*` semantics.
-///
-/// `Arena` is deliberately `!Send`/`!Sync`: each OS thread owns one via a
-/// thread-local, so the bump cursor needs no synchronization. Executor
-/// worker closures should keep using per-block `Vec`s or `Workspace`
-/// buffers — worker threads are ephemeral (spawned per `par_*` call), so a
-/// thread-local arena there would be allocated and dropped every call.
-pub struct Arena {
-    chunks: std::cell::RefCell<Vec<ArenaChunk>>,
-    /// Index of the chunk the bump cursor currently sits in.
-    cursor_chunk: std::cell::Cell<usize>,
-    /// Byte offset of the cursor within that chunk.
-    cursor_off: std::cell::Cell<usize>,
-    high_water: std::cell::Cell<usize>,
-    resets: std::cell::Cell<u64>,
-    /// Cached registry handles (`workspace.arena.*`); lookups happen once.
-    gauge_in_use: Arc<qcf_telemetry::Gauge>,
-    resets_ctr: Arc<Counter>,
-}
-
-struct ArenaChunk {
-    ptr: std::ptr::NonNull<u8>,
-    len: usize,
-}
-
-/// A saved cursor position; releasing to it frees everything allocated
-/// after the mark was taken.
-#[derive(Debug, Clone, Copy)]
-pub struct ArenaMark {
-    chunk: usize,
-    off: usize,
-}
-
-/// Point-in-time usage figures of one [`Arena`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ArenaStats {
-    /// Bytes currently bumped (including alignment padding and skipped
-    /// chunk tails).
-    pub bytes_in_use: usize,
-    /// Highest `bytes_in_use` ever observed.
-    pub high_water: usize,
-    /// Phase releases performed so far.
-    pub resets: u64,
-    /// Chunks currently backing the arena.
-    pub chunks: usize,
-}
-
-impl Default for Arena {
-    fn default() -> Self {
-        Arena::new()
-    }
-}
-
-impl Arena {
-    /// A fresh arena with no chunks; the first allocation grows it.
-    pub fn new() -> Self {
-        let r = qcf_telemetry::registry();
-        Arena {
-            chunks: std::cell::RefCell::new(Vec::new()),
-            cursor_chunk: std::cell::Cell::new(0),
-            cursor_off: std::cell::Cell::new(0),
-            high_water: std::cell::Cell::new(0),
-            resets: std::cell::Cell::new(0),
-            gauge_in_use: r.gauge("workspace.arena.bytes_in_use"),
-            resets_ctr: r.counter("workspace.arena.resets"),
-        }
-    }
-
-    /// A zeroed `u8` slice of `len`, valid until the enclosing phase ends.
-    #[allow(clippy::mut_from_ref)]
-    pub fn alloc_u8(&self, len: usize) -> &mut [u8] {
-        self.alloc_slice(len)
-    }
-
-    /// A zeroed `u32` slice of `len`, valid until the enclosing phase ends.
-    #[allow(clippy::mut_from_ref)]
-    pub fn alloc_u32(&self, len: usize) -> &mut [u32] {
-        self.alloc_slice(len)
-    }
-
-    /// A zeroed `u64` slice of `len`, valid until the enclosing phase ends.
-    #[allow(clippy::mut_from_ref)]
-    pub fn alloc_u64(&self, len: usize) -> &mut [u64] {
-        self.alloc_slice(len)
-    }
-
-    /// A zeroed `f64` slice of `len`, valid until the enclosing phase ends.
-    #[allow(clippy::mut_from_ref)]
-    pub fn alloc_f64(&self, len: usize) -> &mut [f64] {
-        self.alloc_slice(len)
-    }
-
-    /// The current cursor; pass to [`release_to`](Arena::release_to) to
-    /// free everything allocated after this point.
-    pub fn mark(&self) -> ArenaMark {
-        ArenaMark {
-            chunk: self.cursor_chunk.get(),
-            off: self.cursor_off.get(),
-        }
-    }
-
-    /// Rolls the cursor back to `mark`. Every slice handed out after the
-    /// mark must be dead by now — [`with_arena_phase`] enforces this with
-    /// closure lifetimes; direct callers must uphold it themselves (the
-    /// borrow checker does it for them as long as slices from before the
-    /// mark are not conflated with slices from after).
-    pub fn release_to(&self, mark: ArenaMark) {
-        self.cursor_chunk.set(mark.chunk);
-        self.cursor_off.set(mark.off);
-        self.resets.set(self.resets.get() + 1);
-        self.resets_ctr.inc();
-        self.gauge_in_use.set(self.bytes_in_use() as i64);
-    }
-
-    /// Current usage figures.
-    pub fn stats(&self) -> ArenaStats {
-        ArenaStats {
-            bytes_in_use: self.bytes_in_use(),
-            high_water: self.high_water.get(),
-            resets: self.resets.get(),
-            chunks: self.chunks.borrow().len(),
-        }
-    }
-
-    fn bytes_in_use(&self) -> usize {
-        let chunks = self.chunks.borrow();
-        let full: usize = chunks
-            .iter()
-            .take(self.cursor_chunk.get().min(chunks.len()))
-            .map(|c| c.len)
-            .sum();
-        full + self.cursor_off.get()
-    }
-
-    /// Carves a zeroed, `ARENA_ALIGN`-aligned `&mut [T]` off the bump
-    /// cursor.
-    ///
-    /// Soundness: every call advances the cursor past the returned region,
-    /// so two live slices never alias; the cursor only moves backwards in
-    /// `release_to`, whose callers guarantee the freed slices are dead.
-    #[allow(clippy::mut_from_ref)]
-    fn alloc_slice<T>(&self, len: usize) -> &mut [T] {
-        debug_assert!(std::mem::align_of::<T>() <= ARENA_ALIGN);
-        if len == 0 {
-            return &mut [];
-        }
-        let bytes = len
-            .checked_mul(std::mem::size_of::<T>())
-            .expect("arena allocation size overflows usize");
-        let ptr = self.alloc_bytes(bytes);
-        unsafe {
-            std::ptr::write_bytes(ptr, 0, bytes);
-            std::slice::from_raw_parts_mut(ptr.cast::<T>(), len)
-        }
-    }
-
-    fn alloc_bytes(&self, need: usize) -> *mut u8 {
-        loop {
-            {
-                let chunks = self.chunks.borrow();
-                if let Some(c) = chunks.get(self.cursor_chunk.get()) {
-                    let off = (self.cursor_off.get() + ARENA_ALIGN - 1) & !(ARENA_ALIGN - 1);
-                    if let Some(end) = off.checked_add(need) {
-                        if end <= c.len {
-                            self.cursor_off.set(end);
-                            let ptr = unsafe { c.ptr.as_ptr().add(off) };
-                            drop(chunks);
-                            self.note_usage();
-                            return ptr;
-                        }
-                    }
-                }
-                // Cursor chunk exhausted (or none yet): move into the next
-                // retained chunk if a nested-phase rollback left one, else
-                // grow.
-                if self.cursor_chunk.get() + 1 < chunks.len() {
-                    self.cursor_chunk.set(self.cursor_chunk.get() + 1);
-                    self.cursor_off.set(0);
-                    continue;
-                }
-            }
-            self.grow(need);
-        }
-    }
-
-    #[cold]
-    fn grow(&self, need: usize) {
-        let last = self.chunks.borrow().last().map_or(0, |c| c.len);
-        let size = need.max(last.saturating_mul(2)).max(ARENA_MIN_CHUNK);
-        let size = size.checked_next_power_of_two().unwrap_or(size);
-        let layout =
-            std::alloc::Layout::from_size_align(size, ARENA_ALIGN).expect("arena chunk layout");
-        let raw = unsafe { std::alloc::alloc(layout) };
-        let Some(ptr) = std::ptr::NonNull::new(raw) else {
-            std::alloc::handle_alloc_error(layout);
-        };
-        let mut chunks = self.chunks.borrow_mut();
-        chunks.push(ArenaChunk { ptr, len: size });
-        self.cursor_chunk.set(chunks.len() - 1);
-        self.cursor_off.set(0);
-    }
-
-    fn note_usage(&self) {
-        let used = self.bytes_in_use();
-        if used > self.high_water.get() {
-            self.high_water.set(used);
-        }
-        self.gauge_in_use.set(used as i64);
-    }
-}
-
-impl Drop for Arena {
-    fn drop(&mut self) {
-        for c in self.chunks.get_mut().drain(..) {
-            unsafe {
-                std::alloc::dealloc(
-                    c.ptr.as_ptr(),
-                    std::alloc::Layout::from_size_align_unchecked(c.len, ARENA_ALIGN),
-                );
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for Arena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Arena")
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-thread_local! {
-    /// One arena per OS thread. Only caller-thread pipeline phases use it;
-    /// ephemeral executor workers never touch it (see [`Arena`] docs).
-    static THREAD_ARENA: Arena = Arena::new();
-}
-
-struct PhaseGuard<'a> {
-    arena: &'a Arena,
-    mark: ArenaMark,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        // Runs on unwind too, so a panicking phase still releases its
-        // allocations instead of leaking cursor space forever.
-        self.arena.release_to(self.mark);
-    }
-}
-
-/// Runs `f` against the calling thread's [`Arena`], releasing everything
-/// the phase allocated when `f` returns or unwinds.
-///
-/// The closure receives `&Arena` with a fresh lifetime, so slices it
-/// allocates cannot escape through the return value — the same trick
-/// `std::thread::scope` uses. Phases nest freely; an inner phase rolls
-/// back to its own mark only.
-pub fn with_arena_phase<R>(f: impl FnOnce(&Arena) -> R) -> R {
-    THREAD_ARENA.with(|arena| {
-        let guard = PhaseGuard {
-            arena,
-            mark: arena.mark(),
-        };
-        f(guard.arena)
-    })
-}
-
-/// Usage figures of the calling thread's arena (tests, reports).
-pub fn thread_arena_stats() -> ArenaStats {
-    THREAD_ARENA.with(|a| a.stats())
 }
 
 #[cfg(test)]
@@ -807,6 +329,20 @@ mod tests {
     }
 
     #[test]
+    fn scratch_take_spare_is_empty_with_capacity() {
+        let pool = ScratchPool::<u32>::new();
+        let mut a = pool.take_spare(64);
+        assert!(a.is_empty() && a.capacity() >= 64);
+        a.extend([7; 64]);
+        let cap = a.capacity();
+        pool.put(a);
+        let b = pool.take_spare(32);
+        assert!(b.is_empty(), "reused spare buffer must be cleared");
+        assert_eq!(b.capacity(), cap, "must reuse the checked-in buffer");
+        assert_eq!(pool.stats(), (1, 1));
+    }
+
+    #[test]
     fn scratch_misses_when_too_small() {
         let pool = ScratchPool::<u8>::new();
         pool.put(Vec::with_capacity(10));
@@ -849,114 +385,5 @@ mod tests {
         let buf = pool.take(16);
         assert_eq!(pool.stats().0, 1, "clone's buffer visible to original");
         pool.put(buf);
-    }
-
-    #[test]
-    fn workspace_reuses_across_types_and_clones() {
-        let ws = Workspace::new();
-        let f = ws.take_f64(100);
-        let b = ws.take_u8(64);
-        let s = ws.take_u32(32);
-        assert_eq!(f.len(), 100);
-        assert!(f.iter().all(|&x| x == 0.0));
-        let st = ws.stats();
-        assert_eq!(st.bytes_reused, 0);
-        assert_eq!(st.bytes_allocated, 100 * 8 + 64 + 32 * 4);
-
-        let clone = ws.clone();
-        clone.put_f64(f);
-        clone.put_u8(b);
-        clone.put_u32(s);
-
-        // Smaller requests fit in the returned capacities: all reuse.
-        let f2 = ws.take_f64(80);
-        let b2 = ws.take_u8(64);
-        let s2 = ws.take_u32(10);
-        assert_eq!((f2.len(), b2.len(), s2.len()), (80, 64, 10));
-        let st = ws.stats();
-        assert_eq!(st.bytes_reused, 80 * 8 + 64 + 10 * 4);
-        assert_eq!(st.bytes_allocated, 100 * 8 + 64 + 32 * 4, "unchanged");
-    }
-
-    #[test]
-    fn arena_slices_are_zeroed_and_disjoint() {
-        let arena = Arena::new();
-        let mark = arena.mark();
-        let a = arena.alloc_u32(100);
-        let b = arena.alloc_u32(100);
-        assert!(a.iter().all(|&v| v == 0));
-        a.fill(7);
-        b.fill(9);
-        assert!(a.iter().all(|&v| v == 7), "b must not alias a");
-        assert!(b.iter().all(|&v| v == 9));
-        let f = arena.alloc_f64(3);
-        assert_eq!(f, &[0.0; 3]);
-        assert!(arena.stats().bytes_in_use >= 800 + 24);
-        arena.release_to(mark);
-        assert_eq!(arena.stats().bytes_in_use, 0);
-        assert_eq!(arena.stats().resets, 1);
-    }
-
-    #[test]
-    fn arena_phase_releases_and_reuses_chunks() {
-        let warm = with_arena_phase(|a| {
-            a.alloc_u64(1 << 12);
-            a.alloc_u8(1 << 12);
-            a.stats()
-        });
-        assert!(warm.chunks >= 1);
-        // A second identical phase must not grow the arena further.
-        let again = with_arena_phase(|a| {
-            a.alloc_u64(1 << 12);
-            a.alloc_u8(1 << 12);
-            a.stats()
-        });
-        assert_eq!(again.chunks, warm.chunks, "warm phase must not grow");
-        assert_eq!(again.high_water, warm.high_water);
-        assert_eq!(thread_arena_stats().bytes_in_use, 0, "phase released");
-    }
-
-    #[test]
-    fn arena_nested_phase_rolls_back_to_own_mark() {
-        with_arena_phase(|a| {
-            let outer = a.alloc_u32(16);
-            outer.fill(5);
-            let inner_stats = with_arena_phase(|b| {
-                b.alloc_u32(1 << 16); // force growth past the outer chunk
-                b.stats()
-            });
-            assert!(inner_stats.bytes_in_use > 16 * 4);
-            // Inner released; outer allocation still live and intact.
-            assert!(outer.iter().all(|&v| v == 5));
-            let next = a.alloc_u32(8);
-            next.fill(1);
-            assert!(outer.iter().all(|&v| v == 5), "no aliasing after rollback");
-        });
-    }
-
-    #[test]
-    fn arena_phase_releases_on_panic() {
-        let before = thread_arena_stats();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_arena_phase(|a| {
-                a.alloc_u8(1024);
-                panic!("boom");
-            })
-        }));
-        assert!(r.is_err());
-        let after = thread_arena_stats();
-        assert_eq!(after.bytes_in_use, before.bytes_in_use);
-        assert_eq!(after.resets, before.resets + 1);
-    }
-
-    #[test]
-    fn arena_grows_doubling_chunks() {
-        let arena = Arena::new();
-        arena.alloc_u8(ARENA_MIN_CHUNK + 1); // bigger than the first chunk
-        let st = arena.stats();
-        assert_eq!(st.chunks, 1, "single oversized chunk, not two");
-        arena.alloc_u8(ARENA_MIN_CHUNK * 4);
-        assert_eq!(arena.stats().chunks, 2);
-        assert!(arena.stats().high_water >= ARENA_MIN_CHUNK * 5);
     }
 }

@@ -98,7 +98,7 @@ impl PanicSlot {
             qcf_telemetry::registry()
                 .counter("exec.worker.panics")
                 .inc();
-            let mut slot = self.0.lock().unwrap_or_else(|e| e.into_inner());
+            let mut slot = qcf_telemetry::lock_unpoisoned(&self.0);
             slot.get_or_insert(payload);
         }
     }
@@ -458,22 +458,6 @@ mod tests {
             let expect = usize::from(i != 3);
             assert_eq!(h.load(Ordering::Relaxed), expect, "block {i}");
         }
-    }
-
-    #[test]
-    fn injected_worker_panic_fires() {
-        let _g = qcf_telemetry::faults::chaos_guard();
-        qcf_telemetry::faults::arm_from_spec("exec.worker.panic@2").unwrap();
-        let done = AtomicUsize::new(0);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_for_blocks(8, 8, |_, range| {
-                done.fetch_add(range.len(), Ordering::Relaxed);
-            });
-        }));
-        qcf_telemetry::faults::disarm();
-        assert!(caught.is_err(), "injected panic must surface to the caller");
-        // Exactly one block was killed; the other seven completed.
-        assert_eq!(done.load(Ordering::Relaxed), 7);
     }
 
     #[test]

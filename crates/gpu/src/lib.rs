@@ -10,15 +10,13 @@
 //! * [`Stream`] — in-order launches, virtual clock, per-kernel event log.
 //! * [`exec`] — scoped-thread grid/block execution of kernel bodies.
 //! * [`MemoryPool`] / [`DeviceBuffer`] — device-memory footprint accounting.
+//! * [`ScratchPool`] — reusable scratch buffers for the codec hot loops.
 
 pub mod buffer;
 pub mod device;
 pub mod exec;
 pub mod stream;
 
-pub use buffer::{
-    thread_arena_stats, with_arena_phase, Arena, ArenaMark, ArenaStats, DeviceBuffer, MemoryPool,
-    ScratchPool, Workspace, WorkspaceStats,
-};
+pub use buffer::{DeviceBuffer, MemoryPool, ScratchPool};
 pub use device::{DeviceSpec, KernelSpec, MemoryPattern};
 pub use stream::{KernelEvent, Stream};

@@ -89,7 +89,7 @@ impl Stream {
         // A panicking kernel body never holds this lock (charging happens
         // before the body runs), so poison only means a panic elsewhere;
         // the state itself is always consistent.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        qcf_telemetry::lock_unpoisoned(&self.state)
     }
 
     /// Charges `duration` seconds for `name` at submission time and

@@ -289,6 +289,9 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_and_rejects_tampering() {
+        // `write_snapshot` passes the process-global ckpt fault points; a
+        // sibling test arming them must not fire inside this one.
+        let _guard = qcf_telemetry::faults::chaos_guard();
         let path = tmp("roundtrip.qcfs");
         let body = b"QCFSNAP1 pretend body".to_vec();
         let total = write_snapshot(&path, &body).unwrap();

@@ -61,6 +61,7 @@
 use codec_kit::frame::fnv1a32;
 use compressors::Compressor;
 use gpu_model::{DeviceSpec, Stream};
+use qcf_telemetry::lock_unpoisoned;
 use qcircuit::Gate;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -68,7 +69,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
+use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::Duration;
 use tensornet::Complex64;
 
@@ -146,10 +147,6 @@ pub(crate) struct SpillEntry {
 
 /// Disambiguates spill files of multiple states in one process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Serializes one record header in front of `payload`.
 fn push_record_header(rec: &mut Vec<u8>, chunk: u32, gen: u64, payload: &[u8]) {

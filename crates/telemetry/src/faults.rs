@@ -41,6 +41,7 @@
 //! [`disarm`]; the state is process-global, so concurrent tests in one
 //! binary must serialize through [`chaos_guard`].
 
+use crate::lock_unpoisoned;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -93,7 +94,7 @@ fn plan() -> &'static Mutex<Plan> {
 }
 
 fn lock_plan() -> MutexGuard<'static, Plan> {
-    plan().lock().unwrap_or_else(|e| e.into_inner())
+    lock_unpoisoned(plan())
 }
 
 /// True when fault injection is armed. Initialized on first call from
@@ -128,7 +129,7 @@ fn arm_from_env(spec: &str) -> bool {
             // into a clean run: record the error for callers (qcfz exits
             // nonzero on it) and mirror it into the registry.
             eprintln!("QCF_FAULTS malformed (injection disarmed): {e}");
-            *spec_error_slot().lock().unwrap_or_else(|p| p.into_inner()) = Some(e);
+            *lock_unpoisoned(spec_error_slot()) = Some(e);
             if crate::enabled() {
                 crate::registry().counter("faults.spec_error").inc();
             }
@@ -147,10 +148,7 @@ fn spec_error_slot() -> &'static Mutex<Option<String>> {
 /// time, if any. Drivers that run chaos drills check this after calling
 /// [`armed`] and fail loudly instead of running clean.
 pub fn spec_error() -> Option<String> {
-    spec_error_slot()
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .clone()
+    lock_unpoisoned(spec_error_slot()).clone()
 }
 
 /// Arms fault injection from a spec string (see the module docs for the
@@ -208,7 +206,7 @@ pub fn arm_from_spec(spec: &str) -> Result<(), String> {
         return Err("no fault rules in spec".into());
     }
     *lock_plan() = new;
-    *spec_error_slot().lock().unwrap_or_else(|p| p.into_inner()) = None;
+    *lock_unpoisoned(spec_error_slot()) = None;
     ARMED.store(1, Ordering::Relaxed);
     Ok(())
 }
@@ -304,7 +302,7 @@ pub fn total_injected() -> u64 {
 /// process-global, so any test that arms faults must hold this guard.
 pub fn chaos_guard() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    lock_unpoisoned(&LOCK)
 }
 
 #[cfg(test)]

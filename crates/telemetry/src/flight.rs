@@ -22,10 +22,11 @@
 //! requires the telemetry layer itself to be enabled — a disabled process
 //! pays one relaxed atomic load per [`record`] call and nothing else.
 
+use crate::lock_unpoisoned;
 use crate::metrics::Snapshot;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// Maximum frames retained; older frames are overwritten (and counted in
 /// [`overwritten`]).
@@ -55,10 +56,6 @@ struct Ring {
 fn ring() -> &'static Mutex<Ring> {
     static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
     RING.get_or_init(|| Mutex::new(Ring::default()))
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// 0 = uninitialized, 1 = enabled, 2 = disabled.

@@ -27,9 +27,10 @@
 //! chunk index within a run); [`crate::RunScope`] resets the journal so
 //! ids cannot collide across phases in one process.
 
+use crate::lock_unpoisoned;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// Events retained per chunk; older events are dropped (and counted).
 pub const RING: usize = 32;
@@ -167,10 +168,6 @@ struct ChunkRing {
 struct Journal {
     chunks: BTreeMap<u64, ChunkRing>,
     next_seq: u64,
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn journal() -> &'static Mutex<Journal> {

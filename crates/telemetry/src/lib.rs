@@ -54,6 +54,7 @@ pub use metrics::{registry, Counter, FloatGauge, Gauge, GaugeTrack, Histogram, R
 pub use span::{SpanEvent, SpanGuard};
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// 0 = uninitialized, 1 = enabled, 2 = disabled.
 static ENABLED: AtomicU8 = AtomicU8::new(0);
@@ -83,6 +84,15 @@ fn init_enabled() -> bool {
     };
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
     on
+}
+
+/// Locks `m`, recovering the guard if a previous holder panicked.
+///
+/// Only for mutexes whose state is valid after every single update
+/// (counters, free-lists, rings, file handles): there a panic elsewhere
+/// must not cascade into every later caller.
+pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Overrides the enabled state (CLIs forcing `--trace`, overhead benches).
@@ -156,7 +166,7 @@ impl Drop for RunScope {
 #[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    lock_unpoisoned(&LOCK)
 }
 
 #[cfg(test)]

@@ -9,13 +9,10 @@
 //! stats structs in `qtensor`) goes through [`GaugeTrack`], which tracks
 //! locally always and mirrors into the registry only when enabled.
 
+use crate::lock_unpoisoned;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A monotone event counter.
 #[derive(Debug, Default)]

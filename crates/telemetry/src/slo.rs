@@ -74,6 +74,7 @@
 //! the same machine over a finished ring — `qcfz slo` and tests use it
 //! for fully deterministic verdicts.
 
+use crate::lock_unpoisoned;
 use crate::metrics::{quantile_from_buckets, Snapshot};
 use crate::timeseries::Sample;
 use std::collections::VecDeque;
@@ -867,7 +868,7 @@ fn engine() -> &'static Mutex<Engine> {
 }
 
 fn lock_engine() -> MutexGuard<'static, Engine> {
-    engine().lock().unwrap_or_else(|e| e.into_inner())
+    lock_unpoisoned(engine())
 }
 
 /// True when the live evaluator is armed. Initialized on first call from

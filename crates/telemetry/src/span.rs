@@ -7,8 +7,9 @@
 //! `QCF_WORKERS>1` attributes to the worker that actually ran it — the
 //! Chrome-trace exporter renders one timeline lane per worker.
 
+use crate::lock_unpoisoned;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Upper bound on buffered span events; beyond it events are counted as
@@ -35,10 +36,6 @@ pub struct SpanEvent {
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn buffer() -> &'static Mutex<Vec<SpanEvent>> {

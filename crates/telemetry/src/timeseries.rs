@@ -28,10 +28,11 @@
 //! code never touches this module, so the disabled-telemetry cost of the
 //! instrumented paths stays exactly one relaxed atomic load.
 
+use crate::lock_unpoisoned;
 use crate::metrics::Snapshot;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Maximum samples retained; on overflow the ring halves itself and
@@ -68,10 +69,6 @@ impl Default for Ring {
             folds: 0,
         }
     }
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn ring() -> &'static Mutex<Ring> {

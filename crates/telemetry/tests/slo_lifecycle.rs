@@ -27,7 +27,7 @@ fn sample(t_ms: u64, stall_us: u64, rss: f64) -> Sample {
 
 #[test]
 fn latency_burn_fires_and_resolves_over_synthetic_ring() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _g = qcf_telemetry::lock_unpoisoned(&LOCK);
     let spec = SloSpec::parse(
         "windows=2/6; pending=2; resolve=2\n\
          latency.stall: rate(state.prefetch.stall_us) <= 100000\n\
@@ -89,7 +89,7 @@ fn latency_burn_fires_and_resolves_over_synthetic_ring() {
 
 #[test]
 fn replay_over_real_ring_matches_live_engine() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _g = qcf_telemetry::lock_unpoisoned(&LOCK);
     qcf_telemetry::set_enabled(true);
     timeseries::stop();
     timeseries::reset();
@@ -135,7 +135,7 @@ fn replay_over_real_ring_matches_live_engine() {
 
 #[test]
 fn run_scope_isolation_resets_machines_but_keeps_spec() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _g = qcf_telemetry::lock_unpoisoned(&LOCK);
     qcf_telemetry::set_enabled(true);
     timeseries::stop();
     timeseries::reset();

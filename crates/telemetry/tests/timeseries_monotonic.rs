@@ -35,7 +35,7 @@ proptest! {
         increments in prop::collection::vec(0u64..3, 1..(CAPACITY * 4 + 7)),
         start in 0u64..1_000_000,
     ) {
-        let _g = RING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = qcf_telemetry::lock_unpoisoned(&RING_LOCK);
         timeseries::reset();
 
         let mut t = start;
@@ -84,7 +84,7 @@ proptest! {
     fn fold_halves_once_at_capacity_and_keeps_ends(
         extra in 1usize..CAPACITY,
     ) {
-        let _g = RING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = qcf_telemetry::lock_unpoisoned(&RING_LOCK);
         timeseries::reset();
 
         // Capacity fills the ring; each further on-stride offer folds at

@@ -18,8 +18,8 @@ use gpu_model::exec::{par_chunks_mut, par_fill_blocks};
 use gpu_model::ScratchPool;
 use std::sync::OnceLock;
 
-/// Shared scratch arena for the contraction loop's permute intermediates:
-/// the `(free, shared)`-ordered copies of the operands live only for the
+/// The process-wide `Complex64` scratch pool behind [`contract`]'s permuted
+/// operands: the `(free, shared)`-ordered copies live only for the
 /// duration of one GEMM, so their buffers are checked back in instead of
 /// reallocated per contraction.
 pub fn scratch() -> &'static ScratchPool<Complex64> {
@@ -42,7 +42,7 @@ impl Operand<'_> {
         }
     }
 
-    /// Returns a pooled buffer to the arena (no-op for borrowed storage).
+    /// Returns a pooled buffer to the pool (no-op for borrowed storage).
     fn release(self, pool: &ScratchPool<Complex64>) {
         if let Operand::Pooled(v) = self {
             pool.put(v);
@@ -185,7 +185,7 @@ fn gemm_rows(
 /// The permute and GEMM kernels run block-parallel for large operands, with
 /// per-row work assignment and a fixed ascending-`k` accumulation order —
 /// output bytes are identical to [`contract_serial`] for every input.
-/// Permute intermediates come from the [`scratch`] arena instead of fresh
+/// Permute intermediates come from the [`scratch`] pool instead of fresh
 /// allocations.
 pub fn contract(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let plan = gemm_plan(a, b)?;
