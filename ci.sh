@@ -42,7 +42,9 @@ echo "== parallel bench smoke (kernel bit-identity) =="
 cargo bench -q -p qcf-bench --bench parallel -- --smoke
 
 # Chaos gate. First the decode fuzzers: no panic and no unbounded
-# allocation on arbitrary/mutated/truncated bytes through every decoder.
+# allocation on arbitrary/mutated/truncated bytes through every decoder —
+# the nine baselines, then QCF-ratio and QCF-speed (sealed and bare
+# streams, plus forged dictionary counts).
 # Then a seeded fault storm through a full QAOA compressed-state run:
 # `verify --state` exits nonzero unless the run completes (degraded is
 # fine, dead is not), every injected storage corruption surfaces as a
@@ -51,6 +53,7 @@ cargo bench -q -p qcf-bench --bench parallel -- --smoke
 # so the gate also proves nonzero-quarantine accounting end to end.
 echo "== chaos gate (decode fuzzers + seeded fault storm) =="
 cargo test --release -q -p compressors --test fuzz_decoders
+cargo test --release -q -p qcf-core --test fuzz_qcf
 chaos_out=$(QCF_FAULTS="seed=42,state.chunk.bitflip%0.02,codec.decode%0.01" \
     cargo run --release -q -p qcf-bench --bin qcfz -- verify --state \
     --nodes 10 --seed 21 --compressor LZ4 --abs 0 --cache 2)

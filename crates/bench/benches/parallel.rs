@@ -23,7 +23,7 @@ use compressors::{Compressor, ErrorBound};
 use criterion::{black_box, Criterion, Throughput};
 use gpu_model::exec::{with_serial_workers, worker_count};
 use gpu_model::{DeviceSpec, Stream};
-use qcf_core::QcfCompressor;
+use qcf_core::{dict, QcfCompressor};
 use rand::{Rng, SeedableRng};
 use tensornet::{
     contract, contract_serial, multiply_keep, multiply_keep_serial, Complex64, Tensor,
@@ -320,6 +320,46 @@ fn smoke() {
     let mut r = BitReader::new(&stream_bytes);
     dec.decode_into(&mut r, &mut out).unwrap();
     assert_eq!(out, symbols, "huffman LUT decode diverged");
+
+    // Dictionary kernels: the amplitude payload at three bounds, planes on
+    // which the stride, hot/cold and plain speed layouts win, and dense
+    // noise that overflows the table.
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+    let sym = |k: u32| k as f64 * 0.01;
+    let stride: Vec<f64> = (0..n).map(|i| sym((i % 16 * 7 % 13) as u32)).collect();
+    let skewed: Vec<f64> = (0..n)
+        .map(|_| {
+            sym(if rng.gen::<f64>() < 0.9 {
+                rng.gen_range(0..8)
+            } else {
+                rng.gen_range(8..300)
+            })
+        })
+        .collect();
+    let uniform: Vec<f64> = (0..n).map(|_| sym(rng.gen_range(0..32))).collect();
+    let noise: Vec<f64> = (0..2 * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let dict_planes = [
+        (&data[..], 1e-6),
+        (&data[..], 1e-4),
+        (&data[..], 1e-2),
+        (&stride[..], 1e-3),
+        (&skewed[..], 1e-3),
+        (&uniform[..], 1e-3),
+        (&noise[..], 1e-7),
+    ];
+    for (plane, eb) in dict_planes {
+        let reference = dict::quantize_scalar(plane, eb);
+        assert!(
+            dict::quantize(plane, eb) == reference,
+            "dict quantize != scalar (eb {eb})"
+        );
+        if let Some(q) = reference {
+            let (mut fast, mut scalar) = (Vec::new(), Vec::new());
+            dict::encode_speed(&q, eb, &mut fast);
+            dict::encode_speed_scalar(&q, eb, &mut scalar);
+            assert_eq!(fast, scalar, "dict encode_speed != scalar (eb {eb})");
+        }
+    }
 
     let stream = Stream::new(DeviceSpec::a100());
     for comp in [

@@ -29,13 +29,18 @@ pub fn pack(values: &[u64], width: u32, w: &mut BitWriter) {
 }
 
 /// Unpacks `count` values of `width` bits each. Widths beyond the packer's
-/// 57-bit limit are rejected (decoders read widths from untrusted headers).
+/// 57-bit limit are rejected (decoders read widths from untrusted headers),
+/// and so is a nonzero-width `count` the reader's remaining bits cannot
+/// hold, before anything is reserved for it.
 pub fn unpack(r: &mut BitReader<'_>, width: u32, count: usize) -> Result<Vec<u64>, CodecError> {
     if width == 0 {
         return Ok(vec![0u64; count]);
     }
     if width > 57 {
         return Err(CodecError::Corrupt("pack width out of range"));
+    }
+    if count > r.remaining_bits() / width as usize {
+        return Err(CodecError::UnexpectedEof);
     }
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
@@ -84,6 +89,18 @@ mod tests {
         assert!(bytes.is_empty());
         let mut r = BitReader::new(&bytes);
         assert_eq!(unpack(&mut r, 0, 1000).unwrap(), vec![0u64; 1000]);
+    }
+
+    #[test]
+    fn forged_count_errors_before_reserving() {
+        // 2^40 one-bit values would reserve 8 TiB; the reader holds 8 bits.
+        let bytes = [0u8; 1];
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(unpack(&mut r, 1, 1 << 40), Err(CodecError::UnexpectedEof));
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(unpack(&mut r, 1, 8).unwrap(), vec![0u64; 8]);
+        let mut r = BitReader::new(&bytes);
+        assert!(unpack(&mut r, 3, 3).is_err());
     }
 
     #[test]

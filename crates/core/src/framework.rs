@@ -6,10 +6,14 @@
 //!   Huffman-coded indices (`dict`); when the dictionary is inapplicable
 //!   (too many distinct values), fall back to P2 zero collapse → P4 block
 //!   dedup → cuSZ. An optional LZ4 tail pass wraps either route.
-//! * **Speed mode** — the same dictionary with a zero bitmap and
-//!   fixed-width indices, fused into a single pass (de-interleave and
-//!   quantize cost registers, not extra memory traffic); fallback is
-//!   collapse → cuSZx.
+//! * **Speed mode** — the same dictionary, its index stream coded in
+//!   whichever layout costs the fewest bits, computed exactly: plain
+//!   fixed-width, frequency-sorted hot/cold, or stride-predicted runs with
+//!   hot/cold misses (`dict::encode_speed`: a frequency pass, one compare
+//!   per candidate stride, one miss-and-run count, one emission pass;
+//!   `dict::encode_speed_scalar` is the format definition). De-interleave
+//!   is charged as flops inside that kernel, not as a memory pass;
+//!   fallback is collapse → cuSZx.
 //!
 //! Error budgeting: the dictionary route quantizes once at the full user
 //! bound. On the fallback route, zero collapse spends half the bound
@@ -410,14 +414,14 @@ impl QcfCompressor {
             stream.launch(
                 &KernelSpec::streaming("qcf::dict_huffman_decode", (n * 2) as u64, (n * 8) as u64)
                     .with_pattern(MemoryPattern::BitSerial),
-                || dict::decode_ratio(body, &mut p, out),
+                || dict::decode_ratio(body, &mut p, n, out),
             )?;
         } else if flags & 16 != 0 {
             stream.launch(
                 &KernelSpec::streaming("qcf::fused_dict_decode", (n * 2) as u64, (n * 8) as u64)
                     .with_pattern(MemoryPattern::Strided)
                     .with_flops(2 * n as u64),
-                || dict::decode_speed(body, &mut p, out),
+                || dict::decode_speed(body, &mut p, n, out),
             )?;
         } else if flags & 2 != 0 {
             let block_size = read_uvarint(body, &mut p)? as usize;

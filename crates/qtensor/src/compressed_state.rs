@@ -1284,6 +1284,9 @@ impl<'a> CompressedState<'a> {
 
     /// Applies one gate.
     pub fn apply(&mut self, gate: &Gate) -> Result<(), ContractError> {
+        // The codec stream's kernel-event log is never read here; clearing
+        // it once per gate keeps it from growing for the state's whole life.
+        self.stream.reset();
         let c = self.chunk_qubits;
         let (qs, k) = gate.qubits_array();
         let mut high = [0usize; 2];
@@ -1816,6 +1819,23 @@ mod tests {
                 (cs.maxcut_energy(&graph).unwrap() - dense.maxcut_energy(&graph)).abs() < 1e-10
             );
         }
+    }
+
+    #[test]
+    fn kernel_event_log_does_not_grow_across_gates() {
+        let comp = compressors::cuszx::CuSzx::default();
+        let mut cs = CompressedState::zero(8, 4, &comp, ErrorBound::Abs(1e-6)).unwrap();
+        cs.set_cache_capacity(0).unwrap();
+        // Every gate decodes and re-encodes all 16 chunks, so each leaves
+        // the same work in the log — and only its own.
+        let lens: Vec<usize> = (0..6)
+            .map(|k| {
+                cs.apply(&Gate::H(k % 4)).unwrap();
+                cs.stream.events().len()
+            })
+            .collect();
+        assert!(lens[0] > 0, "codec calls must reach the stream");
+        assert!(lens.iter().all(|&l| l == lens[0]), "log grew: {lens:?}");
     }
 
     #[test]
