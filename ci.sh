@@ -150,8 +150,9 @@ fi
 # run must reproduce the golden completion character for character —
 # kill points 1-4 leave the old gate-8 snapshot, kill point 5 lands
 # after the rename and commits gate 16. A torn write that "succeeds"
-# must then be rejected by the footer checksum on resume, and a
-# malformed QCF_FAULTS spec must be refused up front with exit 2.
+# must then be rejected by the footer checksum on resume with exit 1 (a
+# panic exits 101 and fails the drill), and a malformed QCF_FAULTS spec
+# must be refused up front with exit 2.
 echo "== checkpoint crash drill (kill-point matrix + torn write) =="
 ck_dir=$(mktemp -d /tmp/qcf-crash-drill.XXXXXX)
 trap 'rm -rf "$ck_dir"' EXIT
@@ -188,8 +189,8 @@ QCF_FAULTS="seed=11,ckpt.torn_write@1" "${qcfz[@]}" checkpoint \
     --out "$ck_dir/torn.qcfs" --from "$ck_dir/torn.qcfs" --gates 16 >/dev/null
 rc=0
 "${qcfz[@]}" resume "$ck_dir/torn.qcfs" >/dev/null 2>&1 || rc=$?
-if [ "$rc" -eq 0 ]; then
-    echo "crash drill FAILED: torn snapshot resumed instead of being rejected" >&2
+if [ "$rc" -ne 1 ]; then
+    echo "crash drill FAILED: torn snapshot resume exited $rc, want 1 (a refusal, not a panic)" >&2
     exit 1
 fi
 echo "torn write: rejected by footer checksum on resume (exit $rc)"

@@ -596,6 +596,30 @@ impl CkptMeta {
         out
     }
 
+    /// Refuses a recipe that cannot drive `cs`, the state restored from
+    /// the same snapshot: the graph must cover exactly the state's qubits
+    /// at the state's chunk size, and be a size
+    /// `Graph::random_regular(_, 3, _)` accepts (even, at least 4).
+    fn check_against(&self, cs: &CompressedState<'_>) -> Result<(), CliError> {
+        let chunk_qubits = cs.chunk_len().trailing_zeros() as usize;
+        if self.nodes != cs.n_qubits() || self.chunk_qubits != chunk_qubits {
+            return Err(CliError(format!(
+                "snapshot recipe ({} nodes, {}-qubit chunks) does not match its state \
+                 ({} qubits, {chunk_qubits}-qubit chunks)",
+                self.nodes,
+                self.chunk_qubits,
+                cs.n_qubits()
+            )));
+        }
+        if self.nodes < 4 || !self.nodes.is_multiple_of(2) {
+            return Err(CliError(format!(
+                "snapshot recipe asks for a 3-regular graph on {} nodes (need an even count >= 4)",
+                self.nodes
+            )));
+        }
+        Ok(())
+    }
+
     /// Parses an `app_meta` blob written by [`CkptMeta::encode`].
     pub fn decode(raw: &[u8]) -> Result<Self, CliError> {
         let bad = || CliError("snapshot app metadata is not a qcfz blob".into());
@@ -673,6 +697,7 @@ pub fn checkpoint_demo(
             let (mut cs, raw) = CompressedState::resume(src, comp.as_ref())
                 .map_err(|e| CliError(format!("resume {}: {e}", src.display())))?;
             let meta = CkptMeta::decode(&raw)?;
+            meta.check_against(&cs)?;
             cs.set_cache_capacity(meta.cache).map_err(err)?;
             (cs, meta)
         }
@@ -773,6 +798,7 @@ pub fn resume_demo(
     let (mut cs, raw) = CompressedState::resume(path, comp.as_ref())
         .map_err(|e| CliError(format!("resume {}: {e}", path.display())))?;
     let meta = CkptMeta::decode(&raw)?;
+    meta.check_against(&cs)?;
     cs.set_cache_capacity(meta.cache).map_err(err)?;
     if mem_budget.is_some() {
         cs.set_mem_budget(mem_budget);

@@ -35,11 +35,12 @@ use gpu_model::{DeviceSpec, Stream};
 use qcf_telemetry::journal::{self, EventKind};
 use qcf_telemetry::{Counter, Gauge, GaugeTrack, Histogram};
 use qcircuit::{Circuit, Gate, Graph};
+use std::borrow::Cow;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use tensornet::planes::{as_interleaved, from_interleaved};
+use tensornet::planes::as_interleaved;
 use tensornet::Complex64;
 
 /// Accounting for a compressed-state run.
@@ -110,75 +111,79 @@ pub struct FaultStats {
     pub lost_norm_sq: f64,
 }
 
-/// Registry mirrors of [`FaultStats`].
-struct FaultCounters {
+/// Microsecond bucket bounds for the per-chunk stage latency histograms:
+/// roughly log-spaced from sub-10µs gate kernels up to the 10ms+ tail a
+/// faulted decode retry can hit; slower events land in the overflow bucket.
+const LATENCY_BOUNDS_US: [f64; 10] = [
+    10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
+];
+
+/// Cached handles for every `state.*` registry instrument, resolved once
+/// at construction so the hot path never takes the registry lock.
+/// Counter and histogram updates are lock-free and allocation-free, which
+/// keeps the warm apply path inside the zero-allocation gate.
+struct StateCounters {
+    // `state.cache.*`
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+    writebacks: Arc<Counter>,
+    // `state.faults.*`, mirrors of `FaultStats`
     decode_errors: Arc<Counter>,
     retries_ok: Arc<Counter>,
     cache_repairs: Arc<Counter>,
     quarantines: Arc<Counter>,
     worker_panics: Arc<Counter>,
+    // `state.spill.*`, `state.prefetch.*`
+    spill_writes: Arc<Counter>,
+    spill_reads: Arc<Counter>,
+    spill_bytes: Arc<Counter>,
+    spill_live_bytes: GaugeTrack,
+    /// Dead (superseded-record) bytes in the spill log — the level the
+    /// `capacity.spill_dead` SLO watches; compaction drives it back down.
+    spill_dead_bytes: Arc<Gauge>,
+    compactions: Arc<Counter>,
+    prefetch_hits: Arc<Counter>,
+    prefetch_misses: Arc<Counter>,
+    stall_us: Arc<Counter>,
+    // `state.ckpt.*`
+    ckpt_writes: Arc<Counter>,
+    ckpt_bytes: Arc<Counter>,
+    ckpt_restores: Arc<Counter>,
+    // `state.*_us` per-chunk stage latencies; with telemetry disabled no
+    // clock is read at all
+    apply_us: Arc<Histogram>,
+    encode_us: Arc<Histogram>,
+    decode_us: Arc<Histogram>,
 }
 
-impl FaultCounters {
+impl StateCounters {
     fn new() -> Self {
         let reg = qcf_telemetry::registry();
-        FaultCounters {
+        let us = |name| reg.histogram(name, &LATENCY_BOUNDS_US);
+        StateCounters {
+            cache_hits: reg.counter("state.cache.hit"),
+            cache_misses: reg.counter("state.cache.miss"),
+            writebacks: reg.counter("state.cache.writeback"),
             decode_errors: reg.counter("state.faults.decode_errors"),
             retries_ok: reg.counter("state.faults.retries_ok"),
             cache_repairs: reg.counter("state.faults.cache_repairs"),
             quarantines: reg.counter("state.faults.quarantines"),
             worker_panics: reg.counter("state.faults.worker_panics"),
-        }
-    }
-}
-
-/// Registry mirrors of the disk-tier stats (`state.spill.*`,
-/// `state.prefetch.*`).
-struct SpillCounters {
-    writes: Arc<Counter>,
-    reads: Arc<Counter>,
-    bytes: Arc<Counter>,
-    live_bytes: GaugeTrack,
-    /// Dead (superseded-record) bytes in the spill log — the level the
-    /// `capacity.spill_dead` SLO watches; compaction drives it back down.
-    dead_bytes: Arc<Gauge>,
-    compactions: Arc<Counter>,
-    prefetch_hits: Arc<Counter>,
-    prefetch_misses: Arc<Counter>,
-    stall_us: Arc<Counter>,
-}
-
-impl SpillCounters {
-    fn new() -> Self {
-        let reg = qcf_telemetry::registry();
-        SpillCounters {
-            writes: reg.counter("state.spill.writes"),
-            reads: reg.counter("state.spill.reads"),
-            bytes: reg.counter("state.spill.bytes"),
-            live_bytes: reg.gauge("state.spill.live_bytes").track(),
-            dead_bytes: reg.gauge("state.spill.dead_bytes"),
+            spill_writes: reg.counter("state.spill.writes"),
+            spill_reads: reg.counter("state.spill.reads"),
+            spill_bytes: reg.counter("state.spill.bytes"),
+            spill_live_bytes: reg.gauge("state.spill.live_bytes").track(),
+            spill_dead_bytes: reg.gauge("state.spill.dead_bytes"),
             compactions: reg.counter("state.spill.compactions"),
             prefetch_hits: reg.counter("state.prefetch.hits"),
             prefetch_misses: reg.counter("state.prefetch.misses"),
             stall_us: reg.counter("state.prefetch.stall_us"),
-        }
-    }
-}
-
-/// Registry mirrors of the durable-snapshot layer (`state.ckpt.*`).
-struct CkptCounters {
-    writes: Arc<Counter>,
-    bytes: Arc<Counter>,
-    restores: Arc<Counter>,
-}
-
-impl CkptCounters {
-    fn new() -> Self {
-        let reg = qcf_telemetry::registry();
-        CkptCounters {
-            writes: reg.counter("state.ckpt.writes"),
-            bytes: reg.counter("state.ckpt.bytes"),
-            restores: reg.counter("state.ckpt.restores"),
+            ckpt_writes: reg.counter("state.ckpt.writes"),
+            ckpt_bytes: reg.counter("state.ckpt.bytes"),
+            ckpt_restores: reg.counter("state.ckpt.restores"),
+            apply_us: us("state.apply_us"),
+            encode_us: us("state.encode_us"),
+            decode_us: us("state.decode_us"),
         }
     }
 }
@@ -197,35 +202,6 @@ pub struct TierBreakdown {
     /// Total spill-log bytes on disk (live records plus dead space the
     /// next compaction will reclaim).
     pub spill_file_bytes: usize,
-}
-
-/// Microsecond bucket bounds for the per-chunk stage latency histograms:
-/// roughly log-spaced from sub-10µs gate kernels up to the 10ms+ tail a
-/// faulted decode retry can hit; slower events land in the overflow bucket.
-const LATENCY_BOUNDS_US: [f64; 10] = [
-    10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
-];
-
-/// Cached handles for the `state.*_us` latency histograms, resolved once at
-/// construction (same idiom as [`FaultCounters`]) so the hot path never
-/// takes the registry lock. `Histogram::observe` is lock-free and
-/// allocation-free, which keeps the warm apply path inside the
-/// zero-allocation gate; with telemetry disabled no clock is read at all.
-struct StateLatency {
-    apply_us: Arc<Histogram>,
-    encode_us: Arc<Histogram>,
-    decode_us: Arc<Histogram>,
-}
-
-impl StateLatency {
-    fn new() -> Self {
-        let reg = qcf_telemetry::registry();
-        StateLatency {
-            apply_us: reg.histogram("state.apply_us", &LATENCY_BOUNDS_US),
-            encode_us: reg.histogram("state.encode_us", &LATENCY_BOUNDS_US),
-            decode_us: reg.histogram("state.decode_us", &LATENCY_BOUNDS_US),
-        }
-    }
 }
 
 /// Starts a latency measurement iff telemetry is enabled (one relaxed load
@@ -316,21 +292,14 @@ struct ChunkCache {
     cap: usize,
     tick: u64,
     entries: Vec<CacheEntry>,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    writebacks: Arc<Counter>,
 }
 
 impl ChunkCache {
     fn new(cap: usize) -> Self {
-        let reg = qcf_telemetry::registry();
         ChunkCache {
             cap,
             tick: 0,
             entries: Vec::with_capacity(cap.min(64)),
-            hits: reg.counter("state.cache.hit"),
-            misses: reg.counter("state.cache.miss"),
-            writebacks: reg.counter("state.cache.writeback"),
         }
     }
 
@@ -410,6 +379,42 @@ pub(crate) fn decode_chunk(
     Ok(())
 }
 
+/// The chunk groups one gate touches, in apply order — the single
+/// enumerator behind both [`CompressedState::apply`] and the prefetch
+/// schedule ([`spill::touch_schedule`]), so the prefetcher follows the
+/// apply loop by construction. A gate's *high* qubits (`q >= chunk_qubits`)
+/// are chunk-id bits: each group holds the `2^nh` chunks that differ only
+/// in those bits, groups come by ascending base id (those bits zero), and
+/// bit `j` of a member's index in its group sets high qubit `j`. A gate
+/// with no high qubit makes every chunk its own one-member group, in id
+/// order.
+///
+/// Returns the high qubits' chunk-id bits (`q - chunk_qubits`, the first
+/// `nh` in gate order), `nh`, and the groups, each the first `2^nh` ids of
+/// an item. `None` when a gate qubit lies outside the register of
+/// `n_chunks` chunks of `2^chunk_qubits` amplitudes.
+pub(crate) fn chunk_groups(
+    gate: &Gate,
+    chunk_qubits: usize,
+    n_chunks: usize,
+) -> Option<([usize; 2], usize, impl Iterator<Item = [usize; 4]>)> {
+    let (qs, k) = gate.qubits_array();
+    let (mut bits, mut nh) = ([0usize; 2], 0);
+    for &q in qs[..k].iter().filter(|&&q| q >= chunk_qubits) {
+        if q - chunk_qubits >= n_chunks.trailing_zeros() as usize {
+            return None;
+        }
+        bits[nh] = q - chunk_qubits;
+        nh += 1;
+    }
+    let member = move |base: usize, m: usize| base | ((m & 1) << bits[0]) | ((m >> 1) << bits[1]);
+    let mask: usize = bits[..nh].iter().map(|&b| 1 << b).sum();
+    let groups = (0..n_chunks)
+        .filter(move |base| base & mask == 0)
+        .map(move |base| [0, 1, 2, 3].map(|m| member(base, m)));
+    Some((bits, nh, groups))
+}
+
 /// What [`CompressedState::fetch_if_spilled`] delivered.
 enum Fetched {
     /// The chunk's frame was already in RAM — nothing fetched.
@@ -450,16 +455,10 @@ pub struct CompressedState<'a> {
     /// Squared amplitude norm of each chunk at its last write-back — the
     /// loss estimate recorded when a chunk has to be quarantined.
     chunk_norm: Vec<f64>,
-    /// Registry mirrors of `faults`.
-    fault_counters: FaultCounters,
-    /// Cached `state.*_us` latency histogram handles.
-    latency: StateLatency,
+    /// Cached `state.*` registry handles.
+    counters: StateCounters,
     /// The disk tier (inert until the first spill).
     spill_tier: SpillTier,
-    /// Registry mirrors of the disk-tier stats.
-    spill_counters: SpillCounters,
-    /// Registry mirrors of the durable-snapshot stats.
-    ckpt_counters: CkptCounters,
     /// Compressed-RAM budget in bytes (`QCF_MEM_BUDGET`); `None` means
     /// unbounded — the disk tier is never used.
     mem_budget: Option<usize>,
@@ -488,43 +487,24 @@ impl<'a> CompressedState<'a> {
     ) -> Result<Self, ContractError> {
         assert!(chunk_qubits <= n, "chunk cannot exceed the register");
         assert!(n <= 26, "compressed state limited to 26 qubits in-process");
-        let stream = Stream::new(DeviceSpec::a100());
-        let mut state = CompressedState {
+        let n_chunks = 1usize << (n - chunk_qubits);
+        let mut state = CompressedState::assemble(
             n,
             chunk_qubits,
-            chunks: Vec::with_capacity(1usize << (n - chunk_qubits)),
             compressor,
             bound,
-            stream,
-            resident: qcf_telemetry::registry()
-                .gauge("state.resident_bytes")
-                .track(),
-            cache: ChunkCache::new(env_cache_capacity()),
-            flat: Vec::new(),
-            spare: Vec::new(),
-            group_buf: Vec::new(),
-            ledger: ErrorLedger::new(1usize << (n - chunk_qubits)),
-            measure_err: env_measure_err(),
-            chunk_norm: vec![0.0; 1usize << (n - chunk_qubits)],
-            fault_counters: FaultCounters::new(),
-            latency: StateLatency::new(),
-            spill_tier: SpillTier::new(1usize << (n - chunk_qubits)),
-            spill_counters: SpillCounters::new(),
-            ckpt_counters: CkptCounters::new(),
-            mem_budget: spill::env_size("QCF_MEM_BUDGET"),
-            prefetch: None,
-            touch_stamp: vec![0; 1usize << (n - chunk_qubits)],
-            touch_tick: 0,
-            stats: StateStats::default(),
-            faults: FaultStats::default(),
-        };
+            Vec::with_capacity(n_chunks),
+            vec![0.0; n_chunks],
+            ErrorLedger::new(n_chunks),
+        );
         let chunk_len = 1usize << chunk_qubits;
-        for chunk_id in 0..(1usize << (n - chunk_qubits)) {
+        for chunk_id in 0..n_chunks {
             let mut amps = vec![Complex64::ZERO; chunk_len];
             if chunk_id == 0 {
                 amps[0] = Complex64::ONE;
             }
-            let bytes = state.compress_chunk(&amps)?;
+            let mut bytes = Vec::new();
+            state.encode_with_retry(as_interleaved(&amps), &mut bytes)?;
             journal::record(chunk_id as u64, EventKind::Zero, bytes.len() as f64);
             let abs_bound = state.lossy_abs_bound(&amps);
             state.ledger.record_initial(chunk_id, abs_bound);
@@ -537,13 +517,55 @@ impl<'a> CompressedState<'a> {
         Ok(state)
     }
 
+    /// The one constructor behind [`zero`](Self::zero) and
+    /// [`resume`](Self::resume): wraps chunk frames, norms and ledger in
+    /// fresh tiers (empty cache, inert spill tier), the env-configured
+    /// knobs and the registry handles, with zeroed run and fault tallies.
+    fn assemble(
+        n: usize,
+        chunk_qubits: usize,
+        compressor: &'a dyn Compressor,
+        bound: ErrorBound,
+        chunks: Vec<Vec<u8>>,
+        chunk_norm: Vec<f64>,
+        ledger: ErrorLedger,
+    ) -> Self {
+        let n_chunks = 1usize << (n - chunk_qubits);
+        CompressedState {
+            n,
+            chunk_qubits,
+            chunks,
+            compressor,
+            bound,
+            stream: Stream::new(DeviceSpec::a100()),
+            resident: qcf_telemetry::registry()
+                .gauge("state.resident_bytes")
+                .track(),
+            cache: ChunkCache::new(env_cache_capacity()),
+            flat: Vec::new(),
+            spare: Vec::new(),
+            group_buf: Vec::new(),
+            ledger,
+            measure_err: env_measure_err(),
+            chunk_norm,
+            counters: StateCounters::new(),
+            spill_tier: SpillTier::new(n_chunks),
+            mem_budget: spill::env_size("QCF_MEM_BUDGET"),
+            prefetch: None,
+            touch_stamp: vec![0; n_chunks],
+            touch_tick: 0,
+            stats: StateStats::default(),
+            faults: FaultStats::default(),
+        }
+    }
+
     /// Copies the tracker's level/peak into the public stats struct.
     fn sync_resident_stats(&mut self) {
         self.stats.resident_bytes = self.resident.value() as usize;
         self.stats.peak_resident_bytes = self.resident.peak() as usize;
         self.stats.spilled_bytes = self.spill_tier.live_bytes() as usize;
-        self.spill_counters
-            .dead_bytes
+        self.counters
+            .spill_dead_bytes
             .set(self.spill_tier.dead_bytes() as i64);
     }
 
@@ -641,9 +663,9 @@ impl<'a> CompressedState<'a> {
             Ok(entry) => {
                 self.resident.add(-(bytes.len() as i64));
                 self.stats.spills += 1;
-                self.spill_counters.writes.inc();
-                self.spill_counters.bytes.add(bytes.len() as u64);
-                self.spill_counters.live_bytes.add(i64::from(entry.len));
+                self.counters.spill_writes.inc();
+                self.counters.spill_bytes.add(bytes.len() as u64);
+                self.counters.spill_live_bytes.add(i64::from(entry.len));
                 journal::record(id as u64, EventKind::Spill, bytes.len() as f64);
                 self.sync_resident_stats();
                 self.maybe_compact();
@@ -696,18 +718,18 @@ impl<'a> CompressedState<'a> {
         };
         let stall = t0.elapsed().as_micros() as u64;
         self.stats.prefetch_stall_us += stall;
-        self.spill_counters.stall_us.add(stall);
+        self.counters.stall_us.add(stall);
         if hit {
             self.stats.prefetch_hits += 1;
-            self.spill_counters.prefetch_hits.inc();
+            self.counters.prefetch_hits.inc();
         } else {
             self.stats.prefetch_misses += 1;
-            self.spill_counters.prefetch_misses.inc();
+            self.counters.prefetch_misses.inc();
         }
         self.spill_tier.invalidate(id);
-        self.spill_counters.live_bytes.add(-i64::from(entry.len));
+        self.counters.spill_live_bytes.add(-i64::from(entry.len));
         self.stats.fetches += 1;
-        self.spill_counters.reads.inc();
+        self.counters.spill_reads.inc();
         journal::record(id as u64, EventKind::Fetch, bytes.len() as f64);
         self.resident.add(bytes.len() as i64);
         self.chunks[id] = bytes;
@@ -747,8 +769,8 @@ impl<'a> CompressedState<'a> {
     }
 
     /// Applies `gates` with the async prefetch pipeline armed: the
-    /// upcoming chunk-touch schedule is derived from the gate list
-    /// (exactly mirroring `apply`'s iteration order), and two I/O worker
+    /// upcoming chunk-touch schedule comes from the gate list through the
+    /// same `chunk_groups` enumerator `apply` walks, and two I/O worker
     /// threads read + decode spilled frames ahead of use so disk latency
     /// overlaps gate compute. Bit-identical to applying the gates one by
     /// one — prefetch only changes *when* frames are read, never what is
@@ -831,7 +853,7 @@ impl<'a> CompressedState<'a> {
         if reclaimed > 0 {
             self.stats.compactions += 1;
             self.stats.spill_reclaimed_bytes += reclaimed;
-            self.spill_counters.compactions.inc();
+            self.counters.compactions.inc();
             for id in 0..self.chunks.len() {
                 if let Some(e) = self.spill_tier.entry(id) {
                     journal::record(
@@ -882,34 +904,38 @@ impl<'a> CompressedState<'a> {
         self.ledger.summary()
     }
 
-    fn compress_chunk(&mut self, amps: &[Complex64]) -> Result<Vec<u8>, ContractError> {
-        let compressor = self.compressor;
-        let bound = self.bound;
-        let stream = &self.stream;
-        let encode = || match panic::catch_unwind(AssertUnwindSafe(|| {
-            compressor.compress(as_interleaved(amps), bound, stream)
+    /// One guarded encode attempt of `data` into `bytes`. A worker panic
+    /// inside the codec kernel is converted into a per-chunk error (and
+    /// counted) instead of unwinding through the simulation.
+    fn try_encode(&mut self, data: &[f64], bytes: &mut Vec<u8>) -> Result<(), ContractError> {
+        let (compressor, bound, stream) = (self.compressor, self.bound, &self.stream);
+        match panic::catch_unwind(AssertUnwindSafe(|| {
+            compressor.compress_into(data, bound, stream, bytes)
         })) {
-            Ok(r) => (
-                r.map_err(|e| ContractError::Hook(format!("chunk compress: {e}"))),
-                false,
-            ),
-            Err(_) => (
-                Err(ContractError::Hook("worker panic in chunk compress".into())),
-                true,
-            ),
-        };
-        let (mut res, p1) = encode();
-        let mut panics = u64::from(p1);
-        if res.is_err() {
-            let (r2, p2) = encode();
-            panics += u64::from(p2);
-            if r2.is_ok() {
-                self.faults.retries_ok += 1;
-                self.fault_counters.retries_ok.inc();
+            Ok(r) => r.map_err(|e| ContractError::Hook(format!("chunk compress: {e}"))),
+            Err(_) => {
+                self.note_worker_panics(1);
+                Err(ContractError::Hook("worker panic in chunk compress".into()))
             }
-            res = r2;
         }
-        self.note_worker_panics(panics);
+    }
+
+    /// [`try_encode`](Self::try_encode) with one bounded retry: a
+    /// transient fault (a panicked worker) heals on the second attempt and
+    /// is booked as `retries_ok`.
+    fn encode_with_retry(
+        &mut self,
+        data: &[f64],
+        bytes: &mut Vec<u8>,
+    ) -> Result<(), ContractError> {
+        if self.try_encode(data, bytes).is_ok() {
+            return Ok(());
+        }
+        let res = self.try_encode(data, bytes);
+        if res.is_ok() {
+            self.faults.retries_ok += 1;
+            self.counters.retries_ok.inc();
+        }
         res
     }
 
@@ -917,7 +943,7 @@ impl<'a> CompressedState<'a> {
     fn note_worker_panics(&mut self, n: u64) {
         if n > 0 {
             self.faults.worker_panics += n;
-            self.fault_counters.worker_panics.add(n);
+            self.counters.worker_panics.add(n);
         }
     }
 
@@ -926,36 +952,52 @@ impl<'a> CompressedState<'a> {
     fn record_quarantine_loss(&mut self, id: usize) {
         let lost = self.chunk_norm[id];
         self.faults.quarantines += 1;
-        self.fault_counters.quarantines.inc();
+        self.counters.quarantines.inc();
         self.faults.lost_norm_sq += lost;
         self.ledger.record_quarantine(id, lost);
         journal::record(id as u64, EventKind::Quarantine, lost);
     }
 
-    /// Decompresses chunk `id` for a `&self` reader. Spilled chunks are
-    /// read from the disk tier *in place* (counted in `state.spill.reads`
-    /// but not unspilled — read-only scans must not mutate the tiers).
-    fn decompress_chunk(&self, id: usize) -> Result<Vec<Complex64>, ContractError> {
-        let fetched;
-        let bytes: &[u8] = match self.spill_tier.entry(id) {
+    /// Chunk `id`'s sealed frame for a `&self` reader: the RAM copy, or
+    /// the disk-tier record read *in place* (counted in
+    /// `state.spill.reads` but not unspilled — read-only scans and
+    /// checkpoints must not mutate the tiers).
+    fn frame(&self, id: usize) -> std::io::Result<Cow<'_, [u8]>> {
+        match self.spill_tier.entry(id) {
             Some(entry) => {
-                fetched = self
-                    .spill_tier
-                    .read(entry)
-                    .map_err(|e| ContractError::Hook(format!("spill read: {e}")))?;
-                self.spill_counters.reads.inc();
-                &fetched
+                let bytes = self.spill_tier.read(entry)?;
+                self.counters.spill_reads.inc();
+                Ok(Cow::Owned(bytes))
             }
-            None => &self.chunks[id],
-        };
-        let flat = self
-            .compressor
-            .decompress(bytes, &self.stream)
-            .map_err(|e| ContractError::Hook(format!("chunk decompress: {e}")))?;
-        if flat.len() != self.chunk_len() * 2 {
-            return Err(ContractError::Hook("chunk length mismatch".into()));
+            None => Ok(Cow::Borrowed(&self.chunks[id])),
         }
-        Ok(from_interleaved(&flat))
+    }
+
+    /// Chunk `id`'s current amplitudes for a `&self` reader: the cached
+    /// plane when resident (dirty amplitudes are visible without a
+    /// flush), otherwise its [`frame`](Self::frame) decoded into `amps`
+    /// through the `flat` scratch.
+    fn read_chunk<'s>(
+        &'s self,
+        id: usize,
+        flat: &mut Vec<f64>,
+        amps: &'s mut Vec<Complex64>,
+    ) -> Result<&'s [Complex64], ContractError> {
+        if let Some(cached) = self.cache.peek(id) {
+            return Ok(cached);
+        }
+        let frame = self
+            .frame(id)
+            .map_err(|e| ContractError::Hook(format!("spill read: {e}")))?;
+        decode_chunk(
+            self.compressor,
+            &self.stream,
+            self.chunk_len(),
+            &frame,
+            flat,
+            amps,
+        )?;
+        Ok(amps)
     }
 
     /// One guarded decode attempt of chunk `id` into `amps`. A worker
@@ -971,7 +1013,7 @@ impl<'a> CompressedState<'a> {
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
             decode_chunk(compressor, stream, chunk_len, bytes, flat, amps)
         }));
-        lat_end(&self.latency.decode_us, t0);
+        lat_end(&self.counters.decode_us, t0);
         match caught {
             Ok(r) => r,
             Err(_) => {
@@ -1003,14 +1045,14 @@ impl<'a> CompressedState<'a> {
             return Ok(true);
         }
         self.faults.decode_errors += 1;
-        self.fault_counters.decode_errors.inc();
+        self.counters.decode_errors.inc();
         journal::record(id as u64, EventKind::Fault, self.chunks[id].len() as f64);
         // 1. Bounded retry: transient faults (a panicked worker, an
         //    injected decode error) heal on a second attempt; persistent
         //    byte corruption does not.
         if self.try_decode(id, amps).is_ok() {
             self.faults.retries_ok += 1;
-            self.fault_counters.retries_ok.inc();
+            self.counters.retries_ok.inc();
             // Heal detail: 1 = bounded retry, 2 = cache repair.
             journal::record(id as u64, EventKind::Heal, 1.0);
             return Ok(true);
@@ -1027,7 +1069,7 @@ impl<'a> CompressedState<'a> {
             self.cache.entries[idx].dirty = false;
             res?;
             self.faults.cache_repairs += 1;
-            self.fault_counters.cache_repairs.inc();
+            self.counters.cache_repairs.inc();
             journal::record(id as u64, EventKind::Heal, 2.0);
             return Ok(true);
         }
@@ -1076,7 +1118,7 @@ impl<'a> CompressedState<'a> {
             let id = self.cache.entries[i].id;
             let amps = std::mem::take(&mut self.cache.entries[i].amps);
             self.stats.writebacks += 1;
-            self.cache.writebacks.inc();
+            self.counters.writebacks.inc();
             let res = self.write_back(id, &amps);
             self.cache.entries[i].amps = amps;
             self.cache.entries[i].dirty = false;
@@ -1123,17 +1165,9 @@ impl<'a> CompressedState<'a> {
         body.extend_from_slice(app_meta);
         let mut frame_lens = Vec::with_capacity(n_chunks);
         for id in 0..n_chunks {
-            let spilled;
-            let frame: &[u8] = match self.spill_tier.entry(id) {
-                Some(entry) => {
-                    spilled = self.spill_tier.read(entry).map_err(CkptError::Io)?;
-                    self.spill_counters.reads.inc();
-                    &spilled
-                }
-                None => &self.chunks[id],
-            };
+            let frame = self.frame(id).map_err(CkptError::Io)?;
             checkpoint::put_u32(&mut body, frame.len() as u32);
-            body.extend_from_slice(frame);
+            body.extend_from_slice(&frame);
             checkpoint::put_f64(&mut body, self.chunk_norm[id]);
             let rec = &self.ledger.records()[id];
             checkpoint::put_u64(&mut body, rec.encodes);
@@ -1157,8 +1191,8 @@ impl<'a> CompressedState<'a> {
         for (id, len) in frame_lens.into_iter().enumerate() {
             journal::record(id as u64, EventKind::Checkpoint, len as f64);
         }
-        self.ckpt_counters.writes.inc();
-        self.ckpt_counters.bytes.add(total);
+        self.counters.ckpt_writes.inc();
+        self.counters.ckpt_bytes.add(total);
         Ok(total)
     }
 
@@ -1211,6 +1245,18 @@ impl<'a> CompressedState<'a> {
         }
         let meta_len = r.u32()? as usize;
         let app_meta = r.take(meta_len)?.to_vec();
+        // The header's chunk count is untrusted: refuse it before reserving
+        // anything unless the body can hold that many records (each at
+        // least a frame length u32, a norm f64 and the seven ledger fields)
+        // plus the six-field fault tally.
+        const MIN_CHUNK_RECORD: usize = 4 + 8 + (6 * 8 + 1);
+        const FAULT_TAIL: usize = 6 * 8;
+        if n_chunks.saturating_mul(MIN_CHUNK_RECORD) + FAULT_TAIL > r.remaining() {
+            return Err(CkptError::Corrupt(format!(
+                "{n_chunks} chunk records cannot fit in the {} body bytes left",
+                r.remaining()
+            )));
+        }
         let mut chunks = Vec::with_capacity(n_chunks);
         let mut chunk_norm = Vec::with_capacity(n_chunks);
         let mut records = Vec::with_capacity(n_chunks);
@@ -1242,35 +1288,16 @@ impl<'a> CompressedState<'a> {
                 r.remaining()
             )));
         }
-        let mut state = CompressedState {
+        let mut state = CompressedState::assemble(
             n,
             chunk_qubits,
-            chunks,
             compressor,
             bound,
-            stream: Stream::new(DeviceSpec::a100()),
-            resident: qcf_telemetry::registry()
-                .gauge("state.resident_bytes")
-                .track(),
-            cache: ChunkCache::new(env_cache_capacity()),
-            flat: Vec::new(),
-            spare: Vec::new(),
-            group_buf: Vec::new(),
-            ledger: ErrorLedger::restore(records, lossy_events),
-            measure_err: env_measure_err(),
+            chunks,
             chunk_norm,
-            fault_counters: FaultCounters::new(),
-            latency: StateLatency::new(),
-            spill_tier: SpillTier::new(n_chunks),
-            spill_counters: SpillCounters::new(),
-            ckpt_counters: CkptCounters::new(),
-            mem_budget: spill::env_size("QCF_MEM_BUDGET"),
-            prefetch: None,
-            touch_stamp: vec![0; n_chunks],
-            touch_tick: 0,
-            stats: StateStats::default(),
-            faults,
-        };
+            ErrorLedger::restore(records, lossy_events),
+        );
+        state.faults = faults;
         for id in 0..state.chunks.len() {
             let len = state.chunks[id].len();
             state.resident.add(len as i64);
@@ -1278,88 +1305,74 @@ impl<'a> CompressedState<'a> {
         }
         state.sync_resident_stats();
         state.enforce_budget();
-        state.ckpt_counters.restores.inc();
+        state.counters.ckpt_restores.inc();
         Ok((state, app_meta))
     }
 
-    /// Applies one gate.
+    /// Applies one gate. A gate acting on a qubit outside the register is
+    /// an error, refused before any chunk is touched.
     pub fn apply(&mut self, gate: &Gate) -> Result<(), ContractError> {
+        let (bits, nh, groups) = chunk_groups(gate, self.chunk_qubits, self.chunks.len())
+            .ok_or_else(|| {
+                ContractError::Hook(format!(
+                    "gate {gate:?} acts outside the {}-qubit register",
+                    self.n
+                ))
+            })?;
         // The codec stream's kernel-event log is never read here; clearing
         // it once per gate keeps it from growing for the state's whole life.
         self.stream.reset();
-        let c = self.chunk_qubits;
-        let (qs, k) = gate.qubits_array();
-        let mut high = [0usize; 2];
-        let mut nh = 0;
-        for &q in &qs[..k] {
-            if q >= c {
-                high[nh] = q;
-                nh += 1;
-            }
-        }
         let t0 = lat_start();
         let res = match nh {
-            0 => self.apply_low(gate),
-            _ => self.apply_grouped(gate, &high[..nh]),
+            0 => self.apply_low(gate, groups),
+            _ => self.apply_grouped(gate, &bits[..nh], groups),
         };
-        lat_end(&self.latency.apply_us, t0);
+        lat_end(&self.counters.apply_us, t0);
         res
     }
 
-    /// All gate qubits inside the chunk: every chunk updates independently.
-    fn apply_low(&mut self, gate: &Gate) -> Result<(), ContractError> {
+    /// All gate qubits inside the chunk: every chunk (a one-member group)
+    /// updates independently.
+    fn apply_low(
+        &mut self,
+        gate: &Gate,
+        groups: impl Iterator<Item = [usize; 4]>,
+    ) -> Result<(), ContractError> {
         let cq = self.chunk_qubits;
-        for k in 0..self.chunks.len() {
-            self.with_chunk_mut(k, |amps| apply_gate_to_amplitudes(amps, cq, gate))?;
+        for [id, ..] in groups {
+            self.with_chunk_mut(id, |amps| apply_gate_to_amplitudes(amps, cq, gate))?;
         }
         Ok(())
     }
 
-    /// Some gate qubits are chunk-id bits: group the 2^|high| affected
+    /// Some gate qubits are chunk-id `bits`: gather each group's 2^|bits|
     /// chunks, remap those qubits onto the group dimension, apply, split.
-    fn apply_grouped(&mut self, gate: &Gate, high: &[usize]) -> Result<(), ContractError> {
+    fn apply_grouped(
+        &mut self,
+        gate: &Gate,
+        bits: &[usize],
+        groups: impl Iterator<Item = [usize; 4]>,
+    ) -> Result<(), ContractError> {
         let c = self.chunk_qubits;
-        let k = high.len(); // 1 or 2
+        let k = bits.len(); // 1 or 2
         let chunk_len = self.chunk_len();
-        let mut group_bits = [0usize; 2];
-        for (j, &q) in high.iter().enumerate() {
-            group_bits[j] = q - c;
-        }
-        let group_bits = &group_bits[..k];
 
         // Remap: low qubits stay; the j-th high qubit becomes buffer qubit c+j.
         let remapped = gate.map_qubits(|q| {
             if q < c {
                 q
             } else {
-                let j = high
+                let j = bits
                     .iter()
-                    .position(|&h| h == q)
+                    .position(|&b| c + b == q)
                     .expect("high qubit listed");
                 c + j
             }
         });
 
-        // Enumerate base chunk ids (group bits zero), build each group.
-        let n_chunks = self.chunks.len();
-        let group_mask: usize = group_bits.iter().map(|&b| 1usize << b).sum();
         let mut buffer = std::mem::take(&mut self.group_buf);
-        for base in 0..n_chunks {
-            if base & group_mask != 0 {
-                continue;
-            }
-            // Group member order: j-th bit of the member index = group bit j.
-            let mut members = [0usize; 4];
-            for (m, slot) in members.iter_mut().enumerate().take(1 << k) {
-                let mut id = base;
-                for (j, &b) in group_bits.iter().enumerate() {
-                    if (m >> j) & 1 == 1 {
-                        id |= 1 << b;
-                    }
-                }
-                *slot = id;
-            }
-            let members = &members[..1 << k];
+        for ids in groups {
+            let members = &ids[..1 << k];
             buffer.clear();
             buffer.reserve(chunk_len << k);
             let res = (|| {
@@ -1411,12 +1424,7 @@ impl<'a> CompressedState<'a> {
         self.note_touch(id);
         if self.cache.cap == 0 {
             // Cache disabled: classic decompress → apply → recompress.
-            let mut amps = std::mem::take(&mut self.spare);
-            if let Err(e) = self.decode_healed(id, &mut amps) {
-                self.spare = amps;
-                return Err(e);
-            }
-            self.stats.decompressions += 1;
+            let mut amps = self.decode_miss(id)?;
             self.apply_guarded(id, &mut amps, f);
             let res = self.write_back(id, &amps);
             self.spare = amps;
@@ -1424,7 +1432,7 @@ impl<'a> CompressedState<'a> {
         }
         if self.cache.lookup(id).is_some() {
             self.stats.cache_hits += 1;
-            self.cache.hits.inc();
+            self.counters.cache_hits.inc();
             journal::record(id as u64, EventKind::CacheHit, 1.0);
             // Take the amplitudes out of the entry so the unwind guard can
             // quarantine in place without fighting the cache borrow.
@@ -1441,15 +1449,22 @@ impl<'a> CompressedState<'a> {
             return Ok(());
         }
         self.stats.cache_misses += 1;
-        self.cache.misses.inc();
+        self.counters.cache_misses.inc();
+        let mut amps = self.decode_miss(id)?;
+        self.apply_guarded(id, &mut amps, f);
+        self.insert_cached(id, amps, true)
+    }
+
+    /// Decodes chunk `id` through the recovery chain into the recycled
+    /// spare buffer (handed back to the spare slot on error).
+    fn decode_miss(&mut self, id: usize) -> Result<Vec<Complex64>, ContractError> {
         let mut amps = std::mem::take(&mut self.spare);
         if let Err(e) = self.decode_healed(id, &mut amps) {
             self.spare = amps;
             return Err(e);
         }
         self.stats.decompressions += 1;
-        self.apply_guarded(id, &mut amps, f);
-        self.insert_cached(id, amps, true)
+        Ok(amps)
     }
 
     /// Applies a gate closure to `amps` under an unwind guard. On a worker
@@ -1479,19 +1494,14 @@ impl<'a> CompressedState<'a> {
             if let Some(e) = self.cache.lookup(id) {
                 dst.extend_from_slice(&e.amps);
                 self.stats.cache_hits += 1;
-                self.cache.hits.inc();
+                self.counters.cache_hits.inc();
                 journal::record(id as u64, EventKind::CacheHit, 1.0);
                 return Ok(());
             }
             self.stats.cache_misses += 1;
-            self.cache.misses.inc();
+            self.counters.cache_misses.inc();
         }
-        let mut amps = std::mem::take(&mut self.spare);
-        if let Err(e) = self.decode_healed(id, &mut amps) {
-            self.spare = amps;
-            return Err(e);
-        }
-        self.stats.decompressions += 1;
+        let amps = self.decode_miss(id)?;
         dst.extend_from_slice(&amps);
         if self.cache.cap > 0 {
             self.insert_cached(id, amps, false)
@@ -1536,7 +1546,7 @@ impl<'a> CompressedState<'a> {
             );
             if evicted_dirty {
                 self.stats.writebacks += 1;
-                self.cache.writebacks.inc();
+                self.counters.writebacks.inc();
                 let res = self.write_back(evicted_id, &evicted_amps);
                 self.spare = evicted_amps;
                 return res;
@@ -1556,60 +1566,22 @@ impl<'a> CompressedState<'a> {
     fn write_back(&mut self, id: usize, amps: &[Complex64]) -> Result<(), ContractError> {
         // Fresh bytes supersede any on-disk record of this chunk.
         if let Some(old) = self.spill_tier.invalidate(id) {
-            self.spill_counters.live_bytes.add(-i64::from(old.len));
+            self.counters.spill_live_bytes.add(-i64::from(old.len));
         }
         let mut bytes = std::mem::take(&mut self.chunks[id]);
         let old_len = bytes.len();
-        let mut quarantined = false;
         let t0 = lat_start();
-        let res = {
-            let compressor = self.compressor;
-            let bound = self.bound;
-            let stream = &self.stream;
-            let mut panics = 0u64;
-            let mut retried_ok = false;
-            let encode = |bytes: &mut Vec<u8>, data: &[f64]| -> (Result<(), ContractError>, bool) {
-                match panic::catch_unwind(AssertUnwindSafe(|| {
-                    compressor.compress_into(data, bound, stream, bytes)
-                })) {
-                    Ok(r) => (
-                        r.map_err(|e| ContractError::Hook(format!("chunk compress: {e}"))),
-                        false,
-                    ),
-                    Err(_) => (
-                        Err(ContractError::Hook("worker panic in chunk compress".into())),
-                        true,
-                    ),
-                }
-            };
-            let (mut res, p1) = encode(&mut bytes, as_interleaved(amps));
-            panics += u64::from(p1);
-            if res.is_err() {
-                let (r2, p2) = encode(&mut bytes, as_interleaved(amps));
-                panics += u64::from(p2);
-                retried_ok = r2.is_ok();
-                res = r2;
-            }
-            if res.is_err() {
-                // Recovery exhausted: encode a zero chunk in place of the
-                // unencodable one so the stored state stays decodable.
-                let zeros = vec![0.0f64; amps.len() * 2];
-                let (rz, pz) = encode(&mut bytes, &zeros);
-                panics += u64::from(pz);
-                if rz.is_ok() {
-                    quarantined = true;
-                    res = Ok(());
-                }
-            }
-            self.note_worker_panics(panics);
-            if retried_ok {
-                self.faults.retries_ok += 1;
-                self.fault_counters.retries_ok.inc();
-            }
-            res
-        };
-        lat_end(&self.latency.encode_us, t0);
+        let mut res = self.encode_with_retry(as_interleaved(amps), &mut bytes);
+        // Recovery exhausted: encode a zero chunk in place of the
+        // unencodable one (a single attempt) so the stored state stays
+        // decodable.
+        let quarantined = res.is_err()
+            && self
+                .try_encode(&vec![0.0; amps.len() * 2], &mut bytes)
+                .is_ok();
+        lat_end(&self.counters.encode_us, t0);
         if quarantined {
+            res = Ok(());
             self.record_quarantine_loss(id);
         }
         self.stats.recompressions += 1;
@@ -1684,11 +1656,9 @@ impl<'a> CompressedState<'a> {
     /// chunks are read directly — no flush needed.
     pub fn to_statevector(&self) -> Result<StateVector, ContractError> {
         let mut amps = Vec::with_capacity(1usize << self.n);
+        let (mut flat, mut buf) = (Vec::new(), Vec::new());
         for id in 0..self.chunks.len() {
-            match self.cache.peek(id) {
-                Some(cached) => amps.extend_from_slice(cached),
-                None => amps.extend(self.decompress_chunk(id)?),
-            }
+            amps.extend_from_slice(self.read_chunk(id, &mut flat, &mut buf)?);
         }
         StateVector::from_amplitudes(self.n, amps).map_err(|e| ContractError::Hook(e.to_string()))
     }
@@ -1697,18 +1667,12 @@ impl<'a> CompressedState<'a> {
     pub fn maxcut_energy(&self, graph: &Graph) -> Result<f64, ContractError> {
         let mut energy = 0.0;
         let chunk_len = self.chunk_len();
+        let (mut flat, mut buf) = (Vec::new(), Vec::new());
         for &(a, b) in graph.edges() {
             let (ma, mb) = (1usize << a, 1usize << b);
             let mut zz = 0.0;
             for chunk_id in 0..self.chunks.len() {
-                let decoded;
-                let amps: &[Complex64] = match self.cache.peek(chunk_id) {
-                    Some(cached) => cached,
-                    None => {
-                        decoded = self.decompress_chunk(chunk_id)?;
-                        &decoded
-                    }
-                };
+                let amps = self.read_chunk(chunk_id, &mut flat, &mut buf)?;
                 let base = chunk_id * chunk_len;
                 for (i, amp) in amps.iter().enumerate() {
                     let g = base + i;
@@ -1775,15 +1739,9 @@ impl<'a> CompressedState<'a> {
     /// Squared norm (drifts from 1 with the bound; a fidelity proxy).
     pub fn norm_sq(&self) -> Result<f64, ContractError> {
         let mut s = 0.0;
+        let (mut flat, mut buf) = (Vec::new(), Vec::new());
         for id in 0..self.chunks.len() {
-            let decoded;
-            let amps: &[Complex64] = match self.cache.peek(id) {
-                Some(cached) => cached,
-                None => {
-                    decoded = self.decompress_chunk(id)?;
-                    &decoded
-                }
-            };
+            let amps = self.read_chunk(id, &mut flat, &mut buf)?;
             s += amps.iter().map(|a| a.norm_sq()).sum::<f64>();
         }
         Ok(s)
@@ -1836,6 +1794,20 @@ mod tests {
             .collect();
         assert!(lens[0] > 0, "codec calls must reach the stream");
         assert!(lens.iter().all(|&l| l == lens[0]), "log grew: {lens:?}");
+    }
+
+    #[test]
+    fn gate_outside_the_register_is_an_error() {
+        // Spills below: keep armed `spill.*` faults of sibling tests out.
+        let _guard = qcf_telemetry::faults::chaos_guard();
+        let comp = Memcpy;
+        let mut cs = CompressedState::zero(10, 4, &comp, ErrorBound::Abs(1e-6)).unwrap();
+        for gate in [Gate::H(10), Gate::Cnot(2, 12), Gate::Zz(11, 4, 0.3)] {
+            assert!(cs.apply(&gate).is_err(), "{gate:?} accepted");
+        }
+        cs.set_mem_budget(Some(0));
+        assert!(cs.run_scheduled(&[Gate::H(0), Gate::H(64)], true).is_err());
+        assert!(cs.apply(&Gate::Cnot(9, 0)).is_ok());
     }
 
     #[test]

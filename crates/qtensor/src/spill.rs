@@ -42,6 +42,9 @@
 //!
 //! ## Prefetch pipeline
 //!
+//! `touch_schedule` lists every chunk a run of gates will touch, in
+//! order, from the same `chunk_groups` enumerator the apply loop walks, so
+//! the schedule cannot drift from the touches it predicts.
 //! [`PrefetchShared`] is a tiny request queue + completion map shared
 //! with [`PREFETCH_WORKERS`] I/O threads (double-buffered I/O: two
 //! frames in flight while the main thread computes). Workers read the
@@ -58,6 +61,7 @@
 //! in tests and `qcfz report` use it to make overlap measurable on fast
 //! local filesystems.
 
+use crate::compressed_state::chunk_groups;
 use codec_kit::frame::fnv1a32;
 use compressors::Compressor;
 use gpu_model::{DeviceSpec, Stream};
@@ -522,44 +526,16 @@ impl Drop for SpillTier {
 // ---------------------------------------------------------------------------
 
 /// The exact chunk-touch sequence `CompressedState::apply` will perform
-/// for `gates`: low gates touch every chunk in id order; grouped (high)
-/// gates gather each group's members in member order. This mirrors
-/// `apply_low` / `apply_grouped` — the prefetcher's entire knowledge of
-/// the future is this list.
+/// for `gates`: each gate's [`chunk_groups`] flattened member by member,
+/// from the same enumerator the apply loop walks, so the schedule matches
+/// the apply order by construction. It is the prefetcher's entire
+/// knowledge of the future. A gate outside the register contributes
+/// nothing: `apply` refuses it before touching any chunk.
 pub(crate) fn touch_schedule(gates: &[Gate], chunk_qubits: usize, n_chunks: usize) -> Vec<usize> {
     let mut sched = Vec::new();
     for gate in gates {
-        let (qs, k) = gate.qubits_array();
-        let mut high = [0usize; 2];
-        let mut nh = 0;
-        for &q in &qs[..k] {
-            if q >= chunk_qubits {
-                high[nh] = q;
-                nh += 1;
-            }
-        }
-        if nh == 0 {
-            sched.extend(0..n_chunks);
-            continue;
-        }
-        let mut group_bits = [0usize; 2];
-        for (j, &q) in high[..nh].iter().enumerate() {
-            group_bits[j] = q - chunk_qubits;
-        }
-        let group_mask: usize = group_bits[..nh].iter().map(|&b| 1usize << b).sum();
-        for base in 0..n_chunks {
-            if base & group_mask != 0 {
-                continue;
-            }
-            for m in 0..(1usize << nh) {
-                let mut id = base;
-                for (j, &b) in group_bits[..nh].iter().enumerate() {
-                    if (m >> j) & 1 == 1 {
-                        id |= 1 << b;
-                    }
-                }
-                sched.push(id);
-            }
+        if let Some((_, nh, groups)) = chunk_groups(gate, chunk_qubits, n_chunks) {
+            sched.extend(groups.flat_map(|ids| ids.into_iter().take(1 << nh)));
         }
     }
     sched
@@ -722,22 +698,15 @@ pub(crate) struct PrefetchCtl {
 }
 
 impl PrefetchCtl {
-    /// Advances past the touch of `id`. The schedule is derived from the
-    /// same iteration logic `apply` uses, so this is normally a single
-    /// step; a short resync scan tolerates drift (prefetch then degrades
-    /// to misses rather than breaking anything).
+    /// Advances past the touch of `id`, which is the next scheduled id by
+    /// construction ([`touch_schedule`] and `apply` share one enumerator).
     pub fn advance(&mut self, id: usize) {
-        if self.schedule.get(self.pos) == Some(&id) {
-            self.pos += 1;
-            return;
-        }
-        let horizon = (self.pos + PREFETCH_LOOKAHEAD).min(self.schedule.len());
-        if let Some(off) = self.schedule[self.pos..horizon]
-            .iter()
-            .position(|&s| s == id)
-        {
-            self.pos += off + 1;
-        }
+        debug_assert_eq!(
+            self.schedule.get(self.pos),
+            Some(&id),
+            "chunk touch off the prefetch schedule"
+        );
+        self.pos += 1;
     }
 }
 
@@ -823,6 +792,7 @@ mod tests {
 
     #[test]
     fn append_read_roundtrip_with_generations() {
+        let _guard = qcf_telemetry::faults::chaos_guard();
         let mut tier = SpillTier::new(4);
         let e1 = tier.append(2, b"hello frame").unwrap();
         assert_eq!(tier.spilled_chunks(), 1);
@@ -843,6 +813,7 @@ mod tests {
 
     #[test]
     fn open_recover_rebuilds_index_and_truncates_torn_tail() {
+        let _guard = qcf_telemetry::faults::chaos_guard();
         let mut tier = SpillTier::new(3);
         let _ = tier.append(0, b"alpha").unwrap();
         let _ = tier.append(1, b"beta!").unwrap();
@@ -872,6 +843,7 @@ mod tests {
 
     #[test]
     fn compaction_drops_dead_space_and_preserves_reads() {
+        let _guard = qcf_telemetry::faults::chaos_guard();
         let mut tier = SpillTier::new(2);
         for i in 0..200u32 {
             tier.append(0, format!("record-{i:04}").as_bytes()).unwrap();
@@ -936,6 +908,7 @@ mod tests {
 
     #[test]
     fn spill_file_is_removed_on_drop() {
+        let _guard = qcf_telemetry::faults::chaos_guard();
         let path = {
             let mut tier = SpillTier::new(1);
             tier.append(0, b"x").unwrap();
@@ -977,6 +950,7 @@ mod tests {
             ),
         ) {
             use proptest::prelude::{prop_assert, prop_assert_eq};
+            let _guard = qcf_telemetry::faults::chaos_guard();
             let n = payloads.len();
             let mut tier = SpillTier::new(n);
             let mut tail_start = 0;
