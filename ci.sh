@@ -50,13 +50,16 @@ cargo bench -q -p qcf-bench --bench parallel -- --smoke
 # fine, dead is not), every injected storage corruption surfaces as a
 # detected decode failure, the scrub settles clean, and no measured error
 # breaches its ledger bound. The rates below reliably quarantine chunks,
-# so the gate also proves nonzero-quarantine accounting end to end.
+# so the gate also proves nonzero-quarantine accounting end to end. A
+# staged run writes each chunk back about once per stage, not once per
+# gate, so the storm runs over 64 chunks (`--chunk 4`) to draw as many
+# faults as a per-gate run over 8 chunks did.
 echo "== chaos gate (decode fuzzers + seeded fault storm) =="
 cargo test --release -q -p compressors --test fuzz_decoders
 cargo test --release -q -p qcf-core --test fuzz_qcf
 chaos_out=$(QCF_FAULTS="seed=42,state.chunk.bitflip%0.02,codec.decode%0.01" \
     cargo run --release -q -p qcf-bench --bin qcfz -- verify --state \
-    --nodes 10 --seed 21 --compressor LZ4 --abs 0 --cache 2)
+    --nodes 10 --seed 21 --compressor LZ4 --abs 0 --cache 2 --chunk 4)
 echo "$chaos_out"
 if echo "$chaos_out" | grep -q " 0 quarantines"; then
     echo "chaos gate FAILED: the storm must actually quarantine chunks" >&2
@@ -205,10 +208,11 @@ echo "malformed QCF_FAULTS: refused up front (exit 2)"
 
 # Spill-log compaction drill: a churned, budgeted run must compact its
 # append-only spill log (reclaiming dead superseded records) while the
-# scrub still walks the swapped file fully clean.
+# scrub still walks the swapped file fully clean. 64 chunks (`--chunk 4`)
+# keep the churn of a staged run above a per-gate run over 8 chunks.
 echo "== spill compaction drill (verify --state on a churned log) =="
 comp_out=$("${qcfz[@]}" verify --state --nodes 10 --seed 21 \
-    --compressor LZ4 --abs 0 --cache 2 --mem-budget 4k)
+    --compressor LZ4 --abs 0 --cache 2 --mem-budget 4k --chunk 4)
 echo "$comp_out" | grep -E "spill log:|verify:"
 if ! echo "$comp_out" | grep -Eq "spill log: [1-9][0-9]* compaction"; then
     echo "compaction drill FAILED: churned spill log never compacted" >&2

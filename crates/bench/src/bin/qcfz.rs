@@ -144,7 +144,7 @@ fn main() {
                     &stream,
                 )?;
                 println!(
-                    "{} values -> {} bytes ({:.1}x) in {:.3} simulated ms",
+                    "{} values -> {} bytes ({:.1}x) in {:.3} A100-model ms",
                     s.n_values,
                     s.compressed_bytes,
                     s.ratio,
@@ -174,7 +174,7 @@ fn main() {
                 let s = cli::qaoa_demo(nodes, seed, comp, bound)?;
                 println!(
                     "QAOA n={nodes}: energy {:.6}, {} intermediates compressed ({:.1}x), \
-                     peak live {} bytes, {:.3} simulated ms on the compressor stream",
+                     peak live {} bytes, {:.3} A100-model ms on the compressor stream",
                     s.energy,
                     s.tensors_compressed,
                     s.ratio,

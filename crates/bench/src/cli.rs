@@ -284,10 +284,26 @@ pub struct StateSummary {
     pub tiers: qtensor::TierBreakdown,
     /// Run accounting (codec calls, cache hits/misses, resident bytes).
     pub stats: StateStats,
+    /// Gates the run applied (the denominator of [`per_gate`]).
+    pub gates: u64,
     /// Error-budget ledger aggregate (requant counts, accumulated bounds).
     pub ledger: qtensor::LedgerSummary,
     /// Causal event chain for the requested chunk (`qcfz state --chunk`).
     pub chain: Option<ChunkChain>,
+}
+
+/// Data-path chunk decodes and encodes per applied gate: the exact codec
+/// work counters `qcfz report` hard-gates (a stage decodes and stores each
+/// chunk once, however many gates it holds). `(0, 0)` for no gates.
+pub fn per_gate(stats: &StateStats, gates: u64) -> (f64, f64) {
+    if gates == 0 {
+        return (0.0, 0.0);
+    }
+    let g = gates as f64;
+    (
+        stats.decompressions as f64 / g,
+        stats.recompressions as f64 / g,
+    )
 }
 
 /// The causal journal chain behind one chunk's ledger row (`qcfz state
@@ -435,6 +451,7 @@ pub fn state_demo(cfg: &StateRunCfg) -> Result<StateSummary, CliError> {
         mem_budget: cs.mem_budget(),
         tiers: cs.tier_breakdown(),
         stats: cs.stats.clone(),
+        gates: cs.gates_applied(),
         ledger: cs.ledger_summary(),
         chain,
     })
@@ -491,7 +508,9 @@ impl VerifySummary {
 /// the same detection contract. With `QCF_FAULTS` armed in the environment
 /// the run executes under injected faults; injection is disarmed before
 /// the scrub so it evaluates the storage actually left behind, and the
-/// scrub loops until the state settles clean.
+/// scrub loops until the state settles clean. The energy is read from the
+/// settled state: the read-only scan cannot heal, so a frame the last
+/// stage stored corrupt must pass through the scrub first.
 pub fn verify_state(
     nodes: usize,
     seed: u64,
@@ -520,7 +539,6 @@ pub fn verify_state(
         cs.set_mem_budget(mem_budget);
     }
     cs.run_scheduled(circuit.gates(), true).map_err(err)?;
-    let energy = cs.maxcut_energy(&graph).map_err(err)?;
     cs.flush().map_err(err)?;
     let injected_bitflips = faults::injected_count("state.chunk.bitflip");
     let injected_spill_bitflips = faults::injected_count("state.spill.bitflip");
@@ -529,14 +547,8 @@ pub fn verify_state(
     if armed {
         faults::disarm();
     }
-    // Scrub until settled: the first clean pass proves every corruption the
-    // run left behind was caught and healed (or quarantined) by a prior one.
-    let mut report = cs.verify().map_err(err)?;
-    let mut scrub_passes = 1;
-    while !report.all_clean() && scrub_passes < 8 {
-        report = cs.verify().map_err(err)?;
-        scrub_passes += 1;
-    }
+    let (report, scrub_passes) = settle(&mut cs).map_err(err)?;
+    let energy = cs.maxcut_energy(&graph).map_err(err)?;
     Ok(VerifySummary {
         energy,
         settled: report.all_clean(),
@@ -552,6 +564,22 @@ pub fn verify_state(
         injected_total,
         scrub_passes,
     })
+}
+
+/// Scrubs `cs` until a pass comes back clean (at most 8 passes): the first
+/// clean pass proves every corruption left behind was caught and healed
+/// (or quarantined) by a prior one. Returns the last report and the
+/// number of passes.
+fn settle(
+    cs: &mut CompressedState<'_>,
+) -> Result<(qtensor::VerifyReport, usize), qtensor::ContractError> {
+    let mut report = cs.verify()?;
+    let mut passes = 1;
+    while !report.all_clean() && passes < 8 {
+        report = cs.verify()?;
+        passes += 1;
+    }
+    Ok((report, passes))
 }
 
 /// The caller-opaque `app_meta` blob `qcfz` stores in a snapshot: the
@@ -771,6 +799,8 @@ pub struct ResumeSummary {
     pub scrub: Option<qtensor::VerifyReport>,
     /// This process's run accounting (starts fresh at resume).
     pub stats: StateStats,
+    /// Gates this process applied after the resume.
+    pub gates: u64,
 }
 
 impl ResumeSummary {
@@ -804,13 +834,7 @@ pub fn resume_demo(
         cs.set_mem_budget(mem_budget);
     }
     let scrub_report = if scrub {
-        let mut report = cs.verify().map_err(err)?;
-        let mut passes = 1;
-        while !report.all_clean() && passes < 8 {
-            report = cs.verify().map_err(err)?;
-            passes += 1;
-        }
-        Some(report)
+        Some(settle(&mut cs).map_err(err)?.0)
     } else {
         None
     };
@@ -830,6 +854,7 @@ pub fn resume_demo(
         faults: cs.faults.clone(),
         scrub: scrub_report,
         stats: cs.stats.clone(),
+        gates: cs.gates_applied(),
     })
 }
 

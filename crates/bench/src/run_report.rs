@@ -28,8 +28,9 @@
 //!
 //! [`RunReport::baseline`] flattens the run's stable scalars into
 //! `key → number` pairs, and [`check`] diffs a current run against a stored
-//! baseline: compression-ratio drops, requant-count increases,
-//! accumulated-bound growth and energy drift are **hard** regressions;
+//! baseline: compression-ratio drops, requant-count and codec-calls-per-gate
+//! increases, accumulated-bound growth and energy drift are **hard**
+//! regressions;
 //! throughput drops are warnings unless the caller opts into strict mode
 //! (CI does on multi-core hosts — wall-clock numbers on a loaded 1-core
 //! runner are noise, CR and ledger invariants are not).
@@ -498,7 +499,7 @@ impl RunReport {
         let _ = writeln!(
             out,
             "energy {:.6} | {} intermediates compressed ({:.1}x) | peak live {} bytes | \
-             {} lossy events, accumulated bound {:.3e} | {:.3} simulated ms\n",
+             {} lossy events, accumulated bound {:.3e} | {:.3} A100-model ms\n",
             q.energy,
             q.tensors_compressed,
             q.ratio,
@@ -821,6 +822,17 @@ impl RunReport {
             "state.cache.hits".into(),
             self.state.stats.cache_hits as f64,
         );
+        // Exact codec work per gate in each compressed-state phase: a
+        // deterministic count, hard-gated in [`check`] like the requants.
+        for (phase, stats, gates) in [
+            ("state", &self.state.stats, self.state.gates),
+            ("oocore", &self.oocore.stats, self.oocore.gates),
+            ("ckpt.resume", &self.resume.stats, self.resume.gates),
+        ] {
+            let (decodes, encodes) = cli::per_gate(stats, gates);
+            m.insert(format!("{phase}.decodes_per_gate"), decodes);
+            m.insert(format!("{phase}.encodes_per_gate"), encodes);
+        }
         // Out-of-core phase: energy falls under the hard drift rule (and
         // is bit-identical to state.energy by construction); the spill and
         // prefetch counts are deterministic functions of the touch
@@ -981,7 +993,8 @@ const SPEEDUP_TARGET: f64 = 2.0;
 const SPEEDUP_MIN_CORES: f64 = 4.0;
 
 /// Diffs `current` against `stored`. Hard regressions: any `*.cr` drop
-/// beyond 5%, any requant-count increase, accumulated-bound growth beyond
+/// beyond 5%, any requant-count or `*_per_gate` codec-work increase (exact
+/// counts, so they gate on any host), accumulated-bound growth beyond
 /// 5%, max-abs-err growth beyond 5%, or energy drift beyond first-order
 /// noise. Throughput (`*_bps`) losses beyond 50% are warnings, upgraded to
 /// regressions under `strict_throughput`; before comparing, each side is
@@ -1028,6 +1041,12 @@ pub fn check(
                 res.regressions.push(format!(
                     "{key}: requant count grew {} -> {} (cache or ledger regression)",
                     base as u64, now as u64
+                ));
+            }
+        } else if key.ends_with("_per_gate") {
+            if now > base {
+                res.regressions.push(format!(
+                    "{key}: codec calls per gate grew {base:.3} -> {now:.3} (stage or cache regression)"
                 ));
             }
         } else if key.contains("accumulated_bound") || key.ends_with(".max_abs_err") {
@@ -1116,6 +1135,7 @@ fn slo_dimension(key: &str) -> &'static str {
         || key.contains("cache")
         || key.contains("prefetch")
         || key.contains("hit")
+        || key.ends_with("_per_gate")
     {
         "efficiency"
     } else if key.contains("bytes") || key.contains("resident") || key.contains("spill") {
@@ -1479,6 +1499,24 @@ mod tests {
         ok.insert("quality.cuSZ.cr".into(), 9.8);
         ok.insert("quality.cuSZ.host_compress_bps".into(), 7e9);
         assert!(check(&ok, &base, true).ok());
+    }
+
+    #[test]
+    fn codec_work_per_gate_is_a_hard_gate() {
+        let mut base: BTreeMap<String, f64> = BTreeMap::new();
+        base.insert("host.cores".into(), 8.0);
+        base.insert("state.decodes_per_gate".into(), 0.7);
+        base.insert("ckpt.resume.encodes_per_gate".into(), 0.7);
+        let mut cur = base.clone();
+        cur.insert("host.cores".into(), 1.0);
+        assert!(check(&cur, &base, false).ok(), "equal counts pass anywhere");
+        cur.insert("state.decodes_per_gate".into(), 0.6);
+        assert!(check(&cur, &base, false).ok(), "less work passes");
+        cur.insert("ckpt.resume.encodes_per_gate".into(), 0.75);
+        let res = check(&cur, &base, false);
+        assert_eq!(res.regressions.len(), 1, "{:?}", res.regressions);
+        assert!(res.regressions[0].contains("per gate grew"));
+        assert_eq!(slo_dimension("oocore.decodes_per_gate"), "efficiency");
     }
 
     #[test]

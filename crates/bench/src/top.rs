@@ -2,7 +2,7 @@
 //!
 //! A QAOA compressed-state run executes on a worker thread while the main
 //! thread renders frames from the background time-series sampler
-//! ([`qcf_telemetry::timeseries`]): gate throughput, cache hit rate,
+//! ([`qcf_telemetry::timeseries`]): stage throughput, cache hit rate,
 //! resident bytes, error-budget burn-down and the p50/p95/p99 of the
 //! `state.apply_us` / `state.encode_us` / `state.decode_us` latency
 //! histograms.
@@ -320,9 +320,9 @@ fn latency_row(label: &str, h: &HistogramSnapshot) -> Option<String> {
     ))
 }
 
-/// Per-sample gate-apply rates (events/s) from the series, for the
-/// throughput sparkline. The apply count rides in each sample's
-/// `state.apply_us` histogram count.
+/// Per-sample stage-apply rates (stages/s) from the series, for the
+/// throughput sparkline. The count rides in each sample's `state.apply_us`
+/// histogram count, which takes one sample per stage of gates.
 fn apply_rates(samples: &[Sample]) -> Vec<f64> {
     samples
         .windows(2)
@@ -463,7 +463,7 @@ pub fn render(
         rates.iter().sum::<f64>() / rates.len() as f64
     };
     out.push_str(&format!(
-        "gates     {applies} applied   throughput {} {:.0}/s avg\n",
+        "stages    {applies} applied   throughput {} {:.0} stages/s avg\n",
         sparkline(&rates),
         mean_rate
     ));

@@ -2,10 +2,10 @@
 //!
 //! Installs a counting global allocator and asserts that, once the
 //! write-back chunk cache is warm, `CompressedState::apply` performs ZERO
-//! heap allocations per gate under a lossless codec: cache hits mutate the
-//! resident amplitudes in place, gate matrices come from the fixed-size
-//! `qubits_array`/`matrix_array` accessors, and grouped gates reuse the
-//! persistent gather buffer.
+//! heap allocations per gate under a lossless codec: each one-gate stage
+//! copies cache hits through the persistent group buffer and back, gate
+//! matrices come from the fixed-size `qubits_array`/`matrix_array`
+//! accessors, and stages are cut without allocating.
 //!
 //! Keep this file to a single `#[test]`: the counter only counts the
 //! opted-in test thread, but a sibling test reusing that thread would

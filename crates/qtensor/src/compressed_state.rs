@@ -7,28 +7,38 @@
 //!
 //! * amplitudes live as `2^(n−c)` *chunks* of `2^c`, each stored compressed
 //!   with any [`Compressor`] (including the framework);
-//! * a gate touching only qubits `< c` updates every chunk independently;
-//! * a gate touching high qubits groups 2 (one high) or 4 (two high) chunks,
-//!   decompresses the group, applies the gate with the high qubits remapped
-//!   onto the group dimension, and recompresses.
+//! * the gate list runs in **stages** ([`chunk_groups`]): a stage is a
+//!   maximal run of consecutive gates whose *gather bits* — the chunk-id
+//!   qubits (`q >= c`) of every gate except the fully diagonal `Zz` and
+//!   `Cz` — cover at most two chunk-id qubits in total;
+//! * a stage groups the 1, 2 or 4 chunks that differ only in its gather
+//!   bits, decodes each group once, applies all of the stage's gates to
+//!   the group buffer (gathered qubits remapped onto the group dimension;
+//!   a `Zz`/`Cz` bit outside the group is constant there and read from the
+//!   group's base id), and stores each member once. `apply(gate)` is a
+//!   one-gate stage.
+//!
+//! So codec work scales with stages, not gates: a p=1 QAOA circuit on
+//! 18 qubits in 64 chunks runs in 6 stages instead of 63 per-gate passes.
 //!
 //! A small **write-back chunk cache** keeps recently touched chunks
-//! decompressed: gates mutate the cached amplitudes in place, and a dirty
-//! chunk is re-quantized only when it is evicted or flushed. Besides
+//! decompressed: a stage reads its groups through the cache and stores
+//! them back into it, and a dirty chunk is re-quantized only when it is
+//! evicted or flushed. Besides
 //! skipping codec work on hits, this bounds lossy error — while a chunk is
-//! resident it accumulates gates at full f64 precision and pays the
-//! quantization error **once** per residency instead of once per gate.
+//! resident it accumulates stages at full f64 precision and pays the
+//! quantization error **once** per residency instead of once per stage.
 //! Capacity comes from `QCF_CHUNK_CACHE` (chunks; `0` disables caching and
-//! restores the decompress → apply → recompress flow per gate).
+//! restores the decompress → apply → recompress flow per stage).
 //!
 //! The tests measure the end effect as state fidelity and energy drift vs.
-//! the dense oracle.
+//! the dense oracle; `tests/differential.rs` holds every knob to it.
 
 use crate::checkpoint::{self, CkptError};
 use crate::contraction::ContractError;
 use crate::ledger::{ChunkRecord, ErrorLedger, LedgerSummary};
 use crate::spill::{self, Consume, FramePayload, PrefetchCtl, PrefetchRequest, SpillTier};
-use crate::statevector::{apply_gate_to_amplitudes, StateVector};
+use crate::statevector::{apply_diagonal_2q, apply_gate_to_amplitudes, StateVector};
 use compressors::traits::value_range;
 use compressors::{Compressor, CompressorKind, ErrorBound};
 use gpu_model::{DeviceSpec, Stream};
@@ -54,7 +64,7 @@ pub struct StateStats {
     pub resident_bytes: usize,
     /// Peak compressed bytes observed.
     pub peak_resident_bytes: usize,
-    /// Chunk-cache hits (gate applied to cached amplitudes, no codec work).
+    /// Chunk-cache hits (a stage read cached amplitudes, no codec work).
     pub cache_hits: u64,
     /// Chunk-cache misses (chunk had to be decompressed).
     pub cache_misses: u64,
@@ -111,11 +121,14 @@ pub struct FaultStats {
     pub lost_norm_sq: f64,
 }
 
-/// Microsecond bucket bounds for the per-chunk stage latency histograms:
-/// roughly log-spaced from sub-10µs gate kernels up to the 10ms+ tail a
-/// faulted decode retry can hit; slower events land in the overflow bucket.
-const LATENCY_BOUNDS_US: [f64; 10] = [
-    10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
+/// Microsecond bucket bounds for the state latency histograms: roughly
+/// log-spaced from sub-10µs chunk kernels up to a second, so every default
+/// SLO threshold (100 ms for `latency.apply_p99` and `latency.decode_p95`)
+/// is itself a bound and a 10–100 ms sample reads as finite. Only slower
+/// events land in the overflow bucket, whose quantile reads `+inf`.
+const LATENCY_BOUNDS_US: [f64; 15] = [
+    10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0, 25000.0, 50000.0,
+    100000.0, 250000.0, 1000000.0,
 ];
 
 /// Cached handles for every `state.*` registry instrument, resolved once
@@ -149,8 +162,9 @@ struct StateCounters {
     ckpt_writes: Arc<Counter>,
     ckpt_bytes: Arc<Counter>,
     ckpt_restores: Arc<Counter>,
-    // `state.*_us` per-chunk stage latencies; with telemetry disabled no
-    // clock is read at all
+    // `state.*_us` latencies; with telemetry disabled no clock is read at
+    // all. `apply_us` times one stage (one sample per stage, whatever its
+    // gate count); `encode_us`/`decode_us` time one chunk codec call.
     apply_us: Arc<Histogram>,
     encode_us: Arc<Histogram>,
     decode_us: Arc<Histogram>,
@@ -379,40 +393,135 @@ pub(crate) fn decode_chunk(
     Ok(())
 }
 
-/// The chunk groups one gate touches, in apply order — the single
-/// enumerator behind both [`CompressedState::apply`] and the prefetch
-/// schedule ([`spill::touch_schedule`]), so the prefetcher follows the
-/// apply loop by construction. A gate's *high* qubits (`q >= chunk_qubits`)
-/// are chunk-id bits: each group holds the `2^nh` chunks that differ only
-/// in those bits, groups come by ascending base id (those bits zero), and
-/// bit `j` of a member's index in its group sets high qubit `j`. A gate
-/// with no high qubit makes every chunk its own one-member group, in id
-/// order.
-///
-/// Returns the high qubits' chunk-id bits (`q - chunk_qubits`, the first
-/// `nh` in gate order), `nh`, and the groups, each the first `2^nh` ids of
-/// an item. `None` when a gate qubit lies outside the register of
-/// `n_chunks` chunks of `2^chunk_qubits` amplitudes.
-pub(crate) fn chunk_groups(
-    gate: &Gate,
-    chunk_qubits: usize,
-    n_chunks: usize,
-) -> Option<([usize; 2], usize, impl Iterator<Item = [usize; 4]>)> {
+/// The chunk-id bits `gate` needs gathered into one group buffer: its
+/// high qubits (`q >= chunk_qubits`) as `q - chunk_qubits`, in gate order —
+/// except those of the fully diagonal two-qubit gates `Zz` and `Cz`, which
+/// a stage applies where the chunks lie ([`apply_diagonal_2q`]). `None`
+/// when a qubit lies outside a register of `2^id_bits` chunks.
+fn gather_bits(gate: &Gate, chunk_qubits: usize, id_bits: usize) -> Option<([usize; 2], usize)> {
     let (qs, k) = gate.qubits_array();
-    let (mut bits, mut nh) = ([0usize; 2], 0);
+    let diagonal = matches!(gate, Gate::Zz(..) | Gate::Cz(..));
+    let (mut bits, mut nb) = ([0usize; 2], 0);
     for &q in qs[..k].iter().filter(|&&q| q >= chunk_qubits) {
-        if q - chunk_qubits >= n_chunks.trailing_zeros() as usize {
+        if q - chunk_qubits >= id_bits {
             return None;
         }
-        bits[nh] = q - chunk_qubits;
-        nh += 1;
+        if !diagonal {
+            bits[nb] = q - chunk_qubits;
+            nb += 1;
+        }
     }
-    let member = move |base: usize, m: usize| base | ((m & 1) << bits[0]) | ((m >> 1) << bits[1]);
-    let mask: usize = bits[..nh].iter().map(|&b| 1 << b).sum();
-    let groups = (0..n_chunks)
-        .filter(move |base| base & mask == 0)
-        .map(move |base| [0, 1, 2, 3].map(|m| member(base, m)));
-    Some((bits, nh, groups))
+    Some((bits, nb))
+}
+
+/// One stage of a gate list: a maximal run of consecutive gates whose
+/// gather bits ([`gather_bits`]) cover at most two chunk-id bits in total.
+/// Every group of the stage is decoded once, gets all of the stage's
+/// gates, and is stored once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stage {
+    /// The stage is `gates[start..end]` of the list it was cut from.
+    pub start: usize,
+    pub end: usize,
+    /// The gathered chunk-id bits, in order of first use: bit `j` of a
+    /// member's index in its group sets chunk-id bit `bits[j]`.
+    pub bits: [usize; 2],
+    /// How many of `bits` are in use (0, 1 or 2).
+    pub nh: usize,
+}
+
+/// The stages of `gates` and each stage's chunk groups, in apply order —
+/// the single enumerator behind both the stage loop
+/// ([`CompressedState::run_scheduled`], [`CompressedState::apply`]) and the
+/// prefetch schedule ([`spill::touch_schedule`]), so the prefetcher follows
+/// the apply loop by construction.
+///
+/// Stages are cut greedily: a gate joins the current stage unless its
+/// gather bits would take the stage past two. A group holds the `2^nh`
+/// chunks that differ only in the stage's gathered bits; groups come by
+/// ascending base id (those bits zero), and the first `2^nh` ids of an item
+/// are its members. A stage with no gathered bit makes every chunk its own
+/// one-member group, in id order. The first gate with a qubit outside the
+/// register of `n_chunks` chunks of `2^chunk_qubits` amplitudes is
+/// returned as the error, before anything is enumerated.
+pub(crate) fn chunk_groups(
+    gates: &[Gate],
+    chunk_qubits: usize,
+    n_chunks: usize,
+) -> Result<impl Iterator<Item = (Stage, impl Iterator<Item = [usize; 4]>)> + '_, &Gate> {
+    let id_bits = n_chunks.trailing_zeros() as usize;
+    if let Some(outside) = gates
+        .iter()
+        .find(|g| gather_bits(g, chunk_qubits, id_bits).is_none())
+    {
+        return Err(outside);
+    }
+    let mut start = 0;
+    let stages = std::iter::from_fn(move || {
+        if start == gates.len() {
+            return None;
+        }
+        let mut stage = Stage {
+            start,
+            end: start,
+            bits: [0; 2],
+            nh: 0,
+        };
+        'gates: for gate in &gates[start..] {
+            let (bits, nb) = gather_bits(gate, chunk_qubits, id_bits)?;
+            let mut grown = stage;
+            for &b in &bits[..nb] {
+                if !grown.bits[..grown.nh].contains(&b) {
+                    if grown.nh == 2 {
+                        break 'gates;
+                    }
+                    grown.bits[grown.nh] = b;
+                    grown.nh += 1;
+                }
+            }
+            stage = Stage {
+                end: stage.end + 1,
+                ..grown
+            };
+        }
+        start = stage.end;
+        Some(stage)
+    });
+    Ok(stages.map(move |stage| {
+        let (bits, nh) = (stage.bits, stage.nh);
+        let member =
+            move |base: usize, m: usize| base | ((m & 1) << bits[0]) | ((m >> 1) << bits[1]);
+        let mask: usize = bits[..nh].iter().map(|&b| 1 << b).sum();
+        let groups = (0..n_chunks)
+            .filter(move |base| base & mask == 0)
+            .map(move |base| [0, 1, 2, 3].map(|m| member(base, m)));
+        (stage, groups)
+    }))
+}
+
+/// Applies a stage's `gates` to one group buffer: the group's chunks of
+/// `2^c` amplitudes, member `m` at offset `m << c`, where bit `j` of `m`
+/// is chunk-id bit `bits[j]` and every other chunk-id bit is `base`'s.
+/// Low and gathered qubits map onto buffer qubits for the dense kernel; a
+/// `Zz`/`Cz` qubit among the other chunk-id bits is constant over the
+/// buffer, read from `base`.
+fn apply_stage_gates(buf: &mut [Complex64], c: usize, bits: &[usize], base: usize, gates: &[Gate]) {
+    let place = |q: usize| match q.checked_sub(c) {
+        None => Ok(q),
+        Some(b) => match bits.iter().position(|&x| x == b) {
+            Some(j) => Ok(c + j),
+            None => Err((base >> b) & 1 == 1),
+        },
+    };
+    for gate in gates {
+        let (qs, k) = gate.qubits_array();
+        if qs[..k].iter().all(|&q| place(q).is_ok()) {
+            let remapped = gate.map_qubits(|q| place(q).unwrap_or(q));
+            apply_gate_to_amplitudes(buf, c + bits.len(), &remapped);
+        } else {
+            apply_diagonal_2q(buf, place(qs[0]), place(qs[1]), &gate.matrix_array().0);
+        }
+    }
 }
 
 /// What [`CompressedState::fetch_if_spilled`] delivered.
@@ -468,6 +577,9 @@ pub struct CompressedState<'a> {
     /// (much smaller) cache's LRU.
     touch_stamp: Vec<u64>,
     touch_tick: u64,
+    /// Gates applied by this process; beside [`StateStats`], whose fields
+    /// callers build as literals (see [`gates_applied`](Self::gates_applied)).
+    gates_applied: u64,
     /// Run accounting.
     pub stats: StateStats,
     /// Fault and recovery accounting (see [`FaultStats`]).
@@ -554,6 +666,7 @@ impl<'a> CompressedState<'a> {
             prefetch: None,
             touch_stamp: vec![0; n_chunks],
             touch_tick: 0,
+            gates_applied: 0,
             stats: StateStats::default(),
             faults: FaultStats::default(),
         }
@@ -768,24 +881,27 @@ impl<'a> CompressedState<'a> {
         self.prefetch = Some(ctl);
     }
 
-    /// Applies `gates` with the async prefetch pipeline armed: the
-    /// upcoming chunk-touch schedule comes from the gate list through the
-    /// same `chunk_groups` enumerator `apply` walks, and two I/O worker
-    /// threads read + decode spilled frames ahead of use so disk latency
-    /// overlaps gate compute. Bit-identical to applying the gates one by
-    /// one — prefetch only changes *when* frames are read, never what is
-    /// computed. Falls back to the plain loop when no budget is set (or
-    /// `prefetch` is false: the synchronous-fetch-on-miss baseline).
+    /// Applies `gates` stage by stage ([`chunk_groups`]): each stage decodes
+    /// and stores every chunk it touches once, however many gates it
+    /// holds. Bit-identical to the dense reference under a lossless codec;
+    /// under a lossy one each chunk is requantized at most once per stage
+    /// instead of once per gate.
+    ///
+    /// With `prefetch` and a memory budget set, the async prefetch
+    /// pipeline is armed: the upcoming chunk-touch schedule comes from the
+    /// same `chunk_groups` enumerator the stage loop walks, and two I/O
+    /// worker threads read + decode spilled frames ahead of use so disk
+    /// latency overlaps gate compute. Prefetch only changes *when* frames
+    /// are read, never what is computed. Without a budget (or with
+    /// `prefetch` false: the synchronous-fetch-on-miss baseline) the stages
+    /// run on the calling thread alone.
     pub fn run_scheduled(&mut self, gates: &[Gate], prefetch: bool) -> Result<(), ContractError> {
         let use_prefetch = prefetch
             && self.mem_budget.is_some()
             && !self.spill_tier.disabled
             && self.spill_tier.ensure_file().is_ok();
         if !use_prefetch {
-            for g in gates {
-                self.apply(g)?;
-            }
-            return Ok(());
+            return self.run_stages(gates);
         }
         let schedule = spill::touch_schedule(gates, self.chunk_qubits, self.chunks.len());
         let shared = Arc::new(spill::PrefetchShared::new());
@@ -806,12 +922,7 @@ impl<'a> CompressedState<'a> {
                     spill::prefetch_worker(&shared, &path, compressor, chunk_len, latency_us)
                 });
             }
-            let res = (|| {
-                for g in gates {
-                    self.apply(g)?;
-                }
-                Ok(())
-            })();
+            let res = self.run_stages(gates);
             shared.shutdown();
             res
         });
@@ -866,6 +977,13 @@ impl<'a> CompressedState<'a> {
             self.sync_resident_stats();
         }
         Ok(reclaimed)
+    }
+
+    /// Gates this process applied to the state (a resumed state starts
+    /// at 0, like [`StateStats`]). With `stats.decompressions` and
+    /// `stats.recompressions` this gives the codec work per gate.
+    pub fn gates_applied(&self) -> u64 {
+        self.gates_applied
     }
 
     /// Register width.
@@ -1309,86 +1427,72 @@ impl<'a> CompressedState<'a> {
         Ok((state, app_meta))
     }
 
-    /// Applies one gate. A gate acting on a qubit outside the register is
-    /// an error, refused before any chunk is touched.
+    /// Applies one gate: a one-gate stage. A gate acting on a qubit outside
+    /// the register is an error, refused before any chunk is touched.
     pub fn apply(&mut self, gate: &Gate) -> Result<(), ContractError> {
-        let (bits, nh, groups) = chunk_groups(gate, self.chunk_qubits, self.chunks.len())
-            .ok_or_else(|| {
-                ContractError::Hook(format!(
-                    "gate {gate:?} acts outside the {}-qubit register",
-                    self.n
-                ))
-            })?;
-        // The codec stream's kernel-event log is never read here; clearing
-        // it once per gate keeps it from growing for the state's whole life.
-        self.stream.reset();
-        let t0 = lat_start();
-        let res = match nh {
-            0 => self.apply_low(gate, groups),
-            _ => self.apply_grouped(gate, &bits[..nh], groups),
-        };
-        lat_end(&self.counters.apply_us, t0);
-        res
+        self.run_stages(std::slice::from_ref(gate))
     }
 
-    /// All gate qubits inside the chunk: every chunk (a one-member group)
-    /// updates independently.
-    fn apply_low(
-        &mut self,
-        gate: &Gate,
-        groups: impl Iterator<Item = [usize; 4]>,
-    ) -> Result<(), ContractError> {
-        let cq = self.chunk_qubits;
-        for [id, ..] in groups {
-            self.with_chunk_mut(id, |amps| apply_gate_to_amplitudes(amps, cq, gate))?;
+    /// Applies `gates` stage by stage ([`chunk_groups`]). A gate list with
+    /// any gate outside the register is refused before any chunk is
+    /// touched.
+    fn run_stages(&mut self, gates: &[Gate]) -> Result<(), ContractError> {
+        let stages = chunk_groups(gates, self.chunk_qubits, self.chunks.len()).map_err(|gate| {
+            ContractError::Hook(format!(
+                "gate {gate:?} acts outside the {}-qubit register",
+                self.n
+            ))
+        })?;
+        for (stage, groups) in stages {
+            let stage_gates = &gates[stage.start..stage.end];
+            // The codec stream's kernel-event log is never read here;
+            // clearing it once per stage keeps it from growing for the
+            // state's whole life.
+            self.stream.reset();
+            let t0 = lat_start();
+            let res = self.apply_stage(stage_gates, &stage.bits[..stage.nh], groups);
+            lat_end(&self.counters.apply_us, t0);
+            res?;
+            self.gates_applied += stage_gates.len() as u64;
         }
         Ok(())
     }
 
-    /// Some gate qubits are chunk-id `bits`: gather each group's 2^|bits|
-    /// chunks, remap those qubits onto the group dimension, apply, split.
-    fn apply_grouped(
+    /// One stage with gathered chunk-id `bits` (possibly none): each
+    /// group's `2^|bits|` chunks are read once through the cache into the
+    /// group buffer, take all of the stage's gates, and are stored once
+    /// through the cache, so a dirty chunk is re-quantized only on eviction
+    /// or [`CompressedState::flush`].
+    fn apply_stage(
         &mut self,
-        gate: &Gate,
+        gates: &[Gate],
         bits: &[usize],
         groups: impl Iterator<Item = [usize; 4]>,
     ) -> Result<(), ContractError> {
         let c = self.chunk_qubits;
-        let k = bits.len(); // 1 or 2
         let chunk_len = self.chunk_len();
-
-        // Remap: low qubits stay; the j-th high qubit becomes buffer qubit c+j.
-        let remapped = gate.map_qubits(|q| {
-            if q < c {
-                q
-            } else {
-                let j = bits
-                    .iter()
-                    .position(|&b| c + b == q)
-                    .expect("high qubit listed");
-                c + j
-            }
-        });
-
         let mut buffer = std::mem::take(&mut self.group_buf);
         for ids in groups {
-            let members = &ids[..1 << k];
+            let members = &ids[..1 << bits.len()];
             buffer.clear();
-            buffer.reserve(chunk_len << k);
+            buffer.reserve(chunk_len << bits.len());
             let res = (|| {
                 for &id in members {
                     self.gather_chunk(id, &mut buffer)?;
                 }
                 let gate_ok = panic::catch_unwind(AssertUnwindSafe(|| {
-                    apply_gate_to_amplitudes(&mut buffer, c + k, &remapped);
+                    apply_stage_gates(&mut buffer, c, bits, ids[0], gates);
                 }))
                 .is_ok();
                 if gate_ok {
-                    // The gate mixed these chunks' amplitudes; redistribute
+                    // The stage mixed these chunks' amplitudes; redistribute
                     // their accumulated error accordingly (energy-preserving).
-                    self.ledger.mix(members);
+                    // A one-member group mixes nothing.
+                    if members.len() > 1 {
+                        self.ledger.mix(members);
+                    }
                 } else {
-                    // A worker panicked mid-gate: the whole group buffer is
+                    // A worker panicked mid-stage: the whole group buffer is
                     // garbage. Quarantine every member and store zeros.
                     self.note_worker_panics(1);
                     buffer.iter_mut().for_each(|a| *a = Complex64::ZERO);
@@ -1410,51 +1514,6 @@ impl<'a> CompressedState<'a> {
         Ok(())
     }
 
-    /// Runs `f` over chunk `id`'s decoded amplitudes through the write-back
-    /// cache. Hits mutate the cached plane in place — no codec work at all
-    /// (and, with warm buffers, no heap allocation). Misses decode once and
-    /// cache the result dirty; the chunk is re-quantized only on eviction
-    /// or [`CompressedState::flush`], so lossy error cannot compound while
-    /// it stays resident.
-    fn with_chunk_mut(
-        &mut self,
-        id: usize,
-        f: impl FnOnce(&mut [Complex64]),
-    ) -> Result<(), ContractError> {
-        self.note_touch(id);
-        if self.cache.cap == 0 {
-            // Cache disabled: classic decompress → apply → recompress.
-            let mut amps = self.decode_miss(id)?;
-            self.apply_guarded(id, &mut amps, f);
-            let res = self.write_back(id, &amps);
-            self.spare = amps;
-            return res;
-        }
-        if self.cache.lookup(id).is_some() {
-            self.stats.cache_hits += 1;
-            self.counters.cache_hits.inc();
-            journal::record(id as u64, EventKind::CacheHit, 1.0);
-            // Take the amplitudes out of the entry so the unwind guard can
-            // quarantine in place without fighting the cache borrow.
-            let idx = self
-                .cache
-                .entries
-                .iter()
-                .position(|e| e.id == id)
-                .expect("entry just looked up");
-            let mut amps = std::mem::take(&mut self.cache.entries[idx].amps);
-            self.apply_guarded(id, &mut amps, f);
-            self.cache.entries[idx].amps = amps;
-            self.cache.entries[idx].dirty = true;
-            return Ok(());
-        }
-        self.stats.cache_misses += 1;
-        self.counters.cache_misses.inc();
-        let mut amps = self.decode_miss(id)?;
-        self.apply_guarded(id, &mut amps, f);
-        self.insert_cached(id, amps, true)
-    }
-
     /// Decodes chunk `id` through the recovery chain into the recycled
     /// spare buffer (handed back to the spare slot on error).
     fn decode_miss(&mut self, id: usize) -> Result<Vec<Complex64>, ContractError> {
@@ -1465,25 +1524,6 @@ impl<'a> CompressedState<'a> {
         }
         self.stats.decompressions += 1;
         Ok(amps)
-    }
-
-    /// Applies a gate closure to `amps` under an unwind guard. On a worker
-    /// panic the amplitudes are mid-update garbage, so the chunk is
-    /// quarantined in place (zero-filled, loss recorded); the caller stores
-    /// the zeros through its normal write path.
-    fn apply_guarded(
-        &mut self,
-        id: usize,
-        amps: &mut Vec<Complex64>,
-        f: impl FnOnce(&mut [Complex64]),
-    ) {
-        if panic::catch_unwind(AssertUnwindSafe(|| f(amps))).is_err() {
-            self.note_worker_panics(1);
-            let chunk_len = self.chunk_len();
-            amps.clear();
-            amps.resize(chunk_len, Complex64::ZERO);
-            self.record_quarantine_loss(id);
-        }
     }
 
     /// Reads chunk `id` through the cache, appending its amplitudes to
@@ -1638,7 +1678,7 @@ impl<'a> CompressedState<'a> {
         res
     }
 
-    /// Runs a whole circuit from `|0…0⟩`.
+    /// Runs a whole circuit from `|0…0⟩`, stage by stage.
     pub fn run(
         circuit: &Circuit,
         chunk_qubits: usize,
@@ -1646,9 +1686,7 @@ impl<'a> CompressedState<'a> {
         bound: ErrorBound,
     ) -> Result<Self, ContractError> {
         let mut state = CompressedState::zero(circuit.n_qubits(), chunk_qubits, compressor, bound)?;
-        for g in circuit.gates() {
-            state.apply(g)?;
-        }
+        state.run_stages(circuit.gates())?;
         Ok(state)
     }
 
@@ -1663,27 +1701,36 @@ impl<'a> CompressedState<'a> {
         StateVector::from_amplitudes(self.n, amps).map_err(|e| ContractError::Hook(e.to_string()))
     }
 
-    /// MaxCut energy computed chunk-by-chunk (never materializes the state).
+    /// MaxCut energy computed chunk by chunk in one pass (never
+    /// materializes the state): each chunk is read once and adds into
+    /// every edge's `⟨Z_a Z_b⟩` sum. Each edge still sums its terms in
+    /// global index order, so the energy is bit-identical to
+    /// [`StateVector::maxcut_energy`] on the same amplitudes.
     pub fn maxcut_energy(&self, graph: &Graph) -> Result<f64, ContractError> {
-        let mut energy = 0.0;
         let chunk_len = self.chunk_len();
-        let (mut flat, mut buf) = (Vec::new(), Vec::new());
-        for &(a, b) in graph.edges() {
-            let (ma, mb) = (1usize << a, 1usize << b);
-            let mut zz = 0.0;
-            for chunk_id in 0..self.chunks.len() {
-                let amps = self.read_chunk(chunk_id, &mut flat, &mut buf)?;
-                let base = chunk_id * chunk_len;
-                for (i, amp) in amps.iter().enumerate() {
+        let edges = graph.edges();
+        let mut zz = vec![0.0; edges.len()];
+        let (mut flat, mut buf, mut probs) = (Vec::new(), Vec::new(), Vec::new());
+        for chunk_id in 0..self.chunks.len() {
+            let amps = self.read_chunk(chunk_id, &mut flat, &mut buf)?;
+            probs.clear();
+            probs.extend(amps.iter().map(|a| a.norm_sq()));
+            let base = chunk_id * chunk_len;
+            for (&(a, b), zz) in edges.iter().zip(&mut zz) {
+                let (ma, mb) = (1usize << a, 1usize << b);
+                for (i, &p) in probs.iter().enumerate() {
                     let g = base + i;
                     let sign = if ((g & ma != 0) as u8) ^ ((g & mb != 0) as u8) == 1 {
                         -1.0
                     } else {
                         1.0
                     };
-                    zz += sign * amp.norm_sq();
+                    *zz += sign * p;
                 }
             }
+        }
+        let mut energy = 0.0;
+        for zz in zz {
             energy += 0.5 * (1.0 - zz);
         }
         Ok(energy)
@@ -1784,8 +1831,8 @@ mod tests {
         let comp = compressors::cuszx::CuSzx::default();
         let mut cs = CompressedState::zero(8, 4, &comp, ErrorBound::Abs(1e-6)).unwrap();
         cs.set_cache_capacity(0).unwrap();
-        // Every gate decodes and re-encodes all 16 chunks, so each leaves
-        // the same work in the log — and only its own.
+        // Every one-gate stage decodes and re-encodes all 16 chunks, so
+        // each leaves the same work in the log — and only its own.
         let lens: Vec<usize> = (0..6)
             .map(|k| {
                 cs.apply(&Gate::H(k % 4)).unwrap();
@@ -1794,6 +1841,124 @@ mod tests {
             .collect();
         assert!(lens[0] > 0, "codec calls must reach the stream");
         assert!(lens.iter().all(|&l| l == lens[0]), "log grew: {lens:?}");
+    }
+
+    /// `(start, end, gathered bits)` of each stage of `gates`.
+    fn stage_cuts(gates: &[Gate], c: usize, n_chunks: usize) -> Vec<(usize, usize, Vec<usize>)> {
+        chunk_groups(gates, c, n_chunks)
+            .unwrap()
+            .map(|(st, _)| (st.start, st.end, st.bits[..st.nh].to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn stages_fuse_gates_until_a_third_gathered_bit() {
+        // The sv-gates shape: 18 qubits in 64 chunks of 2^12. Only the H
+        // and Rx gates on qubits 12..18 gather; the Zz layer never does.
+        let (circuit, _) = qaoa(18, 7);
+        let gates = circuit.gates();
+        let (first, second) = gates.split_at(gates.len() / 2);
+        assert_eq!(
+            stage_cuts(first, 12, 64),
+            [
+                (0, 14, vec![0, 1]),
+                (14, 16, vec![2, 3]),
+                (16, 31, vec![4, 5])
+            ]
+        );
+        assert_eq!(
+            stage_cuts(second, 12, 64),
+            [
+                (0, 28, vec![0, 1]),
+                (28, 30, vec![2, 3]),
+                (30, 32, vec![4, 5])
+            ]
+        );
+        assert_eq!(stage_cuts(gates, 12, 64).len(), 6);
+        // Cz is as diagonal as Zz; Cnot and one-qubit diagonals gather.
+        let g = [
+            Gate::Cz(0, 3),
+            Gate::Zz(4, 5, 0.2),
+            Gate::T(3),
+            Gate::Cnot(4, 0),
+            Gate::H(5),
+        ];
+        assert_eq!(stage_cuts(&g, 3, 8), [(0, 4, vec![0, 1]), (4, 5, vec![2])]);
+    }
+
+    #[test]
+    fn stages_decode_and_encode_each_chunk_once() {
+        let (circuit, graph) = qaoa(10, 5);
+        let comp = compressors::cuszx::CuSzx::default();
+        let mut cs = CompressedState::zero(10, 4, &comp, ErrorBound::Abs(1e-7)).unwrap();
+        cs.set_cache_capacity(0).unwrap();
+        cs.run_scheduled(circuit.gates(), false).unwrap();
+        let stages = stage_cuts(circuit.gates(), 4, 64).len() as u64;
+        assert_eq!(cs.gates_applied(), circuit.gates().len() as u64);
+        assert!(stages * 4 < cs.gates_applied(), "{stages} stages");
+        // Cache off: every stage decodes and re-encodes all 64 chunks once.
+        assert_eq!(cs.stats.decompressions, 64 * stages);
+        assert_eq!(cs.stats.recompressions, 64 * stages);
+        assert_eq!(cs.ledger_summary().total_requants, 64 * stages);
+        let dense = StateVector::run(&circuit);
+        let f = cs.to_statevector().unwrap().fidelity_normalized(&dense);
+        assert!(f > 0.999, "normalized fidelity {f}");
+        let e = cs.maxcut_energy(&graph).unwrap();
+        assert!((e - dense.maxcut_energy(&graph)).abs() / dense.maxcut_energy(&graph) < 1e-3);
+    }
+
+    #[test]
+    fn apply_latency_buckets_resolve_the_slo_threshold() {
+        use qcf_telemetry::metrics::{HistogramSnapshot, Snapshot};
+        use qcf_telemetry::slo::{eval_window, SloSpec};
+        use qcf_telemetry::timeseries::Sample;
+        let spec = SloSpec::defaults();
+        let p99 = spec
+            .objectives
+            .iter()
+            .find(|o| o.name == "latency.apply_p99")
+            .expect("default objective");
+        // The report's whole-phase reading of `p99(state.apply_us)` over
+        // these samples, bucketed exactly as the histogram buckets them.
+        let judge = |samples_us: &[f64]| {
+            let mut buckets: Vec<(f64, u64)> = LATENCY_BOUNDS_US
+                .iter()
+                .chain([f64::INFINITY].iter())
+                .map(|&b| (b, 0))
+                .collect();
+            for &v in samples_us {
+                buckets.iter_mut().find(|(b, _)| v <= *b).unwrap().1 += 1;
+            }
+            let mut last = Snapshot::default();
+            last.histograms.insert(
+                "state.apply_us".into(),
+                HistogramSnapshot {
+                    count: samples_us.len() as u64,
+                    buckets,
+                    ..HistogramSnapshot::default()
+                },
+            );
+            let window = [
+                Sample {
+                    t_us: 0,
+                    metrics: Snapshot::default(),
+                },
+                Sample {
+                    t_us: 1,
+                    metrics: last,
+                },
+            ];
+            let v = eval_window(&p99.expr, &window).expect("a reading");
+            (v, p99.op.violated(v, p99.threshold))
+        };
+        // A report state phase: 34 applies at 1 ms and one slow 12 ms one.
+        let mut phase = vec![1_000.0; 34];
+        phase.push(12_000.0);
+        let (v, breached) = judge(&phase);
+        assert!(v.is_finite() && !breached, "p99 {v} breached");
+        // One apply past the 100 ms objective still breaches it.
+        let (v, breached) = judge(&[150_000.0]);
+        assert!(breached, "p99 {v} passed");
     }
 
     #[test]
@@ -1844,8 +2009,10 @@ mod tests {
         let comp = compressors::cuszx::CuSzx::default();
         let cs = CompressedState::run(&circuit, 5, &comp, ErrorBound::Abs(1e-7)).unwrap();
         let dense = StateVector::run(&circuit);
-        let f = cs.to_statevector().unwrap().fidelity(&dense);
-        assert!(f > 0.999, "fidelity {f}");
+        // Normalized, so norm drift cannot pass for overlap; the drift is
+        // checked on its own below.
+        let f = cs.to_statevector().unwrap().fidelity_normalized(&dense);
+        assert!(f > 0.999, "normalized fidelity {f}");
         let e = cs.maxcut_energy(&graph).unwrap();
         assert!((e - dense.maxcut_energy(&graph)).abs() / dense.maxcut_energy(&graph) < 0.01);
         assert!((cs.norm_sq().unwrap() - 1.0).abs() < 0.01);

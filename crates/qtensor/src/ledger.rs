@@ -13,9 +13,9 @@
 //!
 //! * the **initial quantization** of each chunk at state preparation,
 //! * every **requantization** — a dirty chunk re-encoded at cache eviction,
-//!   flush, or (cache disabled) per gate,
-//! * **error mixing** when a cross-chunk gate combines chunks, so each
-//!   chunk's running estimate reflects everything that flowed into it.
+//!   flush, or (cache disabled) once per stage of gates,
+//! * **error mixing** when a stage's gates combine a group of chunks, so
+//!   each chunk's running estimate reflects everything that flowed into it.
 //!
 //! Per event the ledger stores the resolved absolute bound and folds it
 //! into a running accumulated-bound estimate using the same first-order

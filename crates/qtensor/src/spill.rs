@@ -43,8 +43,8 @@
 //! ## Prefetch pipeline
 //!
 //! `touch_schedule` lists every chunk a run of gates will touch, in
-//! order, from the same `chunk_groups` enumerator the apply loop walks, so
-//! the schedule cannot drift from the touches it predicts.
+//! order, from the same `chunk_groups` stage enumerator the stage loop
+//! walks, so the schedule cannot drift from the touches it predicts.
 //! [`PrefetchShared`] is a tiny request queue + completion map shared
 //! with [`PREFETCH_WORKERS`] I/O threads (double-buffered I/O: two
 //! frames in flight while the main thread computes). Workers read the
@@ -525,18 +525,20 @@ impl Drop for SpillTier {
 // Gate-schedule extraction
 // ---------------------------------------------------------------------------
 
-/// The exact chunk-touch sequence `CompressedState::apply` will perform
-/// for `gates`: each gate's [`chunk_groups`] flattened member by member,
-/// from the same enumerator the apply loop walks, so the schedule matches
-/// the apply order by construction. It is the prefetcher's entire
-/// knowledge of the future. A gate outside the register contributes
-/// nothing: `apply` refuses it before touching any chunk.
+/// The exact chunk-touch sequence `CompressedState::run_scheduled` will
+/// perform for `gates`: each stage's [`chunk_groups`] flattened member by
+/// member, from the same enumerator the stage loop walks, so the schedule
+/// matches the apply order by construction. A stage touches each chunk
+/// once however many gates it holds. It is the prefetcher's entire
+/// knowledge of the future. A list with a gate outside the register
+/// yields nothing: the stage loop refuses it before touching any chunk.
 pub(crate) fn touch_schedule(gates: &[Gate], chunk_qubits: usize, n_chunks: usize) -> Vec<usize> {
     let mut sched = Vec::new();
-    for gate in gates {
-        if let Some((_, nh, groups)) = chunk_groups(gate, chunk_qubits, n_chunks) {
-            sched.extend(groups.flat_map(|ids| ids.into_iter().take(1 << nh)));
-        }
+    for (stage, groups) in chunk_groups(gates, chunk_qubits, n_chunks)
+        .into_iter()
+        .flatten()
+    {
+        sched.extend(groups.flat_map(|ids| ids.into_iter().take(1 << stage.nh)));
     }
     sched
 }
@@ -699,7 +701,8 @@ pub(crate) struct PrefetchCtl {
 
 impl PrefetchCtl {
     /// Advances past the touch of `id`, which is the next scheduled id by
-    /// construction ([`touch_schedule`] and `apply` share one enumerator).
+    /// construction ([`touch_schedule`] and the stage loop share one
+    /// enumerator).
     pub fn advance(&mut self, id: usize) {
         debug_assert_eq!(
             self.schedule.get(self.pos),
@@ -920,14 +923,22 @@ mod tests {
     }
 
     #[test]
-    fn touch_schedule_mirrors_low_and_grouped_order() {
-        // 3 chunk qubits over 5 qubits → 4 chunks.
-        let gates = [Gate::H(0), Gate::Cnot(0, 3), Gate::Zz(3, 4, 0.5)];
-        let sched = touch_schedule(&gates, 3, 4);
-        let mut expect = vec![0, 1, 2, 3]; // H(0): low gate, chunk-id order
-        expect.extend([0, 1, 2, 3]); // Cnot(0,3): bases {0,2}, members {b, b|1}
-        expect.extend([0, 1, 2, 3]); // Zz(3,4): base 0, members 0..4
+    fn touch_schedule_touches_each_chunk_once_per_stage() {
+        // 2 chunk qubits over 5 qubits → 8 chunks; qubits 2, 3, 4 are
+        // chunk-id bits 0, 1, 2.
+        let gates = [
+            Gate::H(0),
+            Gate::H(2),
+            Gate::H(3),
+            Gate::Zz(0, 4, 0.5), // diagonal: no gather, stays in the stage
+            Gate::H(4),          // a third gathered bit: a new stage
+            Gate::Cz(2, 4),
+        ];
+        let sched = touch_schedule(&gates, 2, 8);
+        let mut expect = vec![0, 1, 2, 3, 4, 5, 6, 7]; // bits {0, 1}: bases 0, 4
+        expect.extend([0, 4, 1, 5, 2, 6, 3, 7]); // bit {2}: bases 0..4, members {b, b|4}
         assert_eq!(sched, expect);
+        assert!(touch_schedule(&[Gate::H(0), Gate::H(5)], 2, 8).is_empty());
     }
 
     proptest::proptest! {

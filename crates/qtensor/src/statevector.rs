@@ -65,6 +65,33 @@ fn apply_2q(amps: &mut [Complex64], qa: usize, qb: usize, m: &[Complex64]) {
     }
 }
 
+/// A diagonal two-qubit gate `m` (row-major 4×4 in [`apply_2q`]'s basis,
+/// first qubit most significant) on a buffer in which each gate qubit is
+/// either buffer bit `Ok(pos)` or a bit `Err(value)` fixed for the whole
+/// buffer — the compressed state's chunk-id qubits outside a stage's
+/// group. Each amplitude `a` in row `r` becomes `ZERO.mul_add(m[5r], a)`,
+/// which is [`apply_2q`]'s result bit for bit on finite amplitudes: there
+/// the off-diagonal terms add `0·a = ±0` to a partial sum, and the sum is
+/// `+0` before the diagonal term and never `-0` after it, so none of them
+/// changes a bit. The same does not hold for one-qubit diagonals
+/// ([`apply_1q`] adds a `±0` product that can flip a zero's sign) or for
+/// `Cnot`.
+pub(crate) fn apply_diagonal_2q(
+    amps: &mut [Complex64],
+    qa: Result<usize, bool>,
+    qb: Result<usize, bool>,
+    m: &[Complex64; 16],
+) {
+    let bit = |q: Result<usize, bool>, i: usize| match q {
+        Ok(pos) => (i >> pos) & 1,
+        Err(value) => usize::from(value),
+    };
+    for (i, a) in amps.iter_mut().enumerate() {
+        let r = (bit(qa, i) << 1) | bit(qb, i);
+        *a = Complex64::ZERO.mul_add(m[r * 5], *a);
+    }
+}
+
 impl StateVector {
     /// Maximum register width accepted (2^24 amplitudes = 256 MiB).
     pub const MAX_QUBITS: usize = 24;
@@ -165,7 +192,10 @@ impl StateVector {
             .sum()
     }
 
-    /// Fidelity `|⟨self|other⟩|²` between two states.
+    /// Fidelity `|⟨self|other⟩|²` between two states, unnormalized: a
+    /// state whose norm drifted above 1 can read above 1 here. Judge lossy
+    /// states by [`fidelity_normalized`](Self::fidelity_normalized) and
+    /// their norm drift separately.
     pub fn fidelity(&self, other: &StateVector) -> f64 {
         assert_eq!(self.n, other.n);
         let mut ip = Complex64::ZERO;
@@ -173,6 +203,13 @@ impl StateVector {
             ip += a.conj() * *b;
         }
         ip.norm_sq()
+    }
+
+    /// Fidelity of the two states' directions,
+    /// `|⟨self|other⟩|² / (‖self‖²·‖other‖²)`: in `[0, 1]` whatever either
+    /// norm is, so norm drift cannot pass for overlap.
+    pub fn fidelity_normalized(&self, other: &StateVector) -> f64 {
+        self.fidelity(other) / (self.norm_sq() * other.norm_sq())
     }
 }
 
@@ -283,5 +320,20 @@ mod tests {
         assert!((a.fidelity(&b) - 1.0).abs() < 1e-12);
         let zero = StateVector::zero(4);
         assert!(a.fidelity(&zero) < 1.0);
+    }
+
+    #[test]
+    fn normalized_fidelity_ignores_norm_drift() {
+        let c = qaoa_circuit(&Graph::cycle(4), &QaoaParams::fixed_angles_3reg_p1());
+        let a = StateVector::run(&c);
+        let scaled = a.amplitudes().iter().map(|&x| x * 1.01).collect();
+        let b = StateVector::from_amplitudes(4, scaled).unwrap();
+        assert!(
+            a.fidelity(&b) > 1.02,
+            "unnormalized overlap reads the drift"
+        );
+        assert!((a.fidelity_normalized(&b) - 1.0).abs() < 1e-12);
+        let zero = StateVector::zero(4);
+        assert!(a.fidelity_normalized(&zero) < 1.0);
     }
 }
