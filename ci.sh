@@ -23,10 +23,12 @@ cargo test -q --workspace
 echo "== test (QCF_WORKERS=4) =="
 QCF_WORKERS=4 cargo test -q --workspace
 
-# The chunk cache must be a pure performance layer: lossless runs agree
-# bit for bit at any capacity, including under threaded block execution.
-echo "== cache equivalence (QCF_WORKERS=4, release) =="
-QCF_WORKERS=4 cargo test --release -q -p qtensor --test cache_proptests
+# The state engine's dense-reference contract under threaded block
+# execution in release: lossless runs equal the dense StateVector bit for
+# bit at every budget, prefetch, entry point and checkpoint knob, and
+# lossy runs keep their ledger.
+echo "== differential harness (QCF_WORKERS=4, release) =="
+QCF_WORKERS=4 cargo test --release -q -p qtensor --test differential
 
 # Steady-state apply loop must stay at zero heap allocations per gate
 # (counting global allocator; release mode so dead allocs can't hide).
@@ -34,6 +36,12 @@ echo "== allocation regression (release) =="
 cargo test --release -q -p qcf-bench --test alloc_regression
 cargo test --release -q -p qcf-bench --test alloc_cuszx
 cargo test --release -q -p qcf-bench --test alloc_cusz_table
+
+# The vectorized codec kernels must stay bit-identical to their scalar
+# references with optimizations on, where the two sum trees are compiled
+# independently.
+echo "== kernel bit-identity proptests (release) =="
+cargo test --release -q -p compressors --test kernel_proptests
 
 # One pass over every bench workload with assertions instead of timing:
 # the vectorized codec kernels must stay bit-identical to their scalar
@@ -59,7 +67,7 @@ cargo test --release -q -p compressors --test fuzz_decoders
 cargo test --release -q -p qcf-core --test fuzz_qcf
 chaos_out=$(QCF_FAULTS="seed=42,state.chunk.bitflip%0.02,codec.decode%0.01" \
     cargo run --release -q -p qcf-bench --bin qcfz -- verify --state \
-    --nodes 10 --seed 21 --compressor LZ4 --abs 0 --cache 2 --chunk 4)
+    --nodes 10 --seed 21 --compressor LZ4 --abs 0 --chunk 4)
 echo "$chaos_out"
 if echo "$chaos_out" | grep -q " 0 quarantines"; then
     echo "chaos gate FAILED: the storm must actually quarantine chunks" >&2
@@ -73,7 +81,7 @@ fi
 # character. Then a QCF_MEM_BUDGET-armed `verify --state` proves the
 # scrub walks the disk tier clean (exit code is the contract).
 echo "== out-of-core gate (spill tier + prefetch) =="
-oo_flags=(state --nodes 12 --seed 21 --compressor LZ4 --abs 0 --cache 2)
+oo_flags=(state --nodes 12 --seed 21 --compressor LZ4 --abs 0)
 base_out=$(cargo run --release -q -p qcf-bench --bin qcfz -- "${oo_flags[@]}")
 spill_out=$(cargo run --release -q -p qcf-bench --bin qcfz -- "${oo_flags[@]}" --mem-budget 4k)
 echo "$spill_out" | sed -n '2,3p'
@@ -94,7 +102,7 @@ if [ -z "$hit_rate" ] || [ "$hit_rate" -lt 50 ]; then
     exit 1
 fi
 oo_verify=$(QCF_MEM_BUDGET=4k cargo run --release -q -p qcf-bench --bin qcfz -- \
-    verify --state --nodes 10 --seed 21 --compressor LZ4 --abs 0 --cache 2)
+    verify --state --nodes 10 --seed 21 --compressor LZ4 --abs 0)
 echo "$oo_verify" | grep "disk tier:"
 if ! echo "$oo_verify" | grep -q "disk tier: [1-9]"; then
     echo "out-of-core gate FAILED: verify --state never touched the disk tier" >&2
@@ -136,7 +144,7 @@ fi
 drill_out=$(QCF_SPILL_LATENCY_US=5000 \
     QCF_FAULTS="seed=42,state.chunk.bitflip%0.02,codec.decode%0.01" \
     cargo run --release -q -p qcf-bench --bin qcfz -- slo \
-    --nodes 10 --seed 21 --compressor LZ4 --abs 0 --cache 2 \
+    --nodes 10 --seed 21 --compressor LZ4 --abs 0 \
     --mem-budget 64 --interval 2 \
     --expect-firing latency.stall,fidelity.quarantine)
 echo "$drill_out" | grep -E "^(spec|slo)"
@@ -212,7 +220,7 @@ echo "malformed QCF_FAULTS: refused up front (exit 2)"
 # keep the churn of a staged run above a per-gate run over 8 chunks.
 echo "== spill compaction drill (verify --state on a churned log) =="
 comp_out=$("${qcfz[@]}" verify --state --nodes 10 --seed 21 \
-    --compressor LZ4 --abs 0 --cache 2 --mem-budget 4k --chunk 4)
+    --compressor LZ4 --abs 0 --mem-budget 4k --chunk 4)
 echo "$comp_out" | grep -E "spill log:|verify:"
 if ! echo "$comp_out" | grep -Eq "spill log: [1-9][0-9]* compaction"; then
     echo "compaction drill FAILED: churned spill log never compacted" >&2

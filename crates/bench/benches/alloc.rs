@@ -1,6 +1,7 @@
-//! Allocation-free pipeline benches: write-back chunk cache vs classic
-//! decompress/apply/recompress, and `*_into` buffer-reusing round trips vs
-//! the allocating `compress`/`decompress` entry points.
+//! Allocation-free pipeline benches: the write-through compressed-state
+//! apply loop (decompress/apply/recompress per chunk per stage), and
+//! `*_into` buffer-reusing round trips vs the allocating
+//! `compress`/`decompress` entry points.
 //!
 //! A counting global allocator reports allocation *events* (alloc /
 //! alloc_zeroed / realloc; frees excluded) per measured configuration, so
@@ -60,7 +61,7 @@ fn qaoa_gates(nodes: usize, seed: u64) -> (Graph, Vec<qcircuit::Gate>) {
     (g, gates)
 }
 
-/// Full QAOA sweep over a compressed state at the given cache capacity.
+/// Full QAOA sweep over a compressed state, one gate at a time.
 fn apply_sweep(cs: &mut CompressedState, gates: &[qcircuit::Gate]) {
     for g in gates {
         cs.apply(g).unwrap();
@@ -72,7 +73,7 @@ fn bench_apply_loop(c: &mut Criterion) {
     let (_g, gates) = qaoa_gates(nodes, 7);
     let comp = QcfCompressor::speed();
     let bound = ErrorBound::Abs(1e-8);
-    // 2^9-amplitude chunks -> 8 chunks; the warm cache holds all of them.
+    // 2^9-amplitude chunks -> 8 chunks.
     let chunk = nodes - 3;
 
     let mut group = c.benchmark_group("alloc/apply_loop");
@@ -81,29 +82,17 @@ fn bench_apply_loop(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.throughput(Throughput::Elements(gates.len() as u64));
 
-    group.bench_function("uncached", |bch| {
+    group.bench_function("write_through", |bch| {
         let mut cs = CompressedState::zero(nodes, chunk, &comp, bound).unwrap();
-        cs.set_cache_capacity(0).unwrap();
         apply_sweep(&mut cs, &gates); // warm scratch buffers
-        bch.iter(|| apply_sweep(black_box(&mut cs), &gates));
-    });
-    group.bench_function("warm_cache", |bch| {
-        let mut cs = CompressedState::zero(nodes, chunk, &comp, bound).unwrap();
-        apply_sweep(&mut cs, &gates); // fault every chunk in
         bch.iter(|| apply_sweep(black_box(&mut cs), &gates));
     });
     group.finish();
 
-    // One instrumented sweep per configuration for the recorded counts.
-    let mut cs = CompressedState::zero(nodes, chunk, &comp, bound).unwrap();
-    cs.set_cache_capacity(0).unwrap();
-    apply_sweep(&mut cs, &gates);
-    count_allocs("apply_loop/uncached (1 sweep)", || {
-        apply_sweep(&mut cs, &gates)
-    });
+    // One instrumented sweep for the recorded count.
     let mut cs = CompressedState::zero(nodes, chunk, &comp, bound).unwrap();
     apply_sweep(&mut cs, &gates);
-    count_allocs("apply_loop/warm_cache (1 sweep)", || {
+    count_allocs("apply_loop/write_through (1 sweep)", || {
         apply_sweep(&mut cs, &gates)
     });
 }
@@ -161,11 +150,9 @@ fn bench_round_trip(c: &mut Criterion) {
 
 fn report_context(c: &mut Criterion) {
     eprintln!(
-        "alloc bench context: worker_count={} (QCF_WORKERS={:?}), \
-         chunk cache default={:?}",
+        "alloc bench context: worker_count={} (QCF_WORKERS={:?})",
         gpu_model::exec::worker_count(),
         std::env::var("QCF_WORKERS").ok(),
-        std::env::var("QCF_CHUNK_CACHE").ok(),
     );
     let _ = c;
 }

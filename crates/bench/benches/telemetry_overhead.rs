@@ -69,11 +69,12 @@ fn bench_compress(c: &mut Criterion) {
 }
 
 fn bench_state_apply(c: &mut Criterion) {
-    // The compressed-state warm path (cache hits, no codec work) now also
-    // carries the error-budget ledger. With telemetry disabled the ledger
-    // must stay local bookkeeping only — this group pins that: disabled vs
-    // enabled apply the same gates through a fully resident cache, where
-    // any ledger/registry cost would be the entire difference.
+    // The compressed-state apply path (each one-gate stage decodes and
+    // re-encodes all 16 chunks) carries the error-budget ledger, the
+    // latency histograms and the state counters. With telemetry disabled
+    // they must stay local bookkeeping only — this group pins that:
+    // disabled vs enabled apply the same gates, and any ledger/registry
+    // cost is the difference.
     use compressors::cuszx::CuSzx;
     use qcircuit::Gate;
     use qtensor::CompressedState;
@@ -90,13 +91,12 @@ fn bench_state_apply(c: &mut Criterion) {
         group.bench_function(label, |bch| {
             qcf_telemetry::set_enabled(on);
             let mut cs = CompressedState::zero(10, 6, &comp, ErrorBound::Abs(1e-7)).unwrap();
-            cs.set_cache_capacity(16).unwrap(); // all 16 chunks resident
             bch.iter(|| {
                 drain_spans();
                 for g in &gates {
                     cs.apply(black_box(g)).unwrap();
                 }
-                cs.stats.cache_hits
+                cs.stats.recompressions
             })
         });
     }
@@ -106,8 +106,9 @@ fn bench_state_apply(c: &mut Criterion) {
 
 fn bench_state_apply_armed(c: &mut Criterion) {
     // The continuous-telemetry extras on top of "enabled": the per-chunk
-    // causal journal (one bounded ring push per lifecycle event, hot path
-    // is cache hits) and the time-series sampler (its own thread snapshots
+    // causal journal (one bounded ring push per lifecycle event: a decode,
+    // an encode and a requant per chunk per stage) and the time-series
+    // sampler (its own thread snapshots
     // the registry; the workload thread pays nothing beyond registry
     // contention). Same workload as telemetry/state_apply so the three
     // figures are directly comparable to its "enabled" side.
@@ -138,13 +139,12 @@ fn bench_state_apply_armed(c: &mut Criterion) {
                 qcf_telemetry::timeseries::start(ms);
             }
             let mut cs = CompressedState::zero(10, 6, &comp, ErrorBound::Abs(1e-7)).unwrap();
-            cs.set_cache_capacity(16).unwrap(); // all 16 chunks resident
             bch.iter(|| {
                 drain_spans();
                 for g in &gates {
                     cs.apply(black_box(g)).unwrap();
                 }
-                cs.stats.cache_hits
+                cs.stats.recompressions
             });
             qcf_telemetry::timeseries::stop();
             qcf_telemetry::journal::set_enabled(false);
@@ -184,7 +184,6 @@ fn bench_slo_tick(c: &mut Criterion) {
         use qtensor::CompressedState;
         let comp = CuSzx::default();
         let mut cs = CompressedState::zero(10, 6, &comp, ErrorBound::Abs(1e-7)).unwrap();
-        cs.set_cache_capacity(4).unwrap();
         for q in 0..6u32 {
             for g in [
                 Gate::H(q as usize),

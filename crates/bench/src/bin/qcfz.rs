@@ -6,16 +6,16 @@
 //! qcfz decompress <in.qcfz> <out.f64>
 //! qcfz info <in.qcfz>
 //! qcfz qaoa [--nodes N] [--seed S] [--compressor NAME] [--rel X | --abs X]
-//! qcfz state [--nodes N] [--seed S] [--chunk-qubits C] [--cache K] [--chunk ID]
+//! qcfz state [--nodes N] [--seed S] [--chunk-qubits C] [--chunk ID]
 //!            [--mem-budget BYTES[k|m|g]] [--no-prefetch]
 //! qcfz top [--nodes N] [--seed S] [--mem-budget BYTES] [--interval MS] [--once]
 //! qcfz slo [--print] [--nodes N] [--seed S] [--mem-budget BYTES] [--interval MS]
 //!          [--explain ALERT] [--expect-firing a,b]
 //! qcfz verify <in.qcfz>
-//! qcfz verify --state [--nodes N] [--seed S] [--chunk C] [--cache K]
+//! qcfz verify --state [--nodes N] [--seed S] [--chunk C]
 //!             [--compressor NAME] [--rel X | --abs X] [--mem-budget BYTES]
 //! qcfz checkpoint [--out state.qcfs] [--from prev.qcfs] [--gates G]
-//!                 [--nodes N] [--seed S] [--chunk-qubits C] [--cache K]
+//!                 [--nodes N] [--seed S] [--chunk-qubits C]
 //!                 [--compressor NAME] [--rel X | --abs X] [--mem-budget BYTES]
 //! qcfz resume <state.qcfs> [--verify] [--mem-budget BYTES] [--no-prefetch]
 //! qcfz report [--out report.md] [--json BENCH_report.json]
@@ -191,21 +191,18 @@ fn main() {
             let seed = flag(&args, "--seed")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(21);
-            // Default to 8 chunks so the whole register fits the default
-            // write-back cache; low-qubit gates then run entirely on hits.
-            // (`--chunk-qubits` is the canonical spelling; bare `--chunk`
-            // here names a chunk *id* whose causal journal to print.)
+            // Default to 8 chunks. (`--chunk-qubits` is the canonical
+            // spelling; bare `--chunk` here names a chunk *id* whose causal
+            // journal to print.)
             let chunk = flag(&args, "--chunk-qubits")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(nodes.saturating_sub(3));
             let chunk_id: Option<u64> = flag(&args, "--chunk").and_then(|v| v.parse().ok());
-            let cache = flag(&args, "--cache").and_then(|v| v.parse().ok());
             let comp = flag(&args, "--compressor").unwrap_or("QCF-speed");
             cli::parse_bound(flag(&args, "--rel"), flag(&args, "--abs"))
                 .and_then(|bound| {
                     let mut cfg = cli::StateRunCfg::new(nodes, seed, chunk, comp);
                     cfg.bound = bound;
-                    cfg.cache = cache;
                     cfg.journal_chunk = chunk_id;
                     cfg.mem_budget = parse_mem_budget(&args)?;
                     cfg.prefetch = !args.iter().any(|a| a == "--no-prefetch");
@@ -214,31 +211,19 @@ fn main() {
                 .and_then(|cfg| {
                     let s = cli::state_demo(&cfg)?;
                     let st = &s.stats;
-                    let touched = st.cache_hits + st.cache_misses;
                     println!(
                         "compressed state n={nodes}: energy {:.6}, resident {} bytes (dense {}), \
-                     cache cap {} chunks: {} hits / {} misses ({:.0}% hit rate), \
-                     {} write-backs, {} decompressions, {} recompressions",
+                     {} decompressions, {} recompressions",
                         s.energy,
                         st.resident_bytes,
                         s.dense_bytes,
-                        s.cache_capacity,
-                        st.cache_hits,
-                        st.cache_misses,
-                        if touched == 0 {
-                            0.0
-                        } else {
-                            100.0 * st.cache_hits as f64 / touched as f64
-                        },
-                        st.writebacks,
                         st.decompressions,
                         st.recompressions
                     );
                     let t = &s.tiers;
                     println!(
-                        "tiers: {} bytes cached amps / {} bytes compressed in RAM / \
+                        "tiers: {} bytes compressed in RAM / \
                      {} bytes spilled across {} chunks (log {} bytes, budget {})",
-                        t.cached_amp_bytes,
                         t.ram_compressed_bytes,
                         t.spilled_bytes,
                         t.spilled_chunks,
@@ -302,7 +287,6 @@ fn main() {
                 if let Some(c) = flag(&args, "--chunk-qubits").and_then(|v| v.parse().ok()) {
                     cfg.chunk_qubits = c;
                 }
-                cfg.cache = flag(&args, "--cache").and_then(|v| v.parse().ok());
                 cfg.mem_budget = parse_mem_budget(&args)?;
                 if let Some(ms) = flag(&args, "--interval").and_then(|v| v.parse().ok()) {
                     cfg.interval_ms = ms;
@@ -324,7 +308,6 @@ fn main() {
                 if let Some(c) = flag(&args, "--chunk-qubits").and_then(|v| v.parse().ok()) {
                     cfg.chunk_qubits = c;
                 }
-                cfg.cache = flag(&args, "--cache").and_then(|v| v.parse().ok());
                 cfg.mem_budget = parse_mem_budget(&args)?;
                 if let Some(ms) = flag(&args, "--interval").and_then(|v| v.parse().ok()) {
                     cfg.interval_ms = ms;
@@ -362,11 +345,10 @@ fn main() {
             let chunk = flag(&args, "--chunk")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(nodes.saturating_sub(3));
-            let cache = flag(&args, "--cache").and_then(|v| v.parse().ok());
             let comp = flag(&args, "--compressor").unwrap_or("QCF-speed");
             cli::parse_bound(flag(&args, "--rel"), flag(&args, "--abs")).and_then(|bound| {
                 let budget = parse_mem_budget(&args)?;
-                let s = cli::verify_state(nodes, seed, chunk, comp, bound, cache, budget)?;
+                let s = cli::verify_state(nodes, seed, chunk, comp, bound, budget)?;
                 let r = &s.report;
                 let f = &s.faults;
                 println!(
@@ -396,7 +378,7 @@ fn main() {
                 }
                 println!(
                     "faults: {} injected ({} bitflips, {} spill bitflips, {} decode errors) — \
-                     detected {} decode failures, {} retries healed, {} cache repairs, \
+                     detected {} decode failures, {} retries healed, \
                      {} quarantines, {} worker panics, lost norm² {:.3e}",
                     s.injected_total,
                     s.injected_bitflips,
@@ -404,7 +386,6 @@ fn main() {
                     s.injected_decode_errors,
                     f.decode_errors,
                     f.retries_ok,
-                    f.cache_repairs,
                     f.quarantines,
                     f.worker_panics,
                     f.lost_norm_sq
@@ -441,7 +422,6 @@ fn main() {
             let chunk = flag(&args, "--chunk-qubits")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(nodes.saturating_sub(3));
-            let cache = flag(&args, "--cache").and_then(|v| v.parse().ok());
             let comp = flag(&args, "--compressor").unwrap_or("QCF-speed");
             let out = flag(&args, "--out").unwrap_or("state.qcfs");
             let from = flag(&args, "--from");
@@ -449,7 +429,6 @@ fn main() {
             cli::parse_bound(flag(&args, "--rel"), flag(&args, "--abs")).and_then(|bound| {
                 let mut cfg = cli::StateRunCfg::new(nodes, seed, chunk, comp);
                 cfg.bound = bound;
-                cfg.cache = cache;
                 cfg.mem_budget = parse_mem_budget(&args)?;
                 cfg.prefetch = !args.iter().any(|a| a == "--no-prefetch");
                 let s = cli::checkpoint_demo(&cfg, Path::new(out), from.map(Path::new), gates)?;
@@ -523,7 +502,6 @@ fn main() {
             let chunk = flag(&args, "--chunk")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(nodes.saturating_sub(3));
-            let cache = flag(&args, "--cache").and_then(|v| v.parse().ok());
             let out = flag(&args, "--out").unwrap_or("qcf-report.md");
             let json = flag(&args, "--json");
             // `--diff <baseline>` = `--baseline <baseline> --check` plus
@@ -542,7 +520,6 @@ fn main() {
                     compressor: comp.to_string(),
                     bound,
                     chunk_qubits: chunk,
-                    cache,
                 };
                 let res = run_report::run(
                     config,
@@ -590,23 +567,23 @@ fn main() {
                 "usage: qcfz list | compress <in> <out> [--compressor NAME] [--rel X|--abs X] \
                  | decompress <in> <out> | info <in> \
                  | qaoa [--nodes N] [--seed S] [--compressor NAME] [--rel X|--abs X] \
-                 | state [--nodes N] [--seed S] [--chunk-qubits C] [--cache K] \
+                 | state [--nodes N] [--seed S] [--chunk-qubits C] \
                  [--compressor NAME] [--rel X|--abs X] [--chunk ID] \
                  [--mem-budget BYTES[k|m|g]] [--no-prefetch] \
-                 | top [--nodes N] [--seed S] [--chunk-qubits C] [--cache K] \
+                 | top [--nodes N] [--seed S] [--chunk-qubits C] \
                  [--compressor NAME] [--rel X|--abs X] [--mem-budget BYTES] \
                  [--interval MS] [--once] \
-                 | slo [--print] [--nodes N] [--seed S] [--chunk-qubits C] [--cache K] \
+                 | slo [--print] [--nodes N] [--seed S] [--chunk-qubits C] \
                  [--compressor NAME] [--rel X|--abs X] [--mem-budget BYTES] \
                  [--interval MS] [--explain ALERT] [--expect-firing a,b] \
                  | verify <in.qcfz> \
-                 | verify --state [--nodes N] [--seed S] [--chunk C] [--cache K] \
+                 | verify --state [--nodes N] [--seed S] [--chunk C] \
                  [--compressor NAME] [--rel X|--abs X] [--mem-budget BYTES] \
                  | checkpoint [--out state.qcfs] [--from prev.qcfs] [--gates G] \
-                 [--nodes N] [--seed S] [--chunk-qubits C] [--cache K] \
+                 [--nodes N] [--seed S] [--chunk-qubits C] \
                  [--compressor NAME] [--rel X|--abs X] [--mem-budget BYTES] \
                  | resume <state.qcfs> [--verify] [--mem-budget BYTES] [--no-prefetch] \
-                 | report [--nodes N] [--seed S] [--chunk C] [--cache K] [--compressor NAME] \
+                 | report [--nodes N] [--seed S] [--chunk C] [--compressor NAME] \
                  [--rel X|--abs X] [--out report.md|.html] [--json BENCH_report.json] \
                  [--baseline BENCH_report.json] [--check] [--diff BENCH_report.json]\n\
                  any work subcommand also takes [--trace out.json] [--metrics out.tsv]; \

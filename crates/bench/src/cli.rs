@@ -276,13 +276,11 @@ pub struct StateSummary {
     pub energy: f64,
     /// Bytes the dense statevector would need.
     pub dense_bytes: usize,
-    /// Write-back chunk-cache capacity used (chunks).
-    pub cache_capacity: usize,
     /// Effective compressed-resident byte budget (`None` = no disk tier).
     pub mem_budget: Option<usize>,
-    /// Where the frames ended up: cached amps / compressed RAM / disk.
+    /// Where the frames ended up: compressed RAM / disk.
     pub tiers: qtensor::TierBreakdown,
-    /// Run accounting (codec calls, cache hits/misses, resident bytes).
+    /// Run accounting (codec calls, resident bytes, spill traffic).
     pub stats: StateStats,
     /// Gates the run applied (the denominator of [`per_gate`]).
     pub gates: u64,
@@ -347,8 +345,6 @@ pub struct StateRunCfg {
     pub compressor: String,
     /// Error bound for the chunk codec.
     pub bound: ErrorBound,
-    /// Write-back chunk-cache capacity override.
-    pub cache: Option<usize>,
     /// Chunk id whose causal journal chain to capture (`--chunk <id>`).
     pub journal_chunk: Option<u64>,
     /// Compressed-resident byte budget; `Some` arms the disk spill tier
@@ -360,7 +356,7 @@ pub struct StateRunCfg {
 }
 
 impl StateRunCfg {
-    /// A default-shaped run: no cache/budget overrides, prefetch on.
+    /// A default-shaped run: no budget, prefetch on.
     pub fn new(nodes: usize, seed: u64, chunk_qubits: usize, compressor: &str) -> Self {
         StateRunCfg {
             nodes,
@@ -368,7 +364,6 @@ impl StateRunCfg {
             chunk_qubits,
             compressor: compressor.to_string(),
             bound: ErrorBound::Rel(1e-3),
-            cache: None,
             journal_chunk: None,
             mem_budget: None,
             prefetch: true,
@@ -377,10 +372,10 @@ impl StateRunCfg {
 }
 
 /// Runs a QAOA circuit through the chunk-compressed statevector simulator
-/// (`qcfz state`). Exercises the write-back chunk cache, so the
-/// `state.cache.*` and `scratch.*` registry counters populate for
-/// `--metrics`; with a memory budget set, the out-of-core spill tier and
-/// its prefetcher populate `state.spill.*` / `state.prefetch.*` too.
+/// (`qcfz state`), so the `state.*` and `scratch.*` registry counters
+/// populate for `--metrics`; with a memory budget set, the out-of-core
+/// spill tier and its prefetcher populate `state.spill.*` /
+/// `state.prefetch.*` too.
 ///
 /// With `journal_chunk` set, the per-chunk causal journal is armed for the
 /// run and the named chunk's event chain is returned alongside its ledger
@@ -409,9 +404,6 @@ pub fn state_demo(cfg: &StateRunCfg) -> Result<StateSummary, CliError> {
         cfg.bound,
     )
     .map_err(err)?;
-    if let Some(cap) = cfg.cache {
-        cs.set_cache_capacity(cap).map_err(err)?;
-    }
     if cfg.mem_budget.is_some() {
         cs.set_mem_budget(cfg.mem_budget);
     }
@@ -421,8 +413,6 @@ pub fn state_demo(cfg: &StateRunCfg) -> Result<StateSummary, CliError> {
     cs.run_scheduled(circuit.gates(), cfg.prefetch)
         .map_err(err)?;
     let energy = cs.maxcut_energy(&graph).map_err(err)?;
-    // Finalize: write dirty cached chunks back so resident bytes are exact.
-    cs.flush().map_err(err)?;
     let chain = match cfg.journal_chunk {
         Some(id) => {
             let n_chunks = cs.ledger().n_chunks() as u64;
@@ -447,7 +437,6 @@ pub fn state_demo(cfg: &StateRunCfg) -> Result<StateSummary, CliError> {
     Ok(StateSummary {
         energy,
         dense_bytes: cs.dense_bytes(),
-        cache_capacity: cs.cache_capacity(),
         mem_budget: cs.mem_budget(),
         tiers: cs.tier_breakdown(),
         stats: cs.stats.clone(),
@@ -517,7 +506,6 @@ pub fn verify_state(
     chunk_qubits: usize,
     compressor: &str,
     bound: ErrorBound,
-    cache: Option<usize>,
     mem_budget: Option<usize>,
 ) -> Result<VerifySummary, CliError> {
     use qcf_telemetry::faults;
@@ -532,14 +520,10 @@ pub fn verify_state(
     let err = |e: qtensor::ContractError| CliError(format!("compressed state: {e}"));
     let mut cs =
         CompressedState::zero(nodes, chunk_qubits.min(nodes), comp.as_ref(), bound).map_err(err)?;
-    if let Some(cap) = cache {
-        cs.set_cache_capacity(cap).map_err(err)?;
-    }
     if mem_budget.is_some() {
         cs.set_mem_budget(mem_budget);
     }
     cs.run_scheduled(circuit.gates(), true).map_err(err)?;
-    cs.flush().map_err(err)?;
     let injected_bitflips = faults::injected_count("state.chunk.bitflip");
     let injected_spill_bitflips = faults::injected_count("state.spill.bitflip");
     let injected_decode_errors = faults::injected_count("codec.decode");
@@ -593,10 +577,6 @@ pub struct CkptMeta {
     pub seed: u64,
     /// Qubits per chunk.
     pub chunk_qubits: usize,
-    /// Write-back cache capacity at checkpoint time — restored on resume
-    /// so a lossy codec's requant schedule (and therefore the bits)
-    /// replays identically.
-    pub cache: usize,
     /// Gates of the QAOA circuit already applied to the snapshot state.
     pub gates_applied: usize,
     /// Compressor display name (the snapshot also stores the stream id;
@@ -604,19 +584,20 @@ pub struct CkptMeta {
     pub compressor: String,
 }
 
-const META_MAGIC: &[u8; 6] = b"QMETA1";
+/// Recipe magic and version. Version 1 also stored a chunk-cache
+/// capacity; its recipes are refused as not a qcfz blob.
+const META_MAGIC: &[u8; 6] = b"QMETA2";
 
 impl CkptMeta {
     /// Serializes into the little-endian blob stored as snapshot
     /// `app_meta` (layout: magic, nodes u32, seed u64, chunk_qubits u32,
-    /// cache u32, gates_applied u64, name len u8 + bytes).
+    /// gates_applied u64, name len u8 + bytes).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(35 + self.compressor.len());
+        let mut out = Vec::with_capacity(31 + self.compressor.len());
         out.extend_from_slice(META_MAGIC);
         out.extend_from_slice(&(self.nodes as u32).to_le_bytes());
         out.extend_from_slice(&self.seed.to_le_bytes());
         out.extend_from_slice(&(self.chunk_qubits as u32).to_le_bytes());
-        out.extend_from_slice(&(self.cache as u32).to_le_bytes());
         out.extend_from_slice(&(self.gates_applied as u64).to_le_bytes());
         let name = self.compressor.as_bytes();
         out.push(name.len().min(255) as u8);
@@ -651,22 +632,21 @@ impl CkptMeta {
     /// Parses an `app_meta` blob written by [`CkptMeta::encode`].
     pub fn decode(raw: &[u8]) -> Result<Self, CliError> {
         let bad = || CliError("snapshot app metadata is not a qcfz blob".into());
-        if raw.len() < 35 || &raw[..6] != META_MAGIC {
+        if raw.len() < 31 || &raw[..6] != META_MAGIC {
             return Err(bad());
         }
         let u32_at = |i: usize| u32::from_le_bytes(raw[i..i + 4].try_into().unwrap());
         let u64_at = |i: usize| u64::from_le_bytes(raw[i..i + 8].try_into().unwrap());
-        let name_len = raw[34] as usize;
-        if raw.len() != 35 + name_len {
+        let name_len = raw[30] as usize;
+        if raw.len() != 31 + name_len {
             return Err(bad());
         }
         Ok(CkptMeta {
             nodes: u32_at(6) as usize,
             seed: u64_at(10),
             chunk_qubits: u32_at(18) as usize,
-            cache: u32_at(22) as usize,
-            gates_applied: u64_at(26) as usize,
-            compressor: String::from_utf8(raw[35..].to_vec()).map_err(|_| bad())?,
+            gates_applied: u64_at(22) as usize,
+            compressor: String::from_utf8(raw[31..].to_vec()).map_err(|_| bad())?,
         })
     }
 }
@@ -700,8 +680,8 @@ pub struct CkptSummary {
 /// Runs a QAOA circuit up to `gates` gates (default: all) on the
 /// chunk-compressed state and commits a durable snapshot at `out`
 /// (`qcfz checkpoint`). With `from` set, the run continues a previous
-/// snapshot instead of starting fresh: geometry, codec, bound, and cache
-/// capacity all come from the snapshot, so the evolution is bit-identical
+/// snapshot instead of starting fresh: geometry, codec and bound all come
+/// from the snapshot, so the evolution is bit-identical
 /// to a run that was never interrupted; only `cfg.prefetch` and
 /// `cfg.mem_budget` (pure tiering, bit-transparent) still apply.
 pub fn checkpoint_demo(
@@ -722,29 +702,24 @@ pub fn checkpoint_demo(
     };
     let (mut cs, mut meta) = match from {
         Some(src) => {
-            let (mut cs, raw) = CompressedState::resume(src, comp.as_ref())
+            let (cs, raw) = CompressedState::resume(src, comp.as_ref())
                 .map_err(|e| CliError(format!("resume {}: {e}", src.display())))?;
             let meta = CkptMeta::decode(&raw)?;
             meta.check_against(&cs)?;
-            cs.set_cache_capacity(meta.cache).map_err(err)?;
             (cs, meta)
         }
         None => {
-            let mut cs = CompressedState::zero(
+            let cs = CompressedState::zero(
                 cfg.nodes,
                 cfg.chunk_qubits.min(cfg.nodes),
                 comp.as_ref(),
                 cfg.bound,
             )
             .map_err(err)?;
-            if let Some(cap) = cfg.cache {
-                cs.set_cache_capacity(cap).map_err(err)?;
-            }
             let meta = CkptMeta {
                 nodes: cfg.nodes,
                 seed: cfg.seed,
                 chunk_qubits: cfg.chunk_qubits.min(cfg.nodes),
-                cache: cs.cache_capacity(),
                 gates_applied: 0,
                 compressor: comp.name().to_string(),
             };
@@ -829,7 +804,6 @@ pub fn resume_demo(
         .map_err(|e| CliError(format!("resume {}: {e}", path.display())))?;
     let meta = CkptMeta::decode(&raw)?;
     meta.check_against(&cs)?;
-    cs.set_cache_capacity(meta.cache).map_err(err)?;
     if mem_budget.is_some() {
         cs.set_mem_budget(mem_budget);
     }
@@ -845,7 +819,6 @@ pub fn resume_demo(
     cs.run_scheduled(&circuit.gates()[from..], prefetch)
         .map_err(err)?;
     let energy = cs.maxcut_energy(&graph).map_err(err)?;
-    cs.flush().map_err(err)?;
     Ok(ResumeSummary {
         meta,
         total_gates: total,
@@ -978,7 +951,7 @@ mod tests {
         let _t = crate::telemetry_test_lock();
         let _g = qcf_telemetry::faults::chaos_guard();
         qcf_telemetry::faults::disarm();
-        let s = verify_state(8, 3, 3, "LZ4", ErrorBound::Abs(0.0), Some(2), None).unwrap();
+        let s = verify_state(8, 3, 3, "LZ4", ErrorBound::Abs(0.0), None).unwrap();
         assert!(s.ok());
         assert!(s.settled);
         assert_eq!(s.scrub_passes, 1);
@@ -995,12 +968,12 @@ mod tests {
         qcf_telemetry::faults::disarm();
         // All-spill budget: every sealed frame lives on disk, and the
         // scrub must fetch and re-verify each through the normal path.
-        let s = verify_state(8, 3, 3, "LZ4", ErrorBound::Abs(0.0), Some(2), Some(0)).unwrap();
+        let s = verify_state(8, 3, 3, "LZ4", ErrorBound::Abs(0.0), Some(0)).unwrap();
         assert!(s.ok(), "{s:?}");
         assert!(s.spills > 0, "budget 0 must spill");
         assert!(s.fetches > 0, "scrub must read the disk tier");
         // Identical physics to the unbudgeted run.
-        let r = verify_state(8, 3, 3, "LZ4", ErrorBound::Abs(0.0), Some(2), None).unwrap();
+        let r = verify_state(8, 3, 3, "LZ4", ErrorBound::Abs(0.0), None).unwrap();
         assert_eq!(s.energy.to_bits(), r.energy.to_bits());
     }
 
@@ -1009,7 +982,7 @@ mod tests {
         let _t = crate::telemetry_test_lock();
         let _g = qcf_telemetry::faults::chaos_guard();
         qcf_telemetry::faults::arm_from_spec("seed=5,state.chunk.bitflip@3").unwrap();
-        let s = verify_state(8, 3, 3, "LZ4", ErrorBound::Abs(0.0), Some(2), None).unwrap();
+        let s = verify_state(8, 3, 3, "LZ4", ErrorBound::Abs(0.0), None).unwrap();
         // verify_state disarms after the run; re-disarm is harmless.
         qcf_telemetry::faults::disarm();
         assert_eq!(s.injected_bitflips, 1, "@3 fires exactly once");
@@ -1023,7 +996,6 @@ mod tests {
         let _t = crate::telemetry_test_lock();
         let mut cfg = StateRunCfg::new(8, 5, 4, "LZ4");
         cfg.bound = ErrorBound::Abs(0.0);
-        cfg.cache = Some(2);
         let base = state_demo(&cfg).unwrap();
         assert_eq!(base.mem_budget, None);
         assert_eq!(base.stats.spills, 0);

@@ -2,12 +2,12 @@
 //! regression checking.
 //!
 //! [`collect`] executes five telemetry-isolated phases (each inside a
-//! [`qcf_telemetry::RunScope`], so `state.cache.*` and friends never bleed
-//! between phases of the same process):
+//! [`qcf_telemetry::RunScope`], so `state.*` counters and friends never
+//! bleed between phases of the same process):
 //!
 //! 1. **qaoa** — compressed tensor contraction ([`cli::qaoa_demo`]);
 //! 2. **state** — chunk-compressed statevector simulation with the
-//!    write-back cache and the error-budget ledger ([`cli::state_demo`]);
+//!    error-budget ledger ([`cli::state_demo`]);
 //! 3. **oocore** — the same instance under a deliberately tiny memory
 //!    budget, so cold frames spill to the disk tier and the gate-schedule
 //!    prefetcher fetches them back (async vs sync wall times A/B'd; the
@@ -60,8 +60,6 @@ pub struct ReportConfig {
     pub bound: ErrorBound,
     /// Chunk qubits for the state phase.
     pub chunk_qubits: usize,
-    /// Chunk-cache capacity override for the state phase.
-    pub cache: Option<usize>,
 }
 
 impl Default for ReportConfig {
@@ -72,7 +70,6 @@ impl Default for ReportConfig {
             compressor: "QCF-ratio".into(),
             bound: ErrorBound::Abs(1e-6),
             chunk_qubits: 7,
-            cache: None,
         }
     }
 }
@@ -245,13 +242,6 @@ fn slo_eval(spec: &SloSpec, snapshots: &[&Snapshot]) -> SloSection {
 /// so the re-tiering logic (not just the all-spill edge) is exercised.
 pub const OOCORE_BUDGET: usize = 1024;
 
-/// Default chunk-cache capacity for both compressed-state phases when
-/// the config leaves it unset. Cached chunks hold live amplitudes and
-/// are never spillable, so this sits well below the default chunk count
-/// — otherwise every chunk is cache-pinned and the out-of-core phase's
-/// budget has nothing to evict.
-pub const OOCORE_CACHE: usize = 2;
-
 /// Runs all five phases and gathers the report.
 pub fn collect(config: ReportConfig) -> Result<RunReport, CliError> {
     qcf_telemetry::flight::record("report.start");
@@ -269,13 +259,6 @@ pub fn collect(config: ReportConfig) -> Result<RunReport, CliError> {
         &config.compressor,
     );
     state_cfg.bound = config.bound;
-    // Both compressed-state phases share this capacity. Under a lossy
-    // bound the cache changes how many requant round trips each chunk
-    // takes, so the oocore bit-equality check below is only meaningful
-    // against a state phase with the identical cache — and it defaults
-    // small because cached chunks never spill, so a cache covering
-    // every chunk would leave the budget with nothing to evict.
-    state_cfg.cache = Some(config.cache.unwrap_or(OOCORE_CACHE));
 
     let scope = RunScope::enter();
     let state = cli::state_demo(&state_cfg)?;
@@ -487,12 +470,7 @@ impl RunReport {
             "- instance: {} nodes, seed {}, compressor {}, bound {:?}",
             c.nodes, c.seed, c.compressor, c.bound
         );
-        let _ = writeln!(
-            out,
-            "- state phase: chunk qubits {}, cache {}\n",
-            c.chunk_qubits,
-            c.cache.unwrap_or(OOCORE_CACHE),
-        );
+        let _ = writeln!(out, "- state phase: chunk qubits {}\n", c.chunk_qubits);
 
         let _ = writeln!(out, "## QAOA contraction (compressed intermediates)\n");
         let q = &self.qaoa;
@@ -522,26 +500,12 @@ impl RunReport {
             let _ = writeln!(out, "```\n{}```\n", t.render());
         }
 
-        let _ = writeln!(out, "## Compressed state (write-back cache + ledger)\n");
+        let _ = writeln!(out, "## Compressed state (write-through + ledger)\n");
         let s = &self.state;
-        let st = &s.stats;
-        let touched = st.cache_hits + st.cache_misses;
         let _ = writeln!(
             out,
-            "energy {:.6} | resident {} bytes (dense {}) | cache cap {}: {} hits / {} misses \
-             ({:.0}% hit rate) | {} write-backs\n",
-            s.energy,
-            st.resident_bytes,
-            s.dense_bytes,
-            s.cache_capacity,
-            st.cache_hits,
-            st.cache_misses,
-            if touched == 0 {
-                0.0
-            } else {
-                100.0 * st.cache_hits as f64 / touched as f64
-            },
-            st.writebacks,
+            "energy {:.6} | resident {} bytes (dense {})\n",
+            s.energy, s.stats.resident_bytes, s.dense_bytes,
         );
         let l = &s.ledger;
         let mut lt = Table::new("ledger", "error-budget ledger", &["quantity", "value"]);
@@ -818,10 +782,6 @@ impl RunReport {
             l.max_accumulated_bound,
         );
         m.insert("state.accumulated_bound.rss".into(), l.accumulated_rss);
-        m.insert(
-            "state.cache.hits".into(),
-            self.state.stats.cache_hits as f64,
-        );
         // Exact codec work per gate in each compressed-state phase: a
         // deterministic count, hard-gated in [`check`] like the requants.
         for (phase, stats, gates) in [
@@ -1039,14 +999,14 @@ pub fn check(
         } else if key.starts_with("state.requants") {
             if now > base {
                 res.regressions.push(format!(
-                    "{key}: requant count grew {} -> {} (cache or ledger regression)",
+                    "{key}: requant count grew {} -> {} (stage or ledger regression)",
                     base as u64, now as u64
                 ));
             }
         } else if key.ends_with("_per_gate") {
             if now > base {
                 res.regressions.push(format!(
-                    "{key}: codec calls per gate grew {base:.3} -> {now:.3} (stage or cache regression)"
+                    "{key}: codec calls per gate grew {base:.3} -> {now:.3} (stage regression)"
                 ));
             }
         } else if key.contains("accumulated_bound") || key.ends_with(".max_abs_err") {
@@ -1081,7 +1041,7 @@ pub fn check(
                 }
             }
         }
-        // Remaining keys (counts, cache hits) are informational.
+        // Remaining keys (counts) are informational.
     }
     // Absolute multi-core scaling gate on the current run: the paper's
     // >=2x cuSZ/cuSZx target, enforced only where a speedup is physically
@@ -1132,7 +1092,6 @@ fn slo_dimension(key: &str) -> &'static str {
         "latency"
     } else if key.ends_with(".cr")
         || key.contains("ratio")
-        || key.contains("cache")
         || key.contains("prefetch")
         || key.contains("hit")
         || key.ends_with("_per_gate")
@@ -1255,7 +1214,6 @@ mod tests {
             compressor: "cuSZx".into(),
             bound: ErrorBound::Abs(1e-6),
             chunk_qubits: 4,
-            cache: Some(4),
         }
     }
 
@@ -1265,29 +1223,27 @@ mod tests {
         assert!(r.qaoa.tensors_compressed > 0);
         assert!(
             r.state.ledger.total_requants > 0,
-            "4-slot cache over 16 chunks must requant"
+            "every stage requantizes under a lossy codec"
         );
         assert!(!r.quality.is_empty());
-        // Phase isolation: the qaoa phase must not carry state.cache counters.
-        // (`miss`, not `hit`: 16 chunks cycled through a 4-slot LRU is the
-        // sequential-thrash worst case, so hits can legitimately be zero.)
+        // Phase isolation: the qaoa phase must not carry state counters.
         assert!(
             !r.qaoa_phase
                 .metrics
                 .counters
-                .contains_key("state.cache.miss")
-                || r.qaoa_phase.metrics.counters["state.cache.miss"] == 0,
+                .contains_key("state.ledger.requants")
+                || r.qaoa_phase.metrics.counters["state.ledger.requants"] == 0,
             "state-phase counters bled into the qaoa phase"
         );
         assert!(
             r.state_phase
                 .metrics
                 .counters
-                .get("state.cache.miss")
+                .get("state.ledger.requants")
                 .copied()
                 .unwrap_or(0)
                 > 0,
-            "state phase must record its own cache counters"
+            "state phase must record its own state counters"
         );
 
         // Out-of-core phase: the 1 KiB budget must force real spilling on

@@ -42,8 +42,6 @@ pub struct SloConfig {
     pub bound: ErrorBound,
     /// Qubits per chunk.
     pub chunk_qubits: usize,
-    /// Write-back cache capacity override (chunks).
-    pub cache: Option<usize>,
     /// Compressed-resident byte budget (arms the spill tier).
     pub mem_budget: Option<usize>,
     /// Sampler interval in milliseconds — small, so even a short run
@@ -66,7 +64,6 @@ impl SloConfig {
             compressor: compressor.to_string(),
             bound,
             chunk_qubits: nodes.saturating_sub(3),
-            cache: None,
             mem_budget: None,
             interval_ms: 2,
             print_spec: false,
@@ -121,7 +118,6 @@ pub fn run_with_spec(cfg: &SloConfig, spec: SloSpec) -> Result<SloOutcome, CliEr
         &cfg.compressor,
     );
     run_cfg.bound = cfg.bound;
-    run_cfg.cache = cfg.cache;
     run_cfg.mem_budget = cfg.mem_budget;
     let summary = cli::state_demo(&run_cfg);
 

@@ -2,10 +2,9 @@
 //!
 //! A QAOA compressed-state run executes on a worker thread while the main
 //! thread renders frames from the background time-series sampler
-//! ([`qcf_telemetry::timeseries`]): stage throughput, cache hit rate,
-//! resident bytes, error-budget burn-down and the p50/p95/p99 of the
-//! `state.apply_us` / `state.encode_us` / `state.decode_us` latency
-//! histograms.
+//! ([`qcf_telemetry::timeseries`]): stage throughput, resident bytes,
+//! error-budget burn-down and the p50/p95/p99 of the `state.apply_us` /
+//! `state.encode_us` / `state.decode_us` latency histograms.
 //!
 //! Two modes:
 //!
@@ -49,8 +48,6 @@ pub struct TopConfig {
     pub bound: ErrorBound,
     /// Qubits per chunk.
     pub chunk_qubits: usize,
-    /// Write-back cache capacity override (chunks).
-    pub cache: Option<usize>,
     /// Compressed-resident byte budget; `Some` arms the disk spill tier
     /// and the schedule-aware prefetcher for the workload run.
     pub mem_budget: Option<usize>,
@@ -69,7 +66,6 @@ impl TopConfig {
             compressor: compressor.to_string(),
             bound,
             chunk_qubits: nodes.saturating_sub(3),
-            cache: None,
             mem_budget: None,
             interval_ms: 50,
             once: false,
@@ -151,16 +147,11 @@ pub fn run(cfg: &TopConfig) -> Result<String, CliError> {
             let mut cs =
                 CompressedState::zero(w.nodes, w.chunk_qubits.min(w.nodes), comp.as_ref(), w.bound)
                     .map_err(err)?;
-            if let Some(cap) = w.cache {
-                cs.set_cache_capacity(cap).map_err(err)?;
-            }
             if w.mem_budget.is_some() {
                 cs.set_mem_budget(w.mem_budget);
             }
             cs.run_scheduled(circuit.gates(), true).map_err(err)?;
-            let energy = cs.maxcut_energy(&graph).map_err(err)?;
-            cs.flush().map_err(err)?;
-            Ok(energy)
+            cs.maxcut_energy(&graph).map_err(err)
         })
         .map_err(|e| CliError(format!("worker spawn failed: {e}")))?;
 
@@ -416,14 +407,6 @@ pub fn render(
 ) -> String {
     let mut out = String::with_capacity(1024);
     let applies = snap.histograms.get("state.apply_us").map_or(0, |h| h.count);
-    let hits = snap.counters.get("state.cache.hit").copied().unwrap_or(0);
-    let misses = snap.counters.get("state.cache.miss").copied().unwrap_or(0);
-    let writebacks = snap
-        .counters
-        .get("state.cache.writeback")
-        .copied()
-        .unwrap_or(0);
-    let touched = hits + misses;
     let (resident, peak) = snap
         .gauges
         .get("state.resident_bytes")
@@ -466,14 +449,6 @@ pub fn render(
         "stages    {applies} applied   throughput {} {:.0} stages/s avg\n",
         sparkline(&rates),
         mean_rate
-    ));
-    out.push_str(&format!(
-        "cache     {:.1}% hit rate ({hits} hits / {misses} misses), {writebacks} writebacks\n",
-        if touched == 0 {
-            0.0
-        } else {
-            100.0 * hits as f64 / touched as f64
-        }
     ));
     out.push_str(&format!(
         "resident  {} now / {} peak compressed\n",
@@ -568,8 +543,6 @@ mod tests {
 
     fn synthetic_snapshot() -> Snapshot {
         let mut snap = Snapshot::default();
-        snap.counters.insert("state.cache.hit".into(), 90);
-        snap.counters.insert("state.cache.miss".into(), 10);
         snap.counters.insert("state.ledger.requants".into(), 7);
         snap.gauges
             .insert("state.resident_bytes".into(), (2048, 4096));
@@ -592,7 +565,6 @@ mod tests {
     fn render_is_pure_and_complete() {
         let cfg = TopConfig::new(10, 21, "QCF-speed", ErrorBound::Rel(1e-3));
         let frame = render(&synthetic_snapshot(), &[], &[], &cfg, Some(-7.25));
-        assert!(frame.contains("90.0% hit rate"), "{frame}");
         assert!(frame.contains("2.0 KiB now / 4.0 KiB peak"), "{frame}");
         assert!(frame.contains("7 requants"), "{frame}");
         assert!(frame.contains("100 applied"), "{frame}");

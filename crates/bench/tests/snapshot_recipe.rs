@@ -13,8 +13,7 @@ use std::path::{Path, PathBuf};
 fn forge(dir: &Path, name: &str, n: usize, chunk_qubits: usize, meta: &CkptMeta) -> PathBuf {
     let path = dir.join(name);
     let comp = cli::cli_by_name("LZ4").unwrap();
-    let mut cs =
-        CompressedState::zero(n, chunk_qubits, comp.as_ref(), ErrorBound::Abs(0.0)).unwrap();
+    let cs = CompressedState::zero(n, chunk_qubits, comp.as_ref(), ErrorBound::Abs(0.0)).unwrap();
     cs.checkpoint(&path, &meta.encode()).unwrap();
     path
 }
@@ -27,7 +26,6 @@ fn resume_refuses_a_recipe_that_disagrees_with_its_state() {
         nodes,
         seed: 21,
         chunk_qubits,
-        cache: 2,
         gates_applied: 0,
         compressor: "LZ4".into(),
     };

@@ -211,6 +211,11 @@ const LANES: usize = 8;
 /// exactly this order, so they are bit-identical; the unrolled kernel's
 /// accumulators carry no loop dependency, which is what lets the adds
 /// pipeline.
+///
+/// A NaN mean (a block holding a NaN, or both infinities) is stored as
+/// [`f64::NAN`]: Rust leaves the sign and payload of a NaN produced by
+/// arithmetic unspecified, so two sum trees may disagree on them once
+/// optimized. Finite means are untouched.
 pub fn block_mean(block: &[f64]) -> f64 {
     let mut lanes = [0.0f64; LANES];
     for (i, &v) in block.iter().enumerate() {
@@ -218,7 +223,17 @@ pub fn block_mean(block: &[f64]) -> f64 {
     }
     let s = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-    s / block.len() as f64
+    canonical_nan(s / block.len() as f64)
+}
+
+/// `v`, with any NaN replaced by [`f64::NAN`] (see [`block_mean`]).
+#[inline]
+fn canonical_nan(v: f64) -> f64 {
+    if v.is_nan() {
+        f64::NAN
+    } else {
+        v
+    }
 }
 
 #[inline]
@@ -266,7 +281,8 @@ pub fn encode_block_scalar(block: &[f64], eb: f64, twoeb: f64, w: &mut BitWriter
 /// `scratch` holds the zigzag codes (`len ≥ block.len()`; pooled or
 /// per-block by the callers, so the kernel itself performs no heap
 /// allocation). Three passes, all width-8: lane-tree sum (see
-/// [`block_mean`]), radius via eight independent `max` accumulators, and
+/// [`block_mean`]; a NaN mean is canonicalized once after the tree, as
+/// there), radius via eight independent `max` accumulators, and
 /// code emission with an OR-accumulated width — `64 −
 /// leading_zeros(OR of all codes)` equals the max per-code width, one
 /// `u64` bit-trick instead of a per-element compare. When two codes fit
@@ -290,8 +306,10 @@ pub fn encode_block(block: &[f64], eb: f64, twoeb: f64, scratch: &mut [u64], w: 
         i += 1;
         j += 1;
     }
-    let mean = (((sum[0] + sum[1]) + (sum[2] + sum[3])) + ((sum[4] + sum[5]) + (sum[6] + sum[7])))
-        / n as f64;
+    let mean = canonical_nan(
+        (((sum[0] + sum[1]) + (sum[2] + sum[3])) + ((sum[4] + sum[5]) + (sum[6] + sum[7])))
+            / n as f64,
+    );
 
     // Pass 2: radius, eight max accumulators (order-insensitive; see the
     // scalar reference).
@@ -536,6 +554,18 @@ mod tests {
         // corrupt the declared block size
         bad[bytes.len() - 1] ^= 0x55;
         let _ = c.decompress(&bad, &stream());
+    }
+
+    #[test]
+    fn nan_block_mean_is_the_canonical_nan() {
+        let block = [f64::INFINITY, f64::NEG_INFINITY];
+        assert_eq!(block_mean(&block).to_bits(), f64::NAN.to_bits());
+        // Both encoders store that mean, so their streams agree.
+        let mut scalar = BitWriter::new();
+        encode_block_scalar(&block, 1e-3, 2e-3, &mut scalar);
+        let mut vector = BitWriter::new();
+        encode_block(&block, 1e-3, 2e-3, &mut [0; 2], &mut vector);
+        assert_eq!(scalar.finish(), vector.finish());
     }
 
     #[test]

@@ -182,8 +182,7 @@ mod tests {
         let g = Graph::random_regular(8, 3, 41);
         let circuit = qcircuit::qaoa_circuit(&g, &qcircuit::QaoaParams::fixed_angles_3reg_p1());
         let comp = CuSzx::default();
-        let mut cs = CompressedState::run(&circuit, 4, &comp, ErrorBound::Abs(1e-7)).unwrap();
-        cs.flush().unwrap();
+        let cs = CompressedState::run(&circuit, 4, &comp, ErrorBound::Abs(1e-7)).unwrap();
         let summary = cs.ledger_summary();
         assert!(summary.lossy);
 

@@ -19,7 +19,7 @@
 //!   ledger record: encodes u64 | requants u64 | accumulated_bound f64 |
 //!     last_abs_bound f64 | max_measured_err f64 | measured u8 |
 //!     quarantines u64
-//! fault counters: decode_errors | retries_ok | cache_repairs |
+//! fault counters: decode_errors | retries_ok | 0 (a retired slot) |
 //!   quarantines | worker_panics (u64 each) | lost_norm_sq f64
 //! footer: fnv1a32 u32 over everything above | "QCFSEND1"
 //! ```
@@ -31,15 +31,14 @@
 //!
 //! ## Commit protocol
 //!
-//! `checkpoint()` is an atomic commit: flush the write-back cache (so
-//! durable bytes are the ground truth the resumed run re-reads — the
-//! same barrier `set_cache_capacity` uses), serialize into
-//! `<path>.tmp.<pid>`, fsync, rename over `<path>`, fsync the directory
+//! `checkpoint()` is an atomic commit: serialize the stored frames (the
+//! state is write-through, so they are the ground truth the resumed run
+//! re-reads) into `<path>.tmp.<pid>`, fsync, rename over `<path>`, fsync the directory
 //! best-effort. A crash at any boundary leaves either the old snapshot
 //! or the new one — never a torn file at the committed path. The five
 //! [`kill_point`] boundaries make that claim drillable:
 //!
-//! 1. after the cache barrier, before the temp file exists
+//! 1. body serialized, before the temp file exists
 //! 2. mid-body (half the serialized bytes written)
 //! 3. body complete, footer not yet written
 //! 4. footer written and fsynced, rename not yet done
@@ -71,8 +70,6 @@ pub(crate) const SNAP_FOOTER: usize = 4 + SNAP_END.len();
 pub enum CkptError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// The state could not reach the durable barrier (flush failed).
-    State(String),
     /// The snapshot failed validation on resume.
     Corrupt(String),
     /// A `ckpt.kill_point@N` fault fired: the process "crashed" at commit
@@ -84,7 +81,6 @@ impl std::fmt::Display for CkptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CkptError::Io(e) => write!(f, "io error: {e}"),
-            CkptError::State(m) => write!(f, "state not checkpointable: {m}"),
             CkptError::Corrupt(m) => write!(f, "corrupt snapshot: {m}"),
             CkptError::KillPoint(n) => {
                 write!(f, "simulated crash at ckpt.kill_point@{n}")

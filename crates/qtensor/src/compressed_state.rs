@@ -21,15 +21,12 @@
 //! So codec work scales with stages, not gates: a p=1 QAOA circuit on
 //! 18 qubits in 64 chunks runs in 6 stages instead of 63 per-gate passes.
 //!
-//! A small **write-back chunk cache** keeps recently touched chunks
-//! decompressed: a stage reads its groups through the cache and stores
-//! them back into it, and a dirty chunk is re-quantized only when it is
-//! evicted or flushed. Besides
-//! skipping codec work on hits, this bounds lossy error — while a chunk is
-//! resident it accumulates stages at full f64 precision and pays the
-//! quantization error **once** per residency instead of once per stage.
-//! Capacity comes from `QCF_CHUNK_CACHE` (chunks; `0` disables caching and
-//! restores the decompress → apply → recompress flow per stage).
+//! The state is **write-through**: a stage decodes each group's chunks
+//! straight into the group buffer and encodes every member back from that
+//! buffer before the next group, so between groups every amplitude lives
+//! only as a compressed frame (in RAM or on the disk tier) and no decoded
+//! copy outlives its group. Under a lossy codec each chunk is requantized
+//! exactly once per stage that touches it.
 //!
 //! The tests measure the end effect as state fidelity and energy drift vs.
 //! the dense oracle; `tests/differential.rs` holds every knob to it.
@@ -64,11 +61,12 @@ pub struct StateStats {
     pub resident_bytes: usize,
     /// Peak compressed bytes observed.
     pub peak_resident_bytes: usize,
-    /// Chunk-cache hits (a stage read cached amplitudes, no codec work).
+    /// Always 0: the state is write-through and has no chunk cache. Kept so
+    /// callers that build `StateStats` as a literal still compile.
     pub cache_hits: u64,
-    /// Chunk-cache misses (chunk had to be decompressed).
+    /// Always 0 (see [`cache_hits`](Self::cache_hits)).
     pub cache_misses: u64,
-    /// Dirty chunks recompressed on eviction or flush.
+    /// Always 0 (see [`cache_hits`](Self::cache_hits)).
     pub writebacks: u64,
     /// Compressed frames spilled from RAM to the disk tier.
     pub spills: u64,
@@ -99,10 +97,7 @@ pub struct StateStats {
 ///
 /// 1. **bounded retry** — one immediate re-decode (heals transient faults:
 ///    an injected decode error, a panicked worker mid-kernel);
-/// 2. **cache repair** — if the chunk is resident in the write-back cache,
-///    its amplitudes are ground truth: re-encode them over the poisoned
-///    bytes;
-/// 3. **quarantine** — the chunk is zero-filled, the lost squared norm is
+/// 2. **quarantine** — the chunk is zero-filled, the lost squared norm is
 ///    folded into the error ledger, and the simulation continues degraded.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultStats {
@@ -111,8 +106,6 @@ pub struct FaultStats {
     pub decode_errors: u64,
     /// Failures healed by an immediate bounded retry (decode or encode).
     pub retries_ok: u64,
-    /// Failed decodes healed by re-encoding resident cached amplitudes.
-    pub cache_repairs: u64,
     /// Chunks quarantined (zero-filled) after recovery was exhausted.
     pub quarantines: u64,
     /// Worker panics converted into per-chunk failures.
@@ -136,14 +129,9 @@ const LATENCY_BOUNDS_US: [f64; 15] = [
 /// Counter and histogram updates are lock-free and allocation-free, which
 /// keeps the warm apply path inside the zero-allocation gate.
 struct StateCounters {
-    // `state.cache.*`
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    writebacks: Arc<Counter>,
     // `state.faults.*`, mirrors of `FaultStats`
     decode_errors: Arc<Counter>,
     retries_ok: Arc<Counter>,
-    cache_repairs: Arc<Counter>,
     quarantines: Arc<Counter>,
     worker_panics: Arc<Counter>,
     // `state.spill.*`, `state.prefetch.*`
@@ -175,12 +163,8 @@ impl StateCounters {
         let reg = qcf_telemetry::registry();
         let us = |name| reg.histogram(name, &LATENCY_BOUNDS_US);
         StateCounters {
-            cache_hits: reg.counter("state.cache.hit"),
-            cache_misses: reg.counter("state.cache.miss"),
-            writebacks: reg.counter("state.cache.writeback"),
             decode_errors: reg.counter("state.faults.decode_errors"),
             retries_ok: reg.counter("state.faults.retries_ok"),
-            cache_repairs: reg.counter("state.faults.cache_repairs"),
             quarantines: reg.counter("state.faults.quarantines"),
             worker_panics: reg.counter("state.faults.worker_panics"),
             spill_writes: reg.counter("state.spill.writes"),
@@ -202,11 +186,10 @@ impl StateCounters {
     }
 }
 
-/// Where the RAM tiers stand relative to the disk tier (`qcfz state`).
+/// Where the compressed frames stand: RAM against the disk tier (`qcfz
+/// state`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierBreakdown {
-    /// Decompressed amplitudes resident in the write-back cache.
-    pub cached_amp_bytes: usize,
     /// Compressed frames held in RAM.
     pub ram_compressed_bytes: usize,
     /// Live compressed frames on the disk tier.
@@ -244,7 +227,7 @@ pub struct VerifyReport {
     pub chunks: usize,
     /// Chunks that decoded cleanly on the first attempt.
     pub clean: usize,
-    /// Chunks that failed once but were healed (retry or cache repair).
+    /// Chunks that failed once but were healed by the bounded retry.
     pub healed: usize,
     /// Chunks zero-filled because recovery was exhausted.
     pub quarantined: usize,
@@ -266,15 +249,6 @@ impl VerifyReport {
     }
 }
 
-/// Default write-back cache capacity in chunks (see `QCF_CHUNK_CACHE`).
-const DEFAULT_CHUNK_CACHE: usize = 8;
-
-/// `QCF_CHUNK_CACHE` capacity. Malformed values are rejected with a
-/// one-line warning (see [`spill::env_size`]) and the default applies.
-fn env_cache_capacity() -> usize {
-    spill::env_size("QCF_CHUNK_CACHE").unwrap_or(DEFAULT_CHUNK_CACHE)
-}
-
 /// `QCF_LEDGER_MEASURE=1` makes every lossy write-back also decode its own
 /// output and record the *measured* max-abs-error in the ledger — a
 /// round-trip per requant, so off by default.
@@ -290,87 +264,10 @@ fn env_measure_err() -> bool {
         .unwrap_or(false)
 }
 
-/// One resident decompressed chunk.
-#[derive(Debug)]
-struct CacheEntry {
-    id: usize,
-    amps: Vec<Complex64>,
-    dirty: bool,
-    stamp: u64,
-}
-
-/// Write-back LRU over decompressed chunks. Deliberately tiny: capacities
-/// are single digits, so a linear scan beats any map and allocates nothing.
-#[derive(Debug)]
-struct ChunkCache {
-    cap: usize,
-    tick: u64,
-    entries: Vec<CacheEntry>,
-}
-
-impl ChunkCache {
-    fn new(cap: usize) -> Self {
-        ChunkCache {
-            cap,
-            tick: 0,
-            entries: Vec::with_capacity(cap.min(64)),
-        }
-    }
-
-    /// Mutable lookup; bumps the LRU stamp on hit.
-    fn lookup(&mut self, id: usize) -> Option<&mut CacheEntry> {
-        self.tick += 1;
-        let tick = self.tick;
-        let e = self.entries.iter_mut().find(|e| e.id == id)?;
-        e.stamp = tick;
-        Some(e)
-    }
-
-    /// Read-only lookup for `&self` readers: no LRU update, but dirty
-    /// cached amplitudes stay visible without flushing.
-    fn peek(&self, id: usize) -> Option<&[Complex64]> {
-        self.entries
-            .iter()
-            .find(|e| e.id == id)
-            .map(|e| &e.amps[..])
-    }
-
-    /// Inserts `id` (which must not be resident). At capacity the
-    /// least-recently-used entry is evicted and returned so the caller can
-    /// write it back (if dirty) and recycle its buffer.
-    fn insert(
-        &mut self,
-        id: usize,
-        amps: Vec<Complex64>,
-        dirty: bool,
-    ) -> Option<(usize, Vec<Complex64>, bool)> {
-        debug_assert!(self.cap > 0, "insert into disabled cache");
-        debug_assert!(self.peek(id).is_none(), "duplicate cache insert");
-        self.tick += 1;
-        let entry = CacheEntry {
-            id,
-            amps,
-            dirty,
-            stamp: self.tick,
-        };
-        if self.entries.len() < self.cap {
-            self.entries.push(entry);
-            return None;
-        }
-        let victim = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(i, _)| i)
-            .expect("cap > 0 so entries nonempty");
-        let old = std::mem::replace(&mut self.entries[victim], entry);
-        Some((old.id, old.amps, old.dirty))
-    }
-}
-
-/// Decodes one compressed chunk into `amps` via the reusable `flat`
-/// interleaved scratch — free functions so callers can split borrows
+/// Decodes one compressed chunk via the reusable `flat` interleaved
+/// scratch and appends its amplitudes to `amps` (a group buffer decodes
+/// its members in place; on an error `amps` is untouched) — a free
+/// function so callers can split borrows
 /// across `CompressedState` fields (and the prefetch workers can decode
 /// off-thread with exactly the main thread's semantics).
 pub(crate) fn decode_chunk(
@@ -387,8 +284,6 @@ pub(crate) fn decode_chunk(
     if flat.len() != chunk_len * 2 {
         return Err(ContractError::Hook("chunk length mismatch".into()));
     }
-    amps.clear();
-    amps.reserve(chunk_len);
     amps.extend(flat.chunks_exact(2).map(|c| Complex64::new(c[0], c[1])));
     Ok(())
 }
@@ -524,17 +419,6 @@ fn apply_stage_gates(buf: &mut [Complex64], c: usize, bits: &[usize], base: usiz
     }
 }
 
-/// What [`CompressedState::fetch_if_spilled`] delivered.
-enum Fetched {
-    /// The chunk's frame was already in RAM — nothing fetched.
-    InRam,
-    /// Frame fetched from disk into `chunks[id]`; caller decodes.
-    Bytes,
-    /// Frame fetched *and* decoded by a prefetch worker; `amps` already
-    /// holds the amplitudes.
-    Decoded,
-}
-
 /// A statevector whose chunks are stored compressed.
 pub struct CompressedState<'a> {
     n: usize,
@@ -545,16 +429,11 @@ pub struct CompressedState<'a> {
     stream: Stream,
     /// Resident-bytes level: locally exact per run, mirrored into the
     /// `state.resident_bytes` registry gauge when telemetry is enabled.
-    /// Tracks *compressed* bytes actually held in `chunks` — cached dirty
-    /// amplitudes update it only at write-back, so it stays exact.
+    /// Tracks the *compressed* bytes held in `chunks`.
     resident: GaugeTrack,
-    /// Write-back LRU of decompressed chunks.
-    cache: ChunkCache,
     /// Reused interleaved-f64 scratch for chunk (de)compression.
     flat: Vec<f64>,
-    /// Spare amplitude buffer recycled through cache evictions.
-    spare: Vec<Complex64>,
-    /// Reused gather buffer for high-qubit (grouped) gates.
+    /// Reused group buffer: a stage decodes each group into it.
     group_buf: Vec<Complex64>,
     /// Per-chunk error-budget accounting (see [`crate::ledger`]).
     ledger: ErrorLedger,
@@ -573,8 +452,7 @@ pub struct CompressedState<'a> {
     mem_budget: Option<usize>,
     /// Active prefetch pipeline during a scheduled run.
     prefetch: Option<PrefetchCtl>,
-    /// Last-touch stamp per chunk — spill coldness, independent of the
-    /// (much smaller) cache's LRU.
+    /// Last-touch stamp per chunk — spill coldness.
     touch_stamp: Vec<u64>,
     touch_tick: u64,
     /// Gates applied by this process; beside [`StateStats`], whose fields
@@ -631,7 +509,7 @@ impl<'a> CompressedState<'a> {
 
     /// The one constructor behind [`zero`](Self::zero) and
     /// [`resume`](Self::resume): wraps chunk frames, norms and ledger in
-    /// fresh tiers (empty cache, inert spill tier), the env-configured
+    /// a fresh (inert) spill tier, the env-configured
     /// knobs and the registry handles, with zeroed run and fault tallies.
     fn assemble(
         n: usize,
@@ -653,9 +531,7 @@ impl<'a> CompressedState<'a> {
             resident: qcf_telemetry::registry()
                 .gauge("state.resident_bytes")
                 .track(),
-            cache: ChunkCache::new(env_cache_capacity()),
             flat: Vec::new(),
-            spare: Vec::new(),
             group_buf: Vec::new(),
             ledger,
             measure_err: env_measure_err(),
@@ -688,9 +564,9 @@ impl<'a> CompressedState<'a> {
     }
 
     /// Sets the compressed-RAM budget and immediately re-tiers to honor
-    /// it: with `Some(0)` every non-cached compressed frame moves to
-    /// disk. `None` stops future spills (already-spilled frames fetch
-    /// back lazily on their next touch).
+    /// it: with `Some(0)` every compressed frame moves to disk. `None`
+    /// stops future spills (already-spilled frames fetch back lazily on
+    /// their next touch).
     pub fn set_mem_budget(&mut self, budget: Option<usize>) {
         self.mem_budget = budget;
         self.enforce_budget();
@@ -706,12 +582,6 @@ impl<'a> CompressedState<'a> {
     /// Current distribution of the state across the three storage tiers.
     pub fn tier_breakdown(&self) -> TierBreakdown {
         TierBreakdown {
-            cached_amp_bytes: self
-                .cache
-                .entries
-                .iter()
-                .map(|e| e.amps.len() * std::mem::size_of::<Complex64>())
-                .sum(),
             ram_compressed_bytes: self.resident.value() as usize,
             spilled_bytes: self.spill_tier.live_bytes() as usize,
             spilled_chunks: self.spill_tier.spilled_chunks(),
@@ -720,10 +590,7 @@ impl<'a> CompressedState<'a> {
     }
 
     /// Spills coldest-first until compressed-in-RAM bytes fit the
-    /// budget. Cache-resident chunks are skipped (their RAM bytes are
-    /// stale pending write-back — spilling them would persist old data);
-    /// the budget is therefore a target the tier converges to after each
-    /// write-back, and the working chunk may transiently exceed it.
+    /// budget.
     fn enforce_budget(&mut self) {
         let Some(budget) = self.mem_budget else {
             return;
@@ -733,11 +600,7 @@ impl<'a> CompressedState<'a> {
         }
         while (self.resident.value() as usize) > budget {
             let victim = (0..self.chunks.len())
-                .filter(|&id| {
-                    !self.chunks[id].is_empty()
-                        && self.spill_tier.entry(id).is_none()
-                        && self.cache.peek(id).is_none()
-                })
+                .filter(|&id| !self.chunks[id].is_empty() && self.spill_tier.entry(id).is_none())
                 .min_by_key(|&id| self.touch_stamp[id]);
             let Some(id) = victim else {
                 break;
@@ -799,26 +662,20 @@ impl<'a> CompressedState<'a> {
     /// deterministic issue/consume schedule, never on timing); otherwise
     /// the frame is read synchronously (*miss*). Either way the bytes
     /// land in `chunks[id]` before any decode, so the recovery chain
-    /// treats disk corruption exactly like RAM corruption. A worker that
-    /// already decoded the frame returns the amplitudes via `amps`
-    /// ([`Fetched::Decoded`]) and the caller skips its own codec call.
-    fn fetch_if_spilled(&mut self, id: usize, amps: &mut Vec<Complex64>) -> Fetched {
-        let Some(entry) = self.spill_tier.entry(id) else {
-            return Fetched::InRam;
-        };
+    /// treats disk corruption exactly like RAM corruption. Returns the
+    /// amplitudes when a prefetch worker already decoded the frame, so the
+    /// caller skips its own codec call.
+    fn fetch_if_spilled(&mut self, id: usize) -> Option<Vec<Complex64>> {
+        let entry = self.spill_tier.entry(id)?;
         let t0 = Instant::now();
         let claimed = match &self.prefetch {
             Some(ctl) => ctl.shared.consume(id, entry.gen),
             None => Consume::Miss,
         };
-        let mut outcome = Fetched::Bytes;
+        let mut decoded = None;
         let (bytes, hit) = match claimed {
-            Consume::Ready(FramePayload::Decoded {
-                bytes,
-                amps: decoded,
-            }) => {
-                *amps = decoded;
-                outcome = Fetched::Decoded;
+            Consume::Ready(FramePayload::Decoded { bytes, amps }) => {
+                decoded = Some(amps);
                 (bytes, true)
             }
             Consume::Ready(FramePayload::Bytes(b)) => (b, true),
@@ -847,7 +704,7 @@ impl<'a> CompressedState<'a> {
         self.resident.add(bytes.len() as i64);
         self.chunks[id] = bytes;
         self.sync_resident_stats();
-        outcome
+        decoded
     }
 
     /// Bumps chunk `id`'s last-touch stamp and, during a scheduled run,
@@ -1091,19 +948,14 @@ impl<'a> CompressedState<'a> {
         }
     }
 
-    /// Chunk `id`'s current amplitudes for a `&self` reader: the cached
-    /// plane when resident (dirty amplitudes are visible without a
-    /// flush), otherwise its [`frame`](Self::frame) decoded into `amps`
-    /// through the `flat` scratch.
-    fn read_chunk<'s>(
-        &'s self,
+    /// Appends chunk `id`'s amplitudes to `amps` for a `&self` reader: its
+    /// [`frame`](Self::frame) decoded through the `flat` scratch.
+    fn read_chunk(
+        &self,
         id: usize,
         flat: &mut Vec<f64>,
-        amps: &'s mut Vec<Complex64>,
-    ) -> Result<&'s [Complex64], ContractError> {
-        if let Some(cached) = self.cache.peek(id) {
-            return Ok(cached);
-        }
+        amps: &mut Vec<Complex64>,
+    ) -> Result<(), ContractError> {
         let frame = self
             .frame(id)
             .map_err(|e| ContractError::Hook(format!("spill read: {e}")))?;
@@ -1114,13 +966,13 @@ impl<'a> CompressedState<'a> {
             &frame,
             flat,
             amps,
-        )?;
-        Ok(amps)
+        )
     }
 
-    /// One guarded decode attempt of chunk `id` into `amps`. A worker
-    /// panic inside the codec kernel is converted into a per-chunk error
-    /// (and counted) instead of unwinding through the simulation.
+    /// One guarded decode attempt of chunk `id`, appended to `amps`
+    /// ([`decode_chunk`]). A worker panic inside the codec kernel is
+    /// converted into a per-chunk error (and counted) instead of unwinding
+    /// through the simulation.
     fn try_decode(&mut self, id: usize, amps: &mut Vec<Complex64>) -> Result<(), ContractError> {
         let chunk_len = self.chunk_len();
         let compressor = self.compressor;
@@ -1141,25 +993,28 @@ impl<'a> CompressedState<'a> {
         }
     }
 
-    /// Decodes chunk `id` into `amps` through the recovery policy chain
-    /// (see [`FaultStats`]): decode → bounded retry → cache repair →
-    /// quarantine. Returns `Ok(true)` when `amps` holds real data (clean or
-    /// healed), `Ok(false)` when the chunk was quarantined (`amps` zeroed);
-    /// an error only when even the quarantine re-encode failed.
+    /// Decodes chunk `id` through the recovery policy chain (see
+    /// [`FaultStats`]): decode → bounded retry → quarantine, appending its
+    /// `chunk_len` amplitudes to `amps`. Returns `Ok(true)` when they are
+    /// real data (clean or healed), `Ok(false)` when the chunk was
+    /// quarantined (zeros appended); an error only when even the
+    /// quarantine re-encode failed.
     fn decode_healed(
         &mut self,
         id: usize,
         amps: &mut Vec<Complex64>,
     ) -> Result<bool, ContractError> {
-        if let Fetched::Decoded = self.fetch_if_spilled(id, amps) {
+        let chunk_len = self.chunk_len() as f64;
+        if let Some(decoded) = self.fetch_if_spilled(id) {
             // A prefetch worker already decoded the fetched frame (which
             // proves its integrity); skip the redundant main-thread
             // decode but keep the causal record identical.
-            journal::record(id as u64, EventKind::Decode, amps.len() as f64);
+            amps.extend_from_slice(&decoded);
+            journal::record(id as u64, EventKind::Decode, chunk_len);
             return Ok(true);
         }
         if self.try_decode(id, amps).is_ok() {
-            journal::record(id as u64, EventKind::Decode, amps.len() as f64);
+            journal::record(id as u64, EventKind::Decode, chunk_len);
             return Ok(true);
         }
         self.faults.decode_errors += 1;
@@ -1171,77 +1026,24 @@ impl<'a> CompressedState<'a> {
         if self.try_decode(id, amps).is_ok() {
             self.faults.retries_ok += 1;
             self.counters.retries_ok.inc();
-            // Heal detail: 1 = bounded retry, 2 = cache repair.
+            // Heal detail 1: the bounded retry.
             journal::record(id as u64, EventKind::Heal, 1.0);
             return Ok(true);
         }
-        // 2. Cache repair: resident amplitudes are ground truth — losslessly
-        //    newer than the stored bytes — so re-encode them over the
-        //    poisoned buffer.
-        if let Some(idx) = self.cache.entries.iter().position(|e| e.id == id) {
-            let cached = std::mem::take(&mut self.cache.entries[idx].amps);
-            let res = self.write_back(id, &cached);
-            amps.clear();
-            amps.extend_from_slice(&cached);
-            self.cache.entries[idx].amps = cached;
-            self.cache.entries[idx].dirty = false;
-            res?;
-            self.faults.cache_repairs += 1;
-            self.counters.cache_repairs.inc();
-            journal::record(id as u64, EventKind::Heal, 2.0);
-            return Ok(true);
-        }
-        // 3. Quarantine: zero-fill, account the lost norm, keep simulating.
-        self.quarantine_chunk(id, amps)?;
+        // 2. Quarantine: zero-fill, re-encode the zeros over the poisoned
+        //    bytes so later reads decode cleanly, account the lost norm,
+        //    keep simulating.
+        let start = amps.len();
+        amps.resize(start + self.chunk_len(), Complex64::ZERO);
+        self.record_quarantine_loss(id);
+        self.write_back(id, &amps[start..])?;
         Ok(false)
     }
 
-    /// Quarantines chunk `id`: `amps` is zero-filled and re-encoded over
-    /// the poisoned bytes so later reads decode cleanly, and the lost
-    /// squared norm is folded into the ledger.
-    fn quarantine_chunk(
-        &mut self,
-        id: usize,
-        amps: &mut Vec<Complex64>,
-    ) -> Result<(), ContractError> {
-        let chunk_len = self.chunk_len();
-        amps.clear();
-        amps.resize(chunk_len, Complex64::ZERO);
-        self.record_quarantine_loss(id);
-        self.write_back(id, amps)
-    }
-
-    /// Current write-back cache capacity in chunks.
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.cap
-    }
-
-    /// Resizes the write-back cache; `0` disables it. Flushes and drops
-    /// anything currently cached first, so amplitudes are never lost.
-    pub fn set_cache_capacity(&mut self, cap: usize) -> Result<(), ContractError> {
-        self.flush()?;
-        self.cache.entries.clear();
-        self.cache.cap = cap;
-        Ok(())
-    }
-
-    /// Recompresses every dirty cached chunk (write-back), leaving chunks
-    /// resident but clean. After this, `stats.resident_bytes` reflects the
-    /// latest amplitudes exactly.
-    pub fn flush(&mut self) -> Result<(), ContractError> {
-        for i in 0..self.cache.entries.len() {
-            if !self.cache.entries[i].dirty {
-                continue;
-            }
-            let id = self.cache.entries[i].id;
-            let amps = std::mem::take(&mut self.cache.entries[i].amps);
-            self.stats.writebacks += 1;
-            self.counters.writebacks.inc();
-            let res = self.write_back(id, &amps);
-            self.cache.entries[i].amps = amps;
-            self.cache.entries[i].dirty = false;
-            res?;
-        }
+    /// No-op: the state is write-through and holds no chunk cache, so
+    /// there is nothing to size or flush. Kept, always `Ok`, only for
+    /// callers built against the cached API.
+    pub fn set_cache_capacity(&mut self, _cap: usize) -> Result<(), ContractError> {
         Ok(())
     }
 
@@ -1251,20 +1053,15 @@ impl<'a> CompressedState<'a> {
     /// [`CompressedState::resume`] — `qcfz` stores the circuit recipe and
     /// gate progress there.
     ///
-    /// Checkpointing is a durability barrier: dirty cached chunks are
-    /// flushed and the cache dropped (the [`set_cache_capacity`] idiom),
-    /// so the serialized frames are the exact ground truth the resumed
-    /// run re-reads — evolution after a resume is bit-identical to the
+    /// The stored frames are the whole state (every stage writes its
+    /// groups through), so they are the exact ground truth the resumed run
+    /// re-reads — evolution after a resume is bit-identical to the
     /// uninterrupted run even under a lossy codec, because both sides
     /// continue from the same requantized bytes. Spilled frames are read
-    /// from the disk tier in place; the tiers are not otherwise touched.
+    /// from the disk tier in place; the tiers are not touched.
     ///
     /// Returns total bytes at the committed path.
-    ///
-    /// [`set_cache_capacity`]: CompressedState::set_cache_capacity
-    pub fn checkpoint(&mut self, path: &Path, app_meta: &[u8]) -> Result<u64, CkptError> {
-        self.flush().map_err(|e| CkptError::State(e.to_string()))?;
-        self.cache.entries.clear();
+    pub fn checkpoint(&self, path: &Path, app_meta: &[u8]) -> Result<u64, CkptError> {
         let n_chunks = self.chunks.len();
         let mut body = Vec::new();
         body.extend_from_slice(checkpoint::SNAP_MAGIC);
@@ -1299,7 +1096,9 @@ impl<'a> CompressedState<'a> {
         }
         checkpoint::put_u64(&mut body, self.faults.decode_errors);
         checkpoint::put_u64(&mut body, self.faults.retries_ok);
-        checkpoint::put_u64(&mut body, self.faults.cache_repairs);
+        // A retired slot (the old cache-repair count), written as 0 so the
+        // snapshot layout is unchanged.
+        checkpoint::put_u64(&mut body, 0);
         checkpoint::put_u64(&mut body, self.faults.quarantines);
         checkpoint::put_u64(&mut body, self.faults.worker_panics);
         checkpoint::put_f64(&mut body, self.faults.lost_norm_sq);
@@ -1319,8 +1118,8 @@ impl<'a> CompressedState<'a> {
     /// caller's `app_meta` blob. The snapshot must have been written
     /// under the same codec (`compressor.id()` is checked against the
     /// stored stream id). Sealed frames, chunk norms, the error-budget
-    /// ledger, and the fault tally are restored exactly; the cache,
-    /// spill tier, and run stats start fresh (re-tiered immediately if
+    /// ledger, and the fault tally are restored exactly; the spill tier
+    /// and run stats start fresh (re-tiered immediately if
     /// `QCF_MEM_BUDGET` demands it). Registry counters are *not*
     /// back-filled — they count this process's events; the restored
     /// [`FaultStats`]/ledger carry the run's cumulative history.
@@ -1392,10 +1191,12 @@ impl<'a> CompressedState<'a> {
                 quarantines: r.u64()?,
             });
         }
+        let decode_errors = r.u64()?;
+        let retries_ok = r.u64()?;
+        r.u64()?; // the retired cache-repair slot
         let faults = FaultStats {
-            decode_errors: r.u64()?,
-            retries_ok: r.u64()?,
-            cache_repairs: r.u64()?,
+            decode_errors,
+            retries_ok,
             quarantines: r.u64()?,
             worker_panics: r.u64()?,
             lost_norm_sq: r.f64()?,
@@ -1459,10 +1260,9 @@ impl<'a> CompressedState<'a> {
     }
 
     /// One stage with gathered chunk-id `bits` (possibly none): each
-    /// group's `2^|bits|` chunks are read once through the cache into the
-    /// group buffer, take all of the stage's gates, and are stored once
-    /// through the cache, so a dirty chunk is re-quantized only on eviction
-    /// or [`CompressedState::flush`].
+    /// group's `2^|bits|` chunks are decoded once, straight into the group
+    /// buffer, take all of the stage's gates, and are each encoded back
+    /// from the buffer once ([`write_back`](Self::write_back)).
     fn apply_stage(
         &mut self,
         gates: &[Gate],
@@ -1478,7 +1278,9 @@ impl<'a> CompressedState<'a> {
             buffer.reserve(chunk_len << bits.len());
             let res = (|| {
                 for &id in members {
-                    self.gather_chunk(id, &mut buffer)?;
+                    self.note_touch(id);
+                    self.decode_healed(id, &mut buffer)?;
+                    self.stats.decompressions += 1;
                 }
                 let gate_ok = panic::catch_unwind(AssertUnwindSafe(|| {
                     apply_stage_gates(&mut buffer, c, bits, ids[0], gates);
@@ -1501,7 +1303,7 @@ impl<'a> CompressedState<'a> {
                     }
                 }
                 for (m, &id) in members.iter().enumerate() {
-                    self.store_chunk(id, &buffer[m * chunk_len..(m + 1) * chunk_len])?;
+                    self.write_back(id, &buffer[m * chunk_len..(m + 1) * chunk_len])?;
                 }
                 Ok(())
             })();
@@ -1511,88 +1313,6 @@ impl<'a> CompressedState<'a> {
             }
         }
         self.group_buf = buffer;
-        Ok(())
-    }
-
-    /// Decodes chunk `id` through the recovery chain into the recycled
-    /// spare buffer (handed back to the spare slot on error).
-    fn decode_miss(&mut self, id: usize) -> Result<Vec<Complex64>, ContractError> {
-        let mut amps = std::mem::take(&mut self.spare);
-        if let Err(e) = self.decode_healed(id, &mut amps) {
-            self.spare = amps;
-            return Err(e);
-        }
-        self.stats.decompressions += 1;
-        Ok(amps)
-    }
-
-    /// Reads chunk `id` through the cache, appending its amplitudes to
-    /// `dst`. Misses cache the decoded chunk *clean*.
-    fn gather_chunk(&mut self, id: usize, dst: &mut Vec<Complex64>) -> Result<(), ContractError> {
-        self.note_touch(id);
-        if self.cache.cap > 0 {
-            if let Some(e) = self.cache.lookup(id) {
-                dst.extend_from_slice(&e.amps);
-                self.stats.cache_hits += 1;
-                self.counters.cache_hits.inc();
-                journal::record(id as u64, EventKind::CacheHit, 1.0);
-                return Ok(());
-            }
-            self.stats.cache_misses += 1;
-            self.counters.cache_misses.inc();
-        }
-        let amps = self.decode_miss(id)?;
-        dst.extend_from_slice(&amps);
-        if self.cache.cap > 0 {
-            self.insert_cached(id, amps, false)
-        } else {
-            self.spare = amps;
-            Ok(())
-        }
-    }
-
-    /// Stores `amps` as chunk `id`'s new contents through the cache.
-    fn store_chunk(&mut self, id: usize, amps: &[Complex64]) -> Result<(), ContractError> {
-        if self.cache.cap == 0 {
-            return self.write_back(id, amps);
-        }
-        if let Some(e) = self.cache.lookup(id) {
-            e.amps.clear();
-            e.amps.extend_from_slice(amps);
-            e.dirty = true;
-            return Ok(());
-        }
-        let mut buf = std::mem::take(&mut self.spare);
-        buf.clear();
-        buf.extend_from_slice(amps);
-        self.insert_cached(id, buf, true)
-    }
-
-    /// Caches `amps` as chunk `id`, writing back whatever dirty entry the
-    /// insert evicts and recycling the evicted buffer.
-    fn insert_cached(
-        &mut self,
-        id: usize,
-        amps: Vec<Complex64>,
-        dirty: bool,
-    ) -> Result<(), ContractError> {
-        if let Some((evicted_id, evicted_amps, evicted_dirty)) = self.cache.insert(id, amps, dirty)
-        {
-            // Evict detail: 1 = dirty (write-back follows), 0 = clean drop.
-            journal::record(
-                evicted_id as u64,
-                EventKind::Evict,
-                f64::from(u8::from(evicted_dirty)),
-            );
-            if evicted_dirty {
-                self.stats.writebacks += 1;
-                self.counters.writebacks.inc();
-                let res = self.write_back(evicted_id, &evicted_amps);
-                self.spare = evicted_amps;
-                return res;
-            }
-            self.spare = evicted_amps;
-        }
         Ok(())
     }
 
@@ -1690,13 +1410,12 @@ impl<'a> CompressedState<'a> {
         Ok(state)
     }
 
-    /// Materializes the dense state (testing / small n). Dirty cached
-    /// chunks are read directly — no flush needed.
+    /// Materializes the dense state (testing / small n).
     pub fn to_statevector(&self) -> Result<StateVector, ContractError> {
         let mut amps = Vec::with_capacity(1usize << self.n);
-        let (mut flat, mut buf) = (Vec::new(), Vec::new());
+        let mut flat = Vec::new();
         for id in 0..self.chunks.len() {
-            amps.extend_from_slice(self.read_chunk(id, &mut flat, &mut buf)?);
+            self.read_chunk(id, &mut flat, &mut amps)?;
         }
         StateVector::from_amplitudes(self.n, amps).map_err(|e| ContractError::Hook(e.to_string()))
     }
@@ -1712,9 +1431,10 @@ impl<'a> CompressedState<'a> {
         let mut zz = vec![0.0; edges.len()];
         let (mut flat, mut buf, mut probs) = (Vec::new(), Vec::new(), Vec::new());
         for chunk_id in 0..self.chunks.len() {
-            let amps = self.read_chunk(chunk_id, &mut flat, &mut buf)?;
+            buf.clear();
+            self.read_chunk(chunk_id, &mut flat, &mut buf)?;
             probs.clear();
-            probs.extend(amps.iter().map(|a| a.norm_sq()));
+            probs.extend(buf.iter().map(|a| a.norm_sq()));
             let base = chunk_id * chunk_len;
             for (&(a, b), zz) in edges.iter().zip(&mut zz) {
                 let (ma, mb) = (1usize << a, 1usize << b);
@@ -1756,20 +1476,21 @@ impl<'a> CompressedState<'a> {
             chunks: self.chunks.len(),
             ..VerifyReport::default()
         };
-        let mut amps = std::mem::take(&mut self.spare);
+        let mut amps = std::mem::take(&mut self.group_buf);
         for id in 0..self.chunks.len() {
             let errors_before = self.faults.decode_errors;
+            amps.clear();
             match self.decode_healed(id, &mut amps) {
                 Ok(true) if self.faults.decode_errors == errors_before => report.clean += 1,
                 Ok(true) => report.healed += 1,
                 Ok(false) => report.quarantined += 1,
                 Err(e) => {
-                    self.spare = amps;
+                    self.group_buf = amps;
                     return Err(e);
                 }
             }
         }
-        self.spare = amps;
+        self.group_buf = amps;
         for id in 0..self.ledger.n_chunks() {
             let rec = self.ledger.chunk(id);
             let cap = rec.accumulated_bound.max(rec.last_abs_bound);
@@ -1788,8 +1509,9 @@ impl<'a> CompressedState<'a> {
         let mut s = 0.0;
         let (mut flat, mut buf) = (Vec::new(), Vec::new());
         for id in 0..self.chunks.len() {
-            let amps = self.read_chunk(id, &mut flat, &mut buf)?;
-            s += amps.iter().map(|a| a.norm_sq()).sum::<f64>();
+            buf.clear();
+            self.read_chunk(id, &mut flat, &mut buf)?;
+            s += buf.iter().map(|a| a.norm_sq()).sum::<f64>();
         }
         Ok(s)
     }
@@ -1830,7 +1552,6 @@ mod tests {
     fn kernel_event_log_does_not_grow_across_gates() {
         let comp = compressors::cuszx::CuSzx::default();
         let mut cs = CompressedState::zero(8, 4, &comp, ErrorBound::Abs(1e-6)).unwrap();
-        cs.set_cache_capacity(0).unwrap();
         // Every one-gate stage decodes and re-encodes all 16 chunks, so
         // each leaves the same work in the log — and only its own.
         let lens: Vec<usize> = (0..6)
@@ -1891,12 +1612,11 @@ mod tests {
         let (circuit, graph) = qaoa(10, 5);
         let comp = compressors::cuszx::CuSzx::default();
         let mut cs = CompressedState::zero(10, 4, &comp, ErrorBound::Abs(1e-7)).unwrap();
-        cs.set_cache_capacity(0).unwrap();
         cs.run_scheduled(circuit.gates(), false).unwrap();
         let stages = stage_cuts(circuit.gates(), 4, 64).len() as u64;
         assert_eq!(cs.gates_applied(), circuit.gates().len() as u64);
         assert!(stages * 4 < cs.gates_applied(), "{stages} stages");
-        // Cache off: every stage decodes and re-encodes all 64 chunks once.
+        // Every stage decodes and re-encodes all 64 chunks once.
         assert_eq!(cs.stats.decompressions, 64 * stages);
         assert_eq!(cs.stats.recompressions, 64 * stages);
         assert_eq!(cs.ledger_summary().total_requants, 64 * stages);
@@ -2030,99 +1750,13 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacities_agree_for_lossless_codec() {
-        let (circuit, graph) = qaoa(8, 11);
-        let comp = Memcpy;
-        let reference = StateVector::run(&circuit);
-        for cap in [0usize, 1, 8, 64] {
-            let mut cs = CompressedState::zero(8, 3, &comp, ErrorBound::Abs(1e-6)).unwrap();
-            cs.set_cache_capacity(cap).unwrap();
-            for g in circuit.gates() {
-                cs.apply(g).unwrap();
-            }
-            let f = cs.to_statevector().unwrap().fidelity(&reference);
-            assert!((f - 1.0).abs() < 1e-12, "cap={cap} fidelity {f}");
-            assert!(
-                (cs.maxcut_energy(&graph).unwrap() - reference.maxcut_energy(&graph)).abs() < 1e-10,
-                "cap={cap}"
-            );
-        }
-    }
-
-    #[test]
-    fn cache_hits_skip_codec_work() {
-        let comp = Memcpy;
-        let mut cs = CompressedState::zero(6, 3, &comp, ErrorBound::Abs(1e-6)).unwrap();
-        cs.set_cache_capacity(8).unwrap(); // all 8 chunks fit
-        let gates = [Gate::H(0), Gate::Rx(1, 0.4), Gate::Cnot(0, 2), Gate::T(1)];
-        for g in &gates {
-            cs.apply(g).unwrap();
-        }
-        // First low gate misses every chunk once; the rest all hit.
-        assert_eq!(cs.stats.cache_misses, 8);
-        assert_eq!(cs.stats.cache_hits, 8 * (gates.len() as u64 - 1));
-        assert_eq!(cs.stats.decompressions, 8);
-        // Nothing evicted, nothing flushed: the zero()-time compressions
-        // are the only codec writes so far.
-        assert_eq!(cs.stats.writebacks, 0);
-        assert_eq!(cs.stats.recompressions, 0);
-        cs.flush().unwrap();
-        assert_eq!(cs.stats.writebacks, 8);
-        assert_eq!(cs.stats.recompressions, 8);
-        // Flush keeps entries resident but clean; a second flush is a no-op.
-        cs.flush().unwrap();
-        assert_eq!(cs.stats.writebacks, 8);
-    }
-
-    #[test]
-    fn eviction_writes_back_and_preserves_state() {
-        let comp = Memcpy;
-        let circuit = Circuit::new(6)
-            .with(Gate::H(0))
-            .with(Gate::Cnot(0, 1))
-            .with(Gate::Ry(2, 0.9))
-            .with(Gate::Cnot(1, 2));
-        let mut cs = CompressedState::zero(6, 2, &comp, ErrorBound::Abs(1e-6)).unwrap();
-        cs.set_cache_capacity(1).unwrap(); // 16 chunks through a 1-slot cache
-        for g in circuit.gates() {
-            cs.apply(g).unwrap();
-        }
-        assert!(cs.stats.writebacks > 0, "1-slot cache must evict");
-        let dense = StateVector::run(&circuit);
-        assert!((cs.to_statevector().unwrap().fidelity(&dense) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn grouped_gates_see_dirty_cached_chunks() {
-        // A low gate dirties cached chunks, then a high gate groups them:
-        // the gather must read the cached data, not the stale compressed
-        // bytes.
-        let comp = Memcpy;
-        let circuit = Circuit::new(5)
-            .with(Gate::H(0))
-            .with(Gate::Cnot(0, 4))
-            .with(Gate::H(1))
-            .with(Gate::Swap(1, 3))
-            .with(Gate::Zz(0, 4, 0.6));
-        let mut cs = CompressedState::zero(5, 2, &comp, ErrorBound::Abs(1e-6)).unwrap();
-        cs.set_cache_capacity(4).unwrap();
-        for g in circuit.gates() {
-            cs.apply(g).unwrap();
-        }
-        let dense = StateVector::run(&circuit);
-        assert!((cs.to_statevector().unwrap().fidelity(&dense) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flush_makes_resident_bytes_exact() {
+    fn resident_bytes_are_exact_after_every_stage() {
         let comp = compressors::cuszx::CuSzx::default();
         let (circuit, _) = qaoa(8, 13);
         let mut cs = CompressedState::zero(8, 4, &comp, ErrorBound::Abs(1e-7)).unwrap();
-        cs.set_cache_capacity(16).unwrap();
         for g in circuit.gates() {
             cs.apply(g).unwrap();
         }
-        cs.flush().unwrap();
         let total: usize = cs.chunks.iter().map(Vec::len).sum();
         assert_eq!(cs.stats.resident_bytes, total);
         assert!(cs.stats.peak_resident_bytes >= cs.stats.resident_bytes);
@@ -2132,8 +1766,7 @@ mod tests {
     fn ledger_stays_zero_under_lossless_codec() {
         let (circuit, _) = qaoa(8, 17);
         let comp = Memcpy;
-        let mut cs = CompressedState::run(&circuit, 3, &comp, ErrorBound::Abs(1e-4)).unwrap();
-        cs.flush().unwrap();
+        let cs = CompressedState::run(&circuit, 3, &comp, ErrorBound::Abs(1e-4)).unwrap();
         let s = cs.ledger_summary();
         assert_eq!(s.total_requants, 0);
         assert_eq!(s.max_accumulated_bound, 0.0);
@@ -2152,18 +1785,13 @@ mod tests {
         let (circuit, _) = qaoa(8, 19);
         let comp = compressors::cuszx::CuSzx::default();
         let mut cs = CompressedState::zero(8, 3, &comp, ErrorBound::Abs(1e-7)).unwrap();
-        cs.set_cache_capacity(2).unwrap(); // force evictions
         for g in circuit.gates() {
             cs.apply(g).unwrap();
         }
-        cs.flush().unwrap();
         let s = cs.ledger_summary();
         // Under a lossy codec every write_back is exactly one requant.
         assert_eq!(s.total_requants, cs.stats.recompressions);
-        assert!(
-            s.total_requants > 0,
-            "2-slot cache over 32 chunks must evict"
-        );
+        assert!(s.total_requants > 0, "every stage requantizes");
         assert!(s.max_requants > 0);
         assert!(s.max_accumulated_bound > 0.0);
         assert!(s.accumulated_rss >= s.max_accumulated_bound);
@@ -2181,7 +1809,6 @@ mod tests {
         for g in circuit.gates() {
             cs.apply(g).unwrap();
         }
-        cs.flush().unwrap();
         let s = cs.ledger_summary();
         assert!(s.total_requants > 0);
         // The measured max-abs-err must honor the compressor's contract.

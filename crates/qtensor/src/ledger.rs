@@ -3,17 +3,18 @@
 //! The related amplitude-compression work (and this repo's own E8
 //! characterization in `qcf-core::fidelity`) agree on the failure mode of
 //! compressed simulation: it is the *accumulated* requantization error — not
-//! the per-chunk bound — that degrades the final fidelity. The write-back
-//! chunk cache bounds how often that error is paid (once per residency),
-//! but until now nothing *recorded* it: a run that requantized one hot
-//! chunk 200 times looked identical to one that requantized it twice.
+//! the per-chunk bound — that degrades the final fidelity. Stage fusion
+//! bounds how often that error is paid (once per stage that touches a
+//! chunk), but that alone *records* nothing: a run that requantized one
+//! hot chunk 200 times would look identical to one that requantized it
+//! twice.
 //!
 //! [`ErrorLedger`] closes that gap. [`CompressedState`](crate::CompressedState)
 //! reports every lossy event into it:
 //!
 //! * the **initial quantization** of each chunk at state preparation,
-//! * every **requantization** — a dirty chunk re-encoded at cache eviction,
-//!   flush, or (cache disabled) once per stage of gates,
+//! * every **requantization** — each chunk re-encoded once per stage of
+//!   gates that touches it (the state is write-through),
 //! * **error mixing** when a stage's gates combine a group of chunks, so
 //!   each chunk's running estimate reflects everything that flowed into it.
 //!

@@ -2,12 +2,11 @@
 //! plus the gate-schedule-aware async prefetch pipeline that hides its
 //! latency.
 //!
-//! ## Why a third tier
+//! ## Why a disk tier
 //!
-//! The write-back cache separates *resident* (decompressed) from
-//! *compressed-in-RAM* chunks; when even the compressed working set
-//! outgrows the configured budget (`QCF_MEM_BUDGET`), cold sealed v2
-//! frames move here. Frames are checksummed and self-describing, so the
+//! A write-through state holds every chunk as a sealed v2 frame between
+//! stages; when those compressed frames outgrow the configured budget
+//! (`QCF_MEM_BUDGET`), the coldest move here. Frames are checksummed and self-describing, so the
 //! disk tier needs no format of its own: the spill file is a bare
 //! append-log of whole frames with an in-memory `chunk → (offset, len,
 //! gen)` index, and a scrub (`CompressedState::verify`) exercises the
@@ -87,7 +86,7 @@ pub(crate) const PREFETCH_WINDOW: usize = 8;
 pub(crate) const PREFETCH_LOOKAHEAD: usize = 64;
 
 // ---------------------------------------------------------------------------
-// Environment parsing (QCF_MEM_BUDGET, QCF_CHUNK_CACHE, QCF_SPILL_LATENCY_US)
+// Environment parsing (QCF_MEM_BUDGET, QCF_SPILL_LATENCY_US)
 // ---------------------------------------------------------------------------
 
 /// Parses a non-negative size with an optional binary suffix (`k`/`kb`,
@@ -481,7 +480,7 @@ impl SpillTier {
     }
 
     /// Synchronous read of `entry`'s frame bytes (applies the simulated
-    /// device latency). `&self` so flush-free readers can fetch. A torn
+    /// device latency). `&self` so read-only scans can fetch. A torn
     /// tail reads back zero-padded rather than erroring — the payload's
     /// sealed frame rejects it downstream through the heal chain.
     pub fn read(&self, entry: SpillEntry) -> std::io::Result<Vec<u8>> {

@@ -24,16 +24,14 @@ fn qaoa(n: usize, seed: u64) -> (Circuit, Graph) {
     (c, g)
 }
 
-/// Runs `circuit` on a fresh compressed state with a small cache; every
-/// gate must succeed (degraded is fine, dead is not).
+/// Runs `circuit` gate by gate on a fresh compressed state; every gate
+/// must succeed (degraded is fine, dead is not).
 fn run_chaos<'a>(
     circuit: &Circuit,
-    cache: usize,
     comp: &'a dyn Compressor,
     bound: ErrorBound,
 ) -> CompressedState<'a> {
     let mut cs = CompressedState::zero(circuit.n_qubits(), 3, comp, bound).expect("zero state");
-    cs.set_cache_capacity(cache).expect("cache resize");
     for g in circuit.gates() {
         cs.apply(g)
             .expect("chaos run must complete degraded, not die");
@@ -50,8 +48,7 @@ fn injected_decode_error_heals_by_retry() {
 
     faults::arm_from_spec("seed=7,codec.decode@5").unwrap();
     let comp = Memcpy;
-    let mut cs = run_chaos(&circuit, 2, &comp, ErrorBound::Abs(0.0));
-    cs.flush().unwrap();
+    let cs = run_chaos(&circuit, &comp, ErrorBound::Abs(0.0));
     let injected = faults::injected_count("codec.decode");
     faults::disarm();
 
@@ -78,23 +75,21 @@ fn bitflip_is_detected_and_recovered() {
 
     faults::arm_from_spec("seed=11,state.chunk.bitflip@2").unwrap();
     let comp = Memcpy;
-    let mut cs = run_chaos(&circuit, 2, &comp, ErrorBound::Abs(0.0));
-    cs.flush().unwrap();
+    let mut cs = run_chaos(&circuit, &comp, ErrorBound::Abs(0.0));
     let report = cs.verify().unwrap();
     let injected = faults::injected_count("state.chunk.bitflip");
     faults::disarm();
 
     assert_eq!(injected, 1, "@2 fires exactly once");
     // The flipped bit is persistent corruption: the integrity frame must
-    // flag it (during the run or in the scrub), and recovery is either a
-    // cache repair (amplitudes still resident) or a quarantine — never a
-    // silent pass.
+    // flag it (during the run or in the scrub), and recovery is a
+    // quarantine — never a silent pass.
     assert!(cs.faults.decode_errors >= 1, "corruption went undetected");
     assert_eq!(
         cs.faults.retries_ok, 0,
         "persistent corruption must not pass a retry"
     );
-    let recovered = cs.faults.cache_repairs + cs.faults.quarantines;
+    let recovered = cs.faults.quarantines;
     assert_eq!(recovered, 1, "exactly the one corrupted chunk recovers");
     // After the scrub the state is internally consistent again.
     assert!(cs.verify().unwrap().all_clean());
@@ -121,8 +116,7 @@ fn worker_panic_fails_the_chunk_not_the_process() {
     // codec whose kernels actually run through it (cuSZx quantization).
     faults::arm_from_spec("seed=3,exec.worker.panic@5").unwrap();
     let comp = compressors::cuszx::CuSzx::default();
-    let mut cs = run_chaos(&circuit, 2, &comp, ErrorBound::Abs(1e-7));
-    cs.flush().unwrap();
+    let mut cs = run_chaos(&circuit, &comp, ErrorBound::Abs(1e-7));
     let injected = faults::injected_count("exec.worker.panic");
     faults::disarm();
 
@@ -154,8 +148,7 @@ fn sustained_fault_storm_completes_with_exact_accounting() {
 
     faults::arm_from_spec("seed=42,state.chunk.bitflip%0.05,codec.decode%0.02").unwrap();
     let comp = Memcpy;
-    let mut cs = run_chaos(&circuit, 2, &comp, ErrorBound::Abs(0.0));
-    cs.flush().unwrap();
+    let mut cs = run_chaos(&circuit, &comp, ErrorBound::Abs(0.0));
     // Scrub until clean: each pass heals or quarantines what it finds (a
     // scrub's own write-backs can be re-corrupted while faults are armed).
     for _ in 0..20 {
@@ -179,10 +172,10 @@ fn sustained_fault_storm_completes_with_exact_accounting() {
         cs.faults.decode_errors
     );
     // Every failure was absorbed by exactly one recovery outcome. Persistent
-    // corruption retries once (failing) before repair/quarantine, and a
-    // retry of an injected decode error can itself draw a new injected
-    // error, so outcomes ≤ errors ≤ injected + retries.
-    let outcomes = cs.faults.retries_ok + cs.faults.cache_repairs + cs.faults.quarantines;
+    // corruption retries once (failing) before quarantine, and a retry of
+    // an injected decode error can itself draw a new injected error, so
+    // outcomes ≤ errors ≤ injected + retries.
+    let outcomes = cs.faults.retries_ok + cs.faults.quarantines;
     assert!(outcomes > 0);
     assert!(
         outcomes <= cs.faults.decode_errors,
@@ -215,13 +208,11 @@ fn spilled_frame_bitflip_is_detected_at_fetch() {
     faults::arm_from_spec("seed=29,state.spill.bitflip@3").unwrap();
     let comp = Memcpy;
     let mut cs = CompressedState::zero(8, 3, &comp, ErrorBound::Abs(0.0)).expect("zero state");
-    cs.set_cache_capacity(2).expect("cache resize");
     cs.set_mem_budget(Some(0)); // all-spill: every write-back hits disk
     for g in circuit.gates() {
         cs.apply(g)
             .expect("chaos run must complete degraded, not die");
     }
-    cs.flush().unwrap();
     // The scrub fetches every spilled frame through the normal recovery
     // chain — the disk tier is covered by exactly the same code path.
     let first = cs.verify().unwrap();
@@ -238,11 +229,9 @@ fn spilled_frame_bitflip_is_detected_at_fetch() {
     assert!(injected >= 1, "@3 must fire");
     assert!(cs.stats.spills >= 3, "all-spill run spilled plenty");
     assert!(cs.stats.fetches > 0);
-    // On-disk corruption is persistent and the chunk is by construction
-    // not cache-resident (spilled ⇒ evicted), so the only recovery is
+    // On-disk corruption is persistent, so the only recovery is
     // quarantine — exactly one per flipped record, never a silent pass.
     assert!(cs.faults.decode_errors >= injected, "flip went undetected");
-    assert_eq!(cs.faults.cache_repairs, 0, "spilled chunks are uncached");
     assert_eq!(
         cs.faults.quarantines, cs.faults.decode_errors,
         "each corrupted record quarantines exactly once"
@@ -270,13 +259,11 @@ fn spill_fault_storm_completes_with_exact_accounting() {
     faults::arm_from_spec("seed=57,state.spill.bitflip%0.05").unwrap();
     let comp = Memcpy;
     let mut cs = CompressedState::zero(8, 3, &comp, ErrorBound::Abs(0.0)).expect("zero state");
-    cs.set_cache_capacity(2).expect("cache resize");
     cs.set_mem_budget(Some(0));
     for g in circuit.gates() {
         cs.apply(g)
             .expect("chaos run must complete degraded, not die");
     }
-    cs.flush().unwrap();
     let flips = faults::injected_count("state.spill.bitflip");
     faults::disarm();
     // Disarmed scrub (injects nothing more): fetches every remaining —
@@ -289,8 +276,7 @@ fn spill_fault_storm_completes_with_exact_accounting() {
 
     assert!(flips > 0, "5% over hundreds of spills must fire");
     // Exact accounting: every *fetched* corrupt record fails its frame
-    // checksum exactly once and — uncached by construction — quarantines
-    // exactly once. Flips can exceed detections only via records that a
+    // checksum exactly once and quarantines exactly once. Flips can exceed detections only via records that a
     // fresh write-back superseded before any fetch: corruption of
     // already-dead bytes, which by definition can never reach the state.
     assert!(cs.faults.decode_errors > 0, "no corruption detected");
@@ -302,7 +288,6 @@ fn spill_fault_storm_completes_with_exact_accounting() {
         cs.faults.retries_ok, 0,
         "persistent corruption never retries clean"
     );
-    assert_eq!(cs.faults.cache_repairs, 0);
     assert_eq!(cs.faults.quarantines, cs.faults.decode_errors);
     assert!(cs.verify().unwrap().all_clean(), "storm never settled");
     let s = cs.ledger_summary();
@@ -323,8 +308,7 @@ fn verify_on_a_healthy_state_is_all_clean_and_free() {
     faults::disarm();
     let (circuit, _) = qaoa(8, 17);
     let comp = Memcpy;
-    let mut cs = run_chaos(&circuit, 4, &comp, ErrorBound::Abs(0.0));
-    cs.flush().unwrap();
+    let mut cs = run_chaos(&circuit, &comp, ErrorBound::Abs(0.0));
     let report = cs.verify().unwrap();
     assert!(report.all_clean());
     assert_eq!(report.chunks, 32);

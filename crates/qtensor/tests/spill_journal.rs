@@ -26,7 +26,6 @@ fn spill_and_fetch_events_join_the_causal_chain() {
     let mut cs = CompressedState::zero(n, chunk_qubits, &comp, ErrorBound::Abs(1e-7)).unwrap();
     cs.set_mem_budget(Some(0)); // all-spill
     cs.run_scheduled(circuit.gates(), true).unwrap();
-    cs.flush().unwrap();
 
     let n_chunks = 1usize << (n - chunk_qubits);
     let mut spill_events = 0u64;

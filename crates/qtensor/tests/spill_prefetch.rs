@@ -19,7 +19,6 @@ fn timed_run(prefetch: bool) -> (std::time::Duration, CompressedState<'static>) 
     let graph = Graph::random_regular(8, 3, 33);
     let circuit = qaoa_circuit(&graph, &QaoaParams::fixed_angles_3reg_p1());
     let mut cs = CompressedState::zero(8, 3, &MEMCPY, ErrorBound::Abs(0.0)).unwrap();
-    cs.set_cache_capacity(2).unwrap();
     cs.set_mem_budget(Some(0)); // all-spill: every miss pays the device
     cs.set_spill_latency_us(LATENCY_US);
     let t0 = Instant::now();

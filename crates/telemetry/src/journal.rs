@@ -2,9 +2,9 @@
 //! bounded, sequence-numbered event ring.
 //!
 //! The error-budget ledger answers *how much* error a chunk absorbed; this
-//! journal answers *why*: the ordered chain of encodes, decodes, cache
-//! hits, write-back requants, faults, heals, evictions and quarantines
-//! that produced those totals. `qcfz state --chunk <id>` renders the
+//! journal answers *why*: the ordered chain of encodes, decodes,
+//! write-back requants, faults, heals and quarantines that produced those
+//! totals. `qcfz state --chunk <id>` renders the
 //! chain, so a requant storm or a quarantine in the ledger is attributable
 //! to concrete events instead of a bare count.
 //!
@@ -45,21 +45,16 @@ pub enum EventKind {
     Encode,
     /// Chunk decoded to amplitudes (`detail`: amplitude count).
     Decode,
-    /// Served from the resident cache (`detail`: 0).
-    CacheHit,
     /// Lossy write-back re-quantization (`detail`: resolved abs bound).
     WritebackRequant,
     /// A fault surfaced on this chunk — decode failure, corrupt frame
     /// (`detail`: 0).
     Fault,
-    /// Recovery succeeded — decode retry or cache repair (`detail`: 0).
+    /// Recovery succeeded — the bounded decode retry (`detail`: 1).
     Heal,
     /// Chunk zero-filled after recovery was exhausted (`detail`: lost
     /// squared amplitude norm).
     Quarantine,
-    /// Evicted from the resident cache (`detail`: 1 when the eviction
-    /// wrote back a dirty chunk, else 0).
-    Evict,
     /// Compressed frame spilled from RAM to the disk tier (`detail`:
     /// spilled bytes).
     Spill,
@@ -80,7 +75,7 @@ pub enum EventKind {
 }
 
 /// Number of [`EventKind`] variants (size of the per-kind count table).
-pub const KINDS: usize = 14;
+pub const KINDS: usize = 12;
 
 impl EventKind {
     /// Stable index into per-kind count tables.
@@ -89,17 +84,15 @@ impl EventKind {
             EventKind::Zero => 0,
             EventKind::Encode => 1,
             EventKind::Decode => 2,
-            EventKind::CacheHit => 3,
-            EventKind::WritebackRequant => 4,
-            EventKind::Fault => 5,
-            EventKind::Heal => 6,
-            EventKind::Quarantine => 7,
-            EventKind::Evict => 8,
-            EventKind::Spill => 9,
-            EventKind::Fetch => 10,
-            EventKind::Slo => 11,
-            EventKind::Checkpoint => 12,
-            EventKind::Compact => 13,
+            EventKind::WritebackRequant => 3,
+            EventKind::Fault => 4,
+            EventKind::Heal => 5,
+            EventKind::Quarantine => 6,
+            EventKind::Spill => 7,
+            EventKind::Fetch => 8,
+            EventKind::Slo => 9,
+            EventKind::Checkpoint => 10,
+            EventKind::Compact => 11,
         }
     }
 
@@ -109,12 +102,10 @@ impl EventKind {
             EventKind::Zero => "zero",
             EventKind::Encode => "encode",
             EventKind::Decode => "decode",
-            EventKind::CacheHit => "cache-hit",
             EventKind::WritebackRequant => "writeback-requant",
             EventKind::Fault => "fault",
             EventKind::Heal => "heal",
             EventKind::Quarantine => "quarantine",
-            EventKind::Evict => "evict",
             EventKind::Spill => "spill",
             EventKind::Fetch => "fetch",
             EventKind::Slo => "slo",
@@ -129,12 +120,10 @@ impl EventKind {
             EventKind::Zero,
             EventKind::Encode,
             EventKind::Decode,
-            EventKind::CacheHit,
             EventKind::WritebackRequant,
             EventKind::Fault,
             EventKind::Heal,
             EventKind::Quarantine,
-            EventKind::Evict,
             EventKind::Spill,
             EventKind::Fetch,
             EventKind::Slo,
@@ -311,14 +300,14 @@ mod tests {
         set_enabled(true);
         reset();
         for _ in 0..(RING + 10) {
-            record(7, EventKind::CacheHit, 0.0);
+            record(7, EventKind::Decode, 0.0);
         }
         record(7, EventKind::Quarantine, 0.5);
         assert_eq!(events(7).len(), RING);
         assert_eq!(dropped(7), 11);
         let counts = kind_counts(7);
         assert_eq!(
-            counts[EventKind::CacheHit.index()],
+            counts[EventKind::Decode.index()],
             (RING + 10) as u64,
             "totals must survive ring overflow"
         );

@@ -116,7 +116,7 @@ pub fn reset() {
 /// every metric value, the time-series ring and the chunk journal, so a
 /// run that starts inside the scope reads zeros — consecutive subcommands
 /// in one process (`qcfz report` runs `qaoa`, `state` and a quality sweep
-/// back to back) no longer bleed `state.cache.*`, samples or chunk events
+/// back to back) no longer bleed `state.*` counters, samples or chunk events
 /// into each other's exports.
 ///
 /// Entering also arms the time-series sampler when

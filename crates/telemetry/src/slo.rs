@@ -256,13 +256,9 @@ impl SloSpec {
             Op::Le,
             200_000.0,
         );
-        // Deliberately the *prefetch* hit rate, not the cache's: tiny
-        // demo instances (and the report's out-of-core phase) pin small
-        // caches to exercise eviction, so a cache-hit floor would flag
-        // behaviour the run asked for. The schedule-aware prefetcher has
-        // no such excuse — CI already demands it cover half the fetches —
-        // and the signal simply holds when nothing ever spills. A cache
-        // floor remains one `QCF_SLO` clause away for resident workloads.
+        // The efficiency signal is the schedule-aware prefetcher's hit
+        // rate: CI already demands it cover half the fetches, and the
+        // signal simply holds when nothing ever spills.
         obj(
             "efficiency.prefetch",
             Expr::HitRate("state.prefetch.hits".into(), "state.prefetch.misses".into()),
