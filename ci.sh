@@ -43,6 +43,13 @@ cargo test --release -q -p qcf-bench --test alloc_cusz_table
 echo "== kernel bit-identity proptests (release) =="
 cargo test --release -q -p compressors --test kernel_proptests
 
+# The LZ77 matcher behind LZ4, Snappy, GDeflate and QCF-ratio must return
+# the plain reference matcher's token stream with optimizations on too:
+# its word loads and early rejects compile differently there, and a
+# release-only cuSZx kernel mismatch once passed every debug test.
+echo "== LZ77 matcher reference proptests (release) =="
+cargo test --release -q -p codec-kit --test lz77_reference
+
 # One pass over every bench workload with assertions instead of timing:
 # the vectorized codec kernels must stay bit-identical to their scalar
 # references, and parallel streams identical to serial ones.

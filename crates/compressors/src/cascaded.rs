@@ -56,10 +56,16 @@ fn cascade_encode(words: &[u64]) -> Option<Vec<u8>> {
         prev_hi = h;
     }
 
-    // Stage 3: bit-pack all three streams at their required widths.
+    // Stage 3: bit-pack all three streams at their required widths, after
+    // a 75-bit header. The packed size is known before packing, so a stream
+    // that would not beat raw storage is never packed.
     let lw = required_width(&lo).min(57);
     let hw = required_width(&hi).min(57);
     let rw = required_width(&runs).min(57);
+    let bits = 75 + values.len() as u128 * (lw + hw + rw) as u128;
+    if bits.div_ceil(8) >= words.len() as u128 * 8 {
+        return None;
+    }
     let mut w = BitWriter::with_capacity(values.len() * 8);
     w.write_bits(values.len() as u64 & 0xFFFF_FFFF, 32);
     w.write_bits((values.len() as u64) >> 32, 25);
@@ -70,11 +76,8 @@ fn cascade_encode(words: &[u64]) -> Option<Vec<u8>> {
     pack(&hi, hw, &mut w);
     pack(&runs, rw, &mut w);
     let out = w.finish();
-    if out.len() < words.len() * 8 {
-        Some(out)
-    } else {
-        None
-    }
+    debug_assert_eq!(out.len() as u128, bits.div_ceil(8));
+    Some(out)
 }
 
 fn cascade_decode(payload: &[u8], n_words: usize) -> Result<Vec<u64>, CodecError> {

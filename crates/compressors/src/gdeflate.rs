@@ -11,7 +11,7 @@
 use crate::traits::{read_stream_header, stream_header, Compressor, CompressorKind, ErrorBound};
 use codec_kit::bitio::{BitReader, BitWriter};
 use codec_kit::huffman::{HuffmanDecoder, HuffmanEncoder};
-use codec_kit::lz77::{find_matches, LzConfig, LzToken};
+use codec_kit::lz77::{copy_match, find_matches, LzConfig, LzToken};
 use codec_kit::varint::{read_uvarint, write_uvarint};
 use codec_kit::CodecError;
 use gpu_model::{KernelSpec, MemoryPattern, Stream};
@@ -122,7 +122,9 @@ pub struct GDeflate;
 
 /// Byte-level DEFLATE-style compression (LZ77 + two dynamic canonical
 /// Huffman codes). Public because the framework's ratio-mode dictionary
-/// stage entropy-codes its index stream with it.
+/// stage entropy-codes its index stream with it. The parse (32 KiB window,
+/// 64-deep chains, matches of 4–258 bytes) is [`find_matches`], held to
+/// the plain matcher's tokens, so the output bytes are fixed by that parse.
 pub fn deflate_bytes(bytes: &[u8]) -> Vec<u8> {
     let cfg = LzConfig {
         min_match: 4,
@@ -228,11 +230,7 @@ pub fn inflate_bytes(data: &[u8], pos: &mut usize, expected: usize) -> Result<Ve
             if out.len() + len > expected {
                 return Err(CodecError::Corrupt("deflate match overruns output"));
             }
-            let from = out.len() - dist;
-            for k in 0..len {
-                let b = out[from + k];
-                out.push(b);
-            }
+            copy_match(&mut out, dist, len);
         }
     }
     if out.len() != expected {

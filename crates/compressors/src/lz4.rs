@@ -8,7 +8,7 @@
 //! implementation reproduces exactly.
 
 use crate::traits::{read_stream_header, stream_header, Compressor, CompressorKind, ErrorBound};
-use codec_kit::lz77::{find_matches, LzConfig, LzToken};
+use codec_kit::lz77::{copy_match, find_matches, LzConfig, LzToken};
 use codec_kit::varint::{read_uvarint, write_uvarint};
 use codec_kit::CodecError;
 use gpu_model::{KernelSpec, MemoryPattern, Stream};
@@ -144,11 +144,7 @@ pub fn lz4_decode_block(data: &[u8], expected_len: usize) -> Result<Vec<u8>, Cod
         if out.len() + match_len > expected_len {
             return Err(CodecError::Corrupt("LZ4 match overruns output"));
         }
-        let from = out.len() - dist;
-        for k in 0..match_len {
-            let b = out[from + k];
-            out.push(b);
-        }
+        copy_match(&mut out, dist, match_len);
     }
     if out.len() != expected_len {
         return Err(CodecError::Corrupt("LZ4 output length mismatch"));

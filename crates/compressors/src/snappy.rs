@@ -7,7 +7,7 @@
 //! falling back to tag-10.
 
 use crate::traits::{read_stream_header, stream_header, Compressor, CompressorKind, ErrorBound};
-use codec_kit::lz77::{find_matches, LzConfig, LzToken};
+use codec_kit::lz77::{copy_match, find_matches, LzConfig, LzToken};
 use codec_kit::varint::{read_uvarint, write_uvarint};
 use codec_kit::CodecError;
 use gpu_model::{KernelSpec, MemoryPattern, Stream};
@@ -168,11 +168,7 @@ fn copy_back(
     if out.len() + len > expected {
         return Err(CodecError::Corrupt("snappy copy overruns output"));
     }
-    let from = out.len() - dist;
-    for k in 0..len {
-        let b = out[from + k];
-        out.push(b);
-    }
+    copy_match(out, dist, len);
     Ok(())
 }
 
