@@ -169,8 +169,7 @@ fi
 # kill points 1-4 leave the old gate-8 snapshot, kill point 5 lands
 # after the rename and commits gate 16. A torn write that "succeeds"
 # must then be rejected by the footer checksum on resume with exit 1 (a
-# panic exits 101 and fails the drill), and a malformed QCF_FAULTS spec
-# must be refused up front with exit 2.
+# panic exits 101 and fails the drill).
 echo "== checkpoint crash drill (kill-point matrix + torn write) =="
 ck_dir=$(mktemp -d /tmp/qcf-crash-drill.XXXXXX)
 trap 'rm -rf "$ck_dir"' EXIT
@@ -212,14 +211,42 @@ if [ "$rc" -ne 1 ]; then
     exit 1
 fi
 echo "torn write: rejected by footer checksum on resume (exit $rc)"
-rc=0
-QCF_FAULTS="state.chunk.bitflip%banana" "${qcfz[@]}" state --nodes 6 \
-    >/dev/null 2>&1 || rc=$?
-if [ "$rc" -ne 2 ]; then
-    echo "crash drill FAILED: malformed QCF_FAULTS exited $rc, want 2" >&2
+
+# Refusal drill. Every QCF_* variable and every qcfz flag goes through one
+# parser per value type, and malformed input must exit 2 naming the
+# variable or flag before any work, never run on a default in its place
+# (a typo'd QCF_FAULTS would otherwise pass a chaos drill vacuously). A
+# non-UTF-8 value is the one malformed QCF_FLIGHT_RECORD: any other word
+# that is not a switch names a dump path.
+echo "== refusal drill (malformed QCF_* variables and flags exit 2) =="
+refused() { # refused NAME CMD...: CMD must exit 2 and name NAME on stderr
+    local name=$1 rc=0 err
+    shift
+    err=$("$@" 2>&1 >/dev/null) || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -qF -- "$name" <<<"$err"; then
+        echo "refusal drill FAILED: $name exited $rc, want 2 naming it: $err" >&2
+        exit 1
+    fi
+}
+for bad in QCF_TELEMETRY=maybe QCF_TELEMETRY_SAMPLE=0 QCF_JOURNAL=banana \
+    QCF_FLIGHT_RECORD=$'\xff' "QCF_FAULTS=state.chunk.bitflip%banana" \
+    "QCF_SLO=no rules here" QCF_WORKERS=banana QCF_MEM_BUDGET=1.5k \
+    QCF_SPILL_LATENCY_US=5k QCF_LEDGER_MEASURE=measure; do
+    refused "${bad%%=*}" env "$bad" "${qcfz[@]}" state --nodes 6
+done
+for flags in "--nodes banana" "--nodes" "--nodse 8" "--mem-budget 1.5k" "--rel x"; do
+    read -ra f <<<"$flags"
+    refused "${f[0]}" "${qcfz[@]}" state "${f[@]}"
+done
+echo "malformed variables and flags: refused up front (exit 2, each named)"
+# QCF_MEM_BUDGET has one size parser: 2MB is 2 MiB for the state and for
+# the SLO capacity envelope (1.5x the budget).
+cap=$(QCF_MEM_BUDGET=2MB "${qcfz[@]}" slo --print | grep '^capacity.resident:')
+if [ "$cap" != "capacity.resident: state.resident_bytes <= 3145728" ]; then
+    echo "refusal drill FAILED: QCF_MEM_BUDGET=2MB gave '$cap'" >&2
     exit 1
 fi
-echo "malformed QCF_FAULTS: refused up front (exit 2)"
+echo "QCF_MEM_BUDGET=2MB: $cap"
 
 # Spill-log compaction drill: a churned, budgeted run must compact its
 # append-only spill log (reclaiming dead superseded records) while the

@@ -150,9 +150,8 @@ fn bench_round_trip(c: &mut Criterion) {
 
 fn report_context(c: &mut Criterion) {
     eprintln!(
-        "alloc bench context: worker_count={} (QCF_WORKERS={:?})",
-        gpu_model::exec::worker_count(),
-        std::env::var("QCF_WORKERS").ok(),
+        "alloc bench context: worker_count={}",
+        gpu_model::exec::worker_count()
     );
     let _ = c;
 }

@@ -403,11 +403,7 @@ fn main() {
         smoke();
         return;
     }
-    eprintln!(
-        "parallel bench context: worker_count={} (QCF_WORKERS={:?})",
-        worker_count(),
-        std::env::var("QCF_WORKERS").ok()
-    );
+    eprintln!("parallel bench context: worker_count={}", worker_count());
     let mut criterion = Criterion::default();
     bench_contract(&mut criterion);
     bench_multiply_keep(&mut criterion);

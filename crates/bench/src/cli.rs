@@ -5,6 +5,8 @@
 //! tensors serialize to). Compressed files are the compressors' own
 //! self-describing streams, so `decompress`/`info` need no side channel.
 
+pub mod args;
+
 use compressors::{all_compressors, by_name, Compressor, ErrorBound};
 use gpu_model::{DeviceSpec, Stream};
 use qcf_core::QcfCompressor;
@@ -851,22 +853,6 @@ pub fn write_metrics(path: &Path) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses a `--rel X` / `--abs X` pair into a bound (defaults to rel 1e-3).
-pub fn parse_bound(rel: Option<&str>, abs: Option<&str>) -> Result<ErrorBound, CliError> {
-    match (rel, abs) {
-        (Some(_), Some(_)) => Err(CliError("--rel and --abs are mutually exclusive".into())),
-        (Some(r), None) => r
-            .parse::<f64>()
-            .map(ErrorBound::Rel)
-            .map_err(|_| CliError(format!("bad --rel value '{r}'"))),
-        (None, Some(a)) => a
-            .parse::<f64>()
-            .map(ErrorBound::Abs)
-            .map_err(|_| CliError(format!("bad --abs value '{a}'"))),
-        (None, None) => Ok(ErrorBound::Rel(1e-3)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1015,21 +1001,6 @@ mod tests {
         let sync = state_demo(&cfg).unwrap();
         assert_eq!(sync.stats.prefetch_hits, 0);
         assert_eq!(sync.energy.to_bits(), base.energy.to_bits());
-    }
-
-    #[test]
-    fn bound_parsing() {
-        assert_eq!(parse_bound(None, None).unwrap(), ErrorBound::Rel(1e-3));
-        assert_eq!(
-            parse_bound(Some("1e-4"), None).unwrap(),
-            ErrorBound::Rel(1e-4)
-        );
-        assert_eq!(
-            parse_bound(None, Some("0.5")).unwrap(),
-            ErrorBound::Abs(0.5)
-        );
-        assert!(parse_bound(Some("1e-4"), Some("1")).is_err());
-        assert!(parse_bound(Some("zzz"), None).is_err());
     }
 
     #[test]

@@ -70,11 +70,6 @@ pub fn qaoa_circuit(graph: &Graph, params: &QaoaParams) -> Circuit {
     c
 }
 
-/// MaxCut cost observable value for one computational basis state.
-pub fn cut_cost(graph: &Graph, bits: u64) -> f64 {
-    graph.cut_value(bits) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

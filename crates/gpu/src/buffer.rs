@@ -1,133 +1,12 @@
-//! Device memory accounting and scratch-buffer reuse.
+//! Scratch-buffer reuse.
 //!
-//! The whole point of the paper is shrinking device-memory footprint, so the
-//! model tracks allocations explicitly: a [`MemoryPool`] counts live and
-//! peak bytes, and [`DeviceBuffer`]s return their bytes on drop. The
-//! end-to-end footprint experiment (E9) reads these counters.
-//!
-//! [`ScratchPool`] is the scratch-reuse half: hot loops (the codecs'
-//! symbol planes and payloads, the framework's value planes, `einsum`'s
-//! permute buffers) check same-typed `Vec`s back in after use instead of
-//! reallocating one per call, mirroring how the CUDA implementations keep
-//! one workspace per stream.
+//! [`ScratchPool`]: hot loops (the codecs' symbol planes and payloads, the
+//! framework's value planes, `einsum`'s permute buffers) check same-typed
+//! `Vec`s back in after use instead of reallocating one per call, mirroring
+//! how the CUDA implementations keep one workspace per stream.
 
 use qcf_telemetry::{lock_unpoisoned, Counter};
 use std::sync::{Arc, Mutex};
-
-/// Shared allocation counters for one simulated device.
-#[derive(Debug, Clone, Default)]
-pub struct MemoryPool {
-    inner: Arc<Mutex<PoolState>>,
-}
-
-#[derive(Debug, Default)]
-struct PoolState {
-    live_bytes: u64,
-    peak_bytes: u64,
-    allocations: u64,
-}
-
-impl MemoryPool {
-    /// A fresh pool with zeroed counters.
-    pub fn new() -> Self {
-        MemoryPool::default()
-    }
-
-    /// Currently allocated bytes.
-    pub fn live_bytes(&self) -> u64 {
-        lock_unpoisoned(&self.inner).live_bytes
-    }
-
-    /// High-water mark of allocated bytes.
-    pub fn peak_bytes(&self) -> u64 {
-        lock_unpoisoned(&self.inner).peak_bytes
-    }
-
-    /// Total number of allocations performed.
-    pub fn allocations(&self) -> u64 {
-        lock_unpoisoned(&self.inner).allocations
-    }
-
-    fn charge(&self, bytes: u64) {
-        let mut st = lock_unpoisoned(&self.inner);
-        st.live_bytes += bytes;
-        st.peak_bytes = st.peak_bytes.max(st.live_bytes);
-        st.allocations += 1;
-    }
-
-    fn release(&self, bytes: u64) {
-        let mut st = lock_unpoisoned(&self.inner);
-        debug_assert!(st.live_bytes >= bytes, "double free in memory pool");
-        st.live_bytes = st.live_bytes.saturating_sub(bytes);
-    }
-}
-
-/// A typed device allocation charged against a [`MemoryPool`].
-#[derive(Debug)]
-pub struct DeviceBuffer<T> {
-    data: Vec<T>,
-    pool: MemoryPool,
-}
-
-impl<T: Clone + Default> DeviceBuffer<T> {
-    /// Allocates `len` zero/default-initialized elements.
-    pub fn zeroed(pool: &MemoryPool, len: usize) -> Self {
-        let data = vec![T::default(); len];
-        pool.charge((len * std::mem::size_of::<T>()) as u64);
-        DeviceBuffer {
-            data,
-            pool: pool.clone(),
-        }
-    }
-
-    /// Allocates a copy of host data ("H2D" without the timing; charge the
-    /// transfer on a stream separately if it matters).
-    pub fn from_host(pool: &MemoryPool, host: &[T]) -> Self {
-        let data = host.to_vec();
-        pool.charge(std::mem::size_of_val(host) as u64);
-        DeviceBuffer {
-            data,
-            pool: pool.clone(),
-        }
-    }
-}
-
-impl<T> DeviceBuffer<T> {
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Read access.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Write access.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Copies back to host ("D2H").
-    pub fn to_host(&self) -> Vec<T>
-    where
-        T: Clone,
-    {
-        self.data.clone()
-    }
-}
-
-impl<T> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        self.pool
-            .release((self.data.len() * std::mem::size_of::<T>()) as u64);
-    }
-}
 
 /// Maximum buffers a [`ScratchPool`] retains; beyond this, returned
 /// buffers are simply dropped. Bounds worst-case memory held by the pool.
@@ -279,41 +158,6 @@ impl<T: Clone + Default> ScratchPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn live_and_peak_track_alloc_free() {
-        let pool = MemoryPool::new();
-        {
-            let a = DeviceBuffer::<f64>::zeroed(&pool, 100);
-            assert_eq!(pool.live_bytes(), 800);
-            let b = DeviceBuffer::<f64>::zeroed(&pool, 50);
-            assert_eq!(pool.live_bytes(), 1200);
-            assert_eq!(pool.peak_bytes(), 1200);
-            drop(a);
-            assert_eq!(pool.live_bytes(), 400);
-            drop(b);
-        }
-        assert_eq!(pool.live_bytes(), 0);
-        assert_eq!(pool.peak_bytes(), 1200);
-        assert_eq!(pool.allocations(), 2);
-    }
-
-    #[test]
-    fn from_host_copies() {
-        let pool = MemoryPool::new();
-        let buf = DeviceBuffer::from_host(&pool, &[1u32, 2, 3]);
-        assert_eq!(buf.as_slice(), &[1, 2, 3]);
-        assert_eq!(buf.to_host(), vec![1, 2, 3]);
-        assert_eq!(pool.live_bytes(), 12);
-    }
-
-    #[test]
-    fn mutation_through_slice() {
-        let pool = MemoryPool::new();
-        let mut buf = DeviceBuffer::<u8>::zeroed(&pool, 4);
-        buf.as_mut_slice()[2] = 7;
-        assert_eq!(buf.as_slice(), &[0, 0, 7, 0]);
-    }
 
     #[test]
     fn scratch_reuses_capacity() {

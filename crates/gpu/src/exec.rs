@@ -28,24 +28,22 @@ static FORCE_SERIAL: AtomicBool = AtomicBool::new(false);
 /// Number of worker threads used for kernel bodies (the host's parallelism,
 /// not the simulated GPU's).
 ///
-/// Overridable with the `QCF_WORKERS` environment variable, which is read
-/// once per process. This matters on single-core CI hosts: setting
-/// `QCF_WORKERS=4` forces the multi-threaded code paths so the
-/// determinism contract is actually exercised there.
+/// Overridable with the `QCF_WORKERS` environment variable (a positive
+/// integer, read once per process through `qcf_telemetry::config`). This
+/// matters on single-core CI hosts: setting `QCF_WORKERS=4` forces the
+/// multi-threaded code paths so the determinism contract is actually
+/// exercised there.
 pub fn worker_count() -> usize {
     if FORCE_SERIAL.load(Ordering::Relaxed) {
         return 1;
     }
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
-        if let Ok(v) = std::env::var("QCF_WORKERS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        qcf_telemetry::config::config().workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     })
 }
 

@@ -9,7 +9,6 @@
 //! * [`DeviceSpec`] / [`KernelSpec`] — the cost model ([`DeviceSpec::a100`]).
 //! * [`Stream`] — in-order launches, virtual clock, per-kernel event log.
 //! * [`exec`] — scoped-thread grid/block execution of kernel bodies.
-//! * [`MemoryPool`] / [`DeviceBuffer`] — device-memory footprint accounting.
 //! * [`ScratchPool`] — reusable scratch buffers for the codec hot loops.
 
 pub mod buffer;
@@ -17,6 +16,6 @@ pub mod device;
 pub mod exec;
 pub mod stream;
 
-pub use buffer::{DeviceBuffer, MemoryPool, ScratchPool};
+pub use buffer::ScratchPool;
 pub use device::{DeviceSpec, KernelSpec, MemoryPattern};
 pub use stream::{KernelEvent, Stream};

@@ -249,21 +249,6 @@ impl VerifyReport {
     }
 }
 
-/// `QCF_LEDGER_MEASURE=1` makes every lossy write-back also decode its own
-/// output and record the *measured* max-abs-error in the ledger — a
-/// round-trip per requant, so off by default.
-fn env_measure_err() -> bool {
-    std::env::var("QCF_LEDGER_MEASURE")
-        .map(|v| {
-            let v = v.trim();
-            !(v.is_empty()
-                || v == "0"
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("off"))
-        })
-        .unwrap_or(false)
-}
-
 /// Decodes one compressed chunk via the reusable `flat` interleaved
 /// scratch and appends its amplitudes to `amps` (a group buffer decodes
 /// its members in place; on an error `amps` is untouched) — a free
@@ -438,7 +423,7 @@ pub struct CompressedState<'a> {
     /// Per-chunk error-budget accounting (see [`crate::ledger`]).
     ledger: ErrorLedger,
     /// Measure actual max-abs-error at each lossy write-back
-    /// (`QCF_LEDGER_MEASURE`).
+    /// (`QCF_LEDGER_MEASURE`): a decode per requant, so off by default.
     measure_err: bool,
     /// Squared amplitude norm of each chunk at its last write-back — the
     /// loss estimate recorded when a chunk has to be quarantined.
@@ -521,6 +506,7 @@ impl<'a> CompressedState<'a> {
         ledger: ErrorLedger,
     ) -> Self {
         let n_chunks = 1usize << (n - chunk_qubits);
+        let config = qcf_telemetry::config::config();
         CompressedState {
             n,
             chunk_qubits,
@@ -534,11 +520,11 @@ impl<'a> CompressedState<'a> {
             flat: Vec::new(),
             group_buf: Vec::new(),
             ledger,
-            measure_err: env_measure_err(),
+            measure_err: config.ledger_measure,
             chunk_norm,
             counters: StateCounters::new(),
             spill_tier: SpillTier::new(n_chunks),
-            mem_budget: spill::env_size("QCF_MEM_BUDGET"),
+            mem_budget: config.mem_budget,
             prefetch: None,
             touch_stamp: vec![0; n_chunks],
             touch_tick: 0,
@@ -803,17 +789,6 @@ impl<'a> CompressedState<'a> {
         if let Err(e) = self.compact_now() {
             eprintln!("warning: spill compaction failed (log left as-is): {e}");
         }
-    }
-
-    /// Forces a spill-log compaction pass regardless of the dead-space
-    /// policy (the drills use this). Returns bytes reclaimed; `0` while
-    /// a prefetch pipeline is armed (compaction would invalidate its
-    /// in-flight offsets).
-    pub fn compact_spill(&mut self) -> std::io::Result<u64> {
-        if self.prefetch.is_some() {
-            return Ok(0);
-        }
-        self.compact_now()
     }
 
     fn compact_now(&mut self) -> std::io::Result<u64> {

@@ -36,6 +36,6 @@ pub use ledger::{ChunkRecord, ErrorLedger, LedgerSummary};
 pub use lightcone::{lightcone, Lightcone};
 pub use network::TensorNetwork;
 pub use ordering::{InteractionGraph, OrderingHeuristic};
-pub use spill::{parse_size, sweep_stale_dir};
+pub use spill::sweep_stale_dir;
 pub use statevector::StateVector;
 pub use trace::TraceHook;

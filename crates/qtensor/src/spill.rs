@@ -86,48 +86,6 @@ pub(crate) const PREFETCH_WINDOW: usize = 8;
 pub(crate) const PREFETCH_LOOKAHEAD: usize = 64;
 
 // ---------------------------------------------------------------------------
-// Environment parsing (QCF_MEM_BUDGET, QCF_SPILL_LATENCY_US)
-// ---------------------------------------------------------------------------
-
-/// Parses a non-negative size with an optional binary suffix (`k`/`kb`,
-/// `m`/`mb`, `g`/`gb`, case-insensitive): `"4096"`, `"64k"`, `"2MB"`.
-pub fn parse_size(raw: &str) -> Result<usize, String> {
-    let s = raw.trim();
-    if s.is_empty() {
-        return Err("empty value".into());
-    }
-    let lower = s.to_ascii_lowercase();
-    let (digits, mult) = if let Some(d) = lower.strip_suffix("kb").or(lower.strip_suffix("k")) {
-        (d, 1024usize)
-    } else if let Some(d) = lower.strip_suffix("mb").or(lower.strip_suffix("m")) {
-        (d, 1024 * 1024)
-    } else if let Some(d) = lower.strip_suffix("gb").or(lower.strip_suffix("g")) {
-        (d, 1024 * 1024 * 1024)
-    } else {
-        (lower.as_str(), 1usize)
-    };
-    let n: usize = digits.trim().parse().map_err(|_| {
-        format!("expected a non-negative integer (optionally with a k/m/g suffix), got {raw:?}")
-    })?;
-    n.checked_mul(mult)
-        .ok_or_else(|| format!("value {raw:?} overflows"))
-}
-
-/// Reads an env var through [`parse_size`]. Malformed values are
-/// *rejected with a one-line warning* — never silently coerced to a
-/// default — and reported as `None`, same as an unset var.
-pub(crate) fn env_size(name: &str) -> Option<usize> {
-    let raw = std::env::var(name).ok()?;
-    match parse_size(&raw) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("warning: ignoring {name}={raw:?}: {e}");
-            None
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The spill tier
 // ---------------------------------------------------------------------------
 
@@ -263,9 +221,7 @@ impl SpillTier {
             end: 0,
             live_bytes: 0,
             next_gen: 1,
-            latency_us: env_size("QCF_SPILL_LATENCY_US")
-                .map(|v| v as u64)
-                .unwrap_or(0),
+            latency_us: qcf_telemetry::config::config().spill_latency_us,
             disabled: false,
         }
     }
@@ -339,9 +295,7 @@ impl SpillTier {
             end: pos,
             live_bytes,
             next_gen,
-            latency_us: env_size("QCF_SPILL_LATENCY_US")
-                .map(|v| v as u64)
-                .unwrap_or(0),
+            latency_us: qcf_telemetry::config::config().spill_latency_us,
             disabled: false,
         })
     }
@@ -763,34 +717,6 @@ pub(crate) fn prefetch_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_size_accepts_plain_and_suffixed() {
-        assert_eq!(parse_size("0").unwrap(), 0);
-        assert_eq!(parse_size("4096").unwrap(), 4096);
-        assert_eq!(parse_size(" 64k ").unwrap(), 64 * 1024);
-        assert_eq!(parse_size("2MB").unwrap(), 2 * 1024 * 1024);
-        assert_eq!(parse_size("1g").unwrap(), 1024 * 1024 * 1024);
-    }
-
-    #[test]
-    fn parse_size_rejects_malformed() {
-        for bad in ["", "  ", "abc", "-3", "12q", "4.5k", "k"] {
-            assert!(parse_size(bad).is_err(), "{bad:?} should be rejected");
-        }
-    }
-
-    /// Malformed env values warn and report `None` — the *caller's*
-    /// default applies, never a silently coerced parse.
-    #[test]
-    fn env_size_rejects_malformed_and_accepts_valid() {
-        std::env::set_var("QCF_TEST_SPILL_SIZE_A", "banana");
-        assert_eq!(env_size("QCF_TEST_SPILL_SIZE_A"), None);
-        std::env::set_var("QCF_TEST_SPILL_SIZE_A", "16k");
-        assert_eq!(env_size("QCF_TEST_SPILL_SIZE_A"), Some(16 * 1024));
-        std::env::remove_var("QCF_TEST_SPILL_SIZE_A");
-        assert_eq!(env_size("QCF_TEST_SPILL_SIZE_A"), None);
-    }
 
     #[test]
     fn append_read_roundtrip_with_generations() {

@@ -60,7 +60,7 @@ enum Trigger {
     Always,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Rule {
     /// Site name, or prefix when `prefix` is true.
     pattern: String,
@@ -78,10 +78,17 @@ impl Rule {
     }
 }
 
-#[derive(Debug, Default)]
-struct Plan {
+/// A parsed fault spec: the seed and the rules (see the module docs for
+/// the grammar).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FaultSpec {
     seed: u64,
     rules: Vec<Rule>,
+}
+
+#[derive(Debug, Default)]
+struct Plan {
+    spec: FaultSpec,
     /// Events seen per site (fired or not).
     seen: HashMap<String, u64>,
     /// Faults actually injected per site.
@@ -98,8 +105,8 @@ fn lock_plan() -> MutexGuard<'static, Plan> {
 }
 
 /// True when fault injection is armed. Initialized on first call from
-/// `QCF_FAULTS` (unset or empty ⇒ disarmed); one relaxed atomic load on
-/// every later call.
+/// `QCF_FAULTS` ([`crate::config::config`]; unset ⇒ disarmed); one relaxed
+/// atomic load on every later call.
 #[inline]
 pub fn armed() -> bool {
     match ARMED.load(Ordering::Relaxed) {
@@ -111,103 +118,84 @@ pub fn armed() -> bool {
 
 #[cold]
 fn init_armed() -> bool {
-    arm_from_env(&std::env::var("QCF_FAULTS").unwrap_or_default())
+    match &crate::config::config().faults {
+        Some(spec) => install(spec.clone()),
+        None => ARMED.store(2, Ordering::Relaxed),
+    }
+    armed()
 }
 
-/// Arms from an environment-style spec: empty disarms quietly; a
-/// malformed spec disarms *loudly*, recording the parse error where
-/// [`spec_error`] finds it.
-fn arm_from_env(spec: &str) -> bool {
-    if spec.trim().is_empty() {
-        ARMED.store(2, Ordering::Relaxed);
-        return false;
-    }
-    match arm_from_spec(spec) {
-        Ok(()) => true,
-        Err(e) => {
-            // A typo'd QCF_FAULTS must not silently turn a chaos drill
-            // into a clean run: record the error for callers (qcfz exits
-            // nonzero on it) and mirror it into the registry.
-            eprintln!("QCF_FAULTS malformed (injection disarmed): {e}");
-            *lock_unpoisoned(spec_error_slot()) = Some(e);
-            if crate::enabled() {
-                crate::registry().counter("faults.spec_error").inc();
+impl FaultSpec {
+    /// Parses a spec string (see the module docs for the grammar).
+    pub(crate) fn parse(spec: &str) -> Result<Self, String> {
+        let mut new = FaultSpec::default();
+        for clause in spec.split([',', ';']) {
+            let clause = clause.trim();
+            if clause.is_empty() {
+                continue;
             }
-            ARMED.store(2, Ordering::Relaxed);
-            false
+            if let Some(seed) = clause.strip_prefix("seed=") {
+                new.seed = seed
+                    .trim()
+                    .parse()
+                    .map_err(|_| format!("bad seed in {clause:?}"))?;
+                continue;
+            }
+            let (site, trigger) = if let Some((site, n)) = clause.split_once('@') {
+                let n: u64 = n
+                    .trim()
+                    .parse()
+                    .map_err(|_| format!("bad @N in {clause:?}"))?;
+                if n == 0 {
+                    return Err(format!("@N is 1-based in {clause:?}"));
+                }
+                (site, Trigger::Nth(n))
+            } else if let Some((site, r)) = clause.split_once('%') {
+                let r: f64 = r
+                    .trim()
+                    .parse()
+                    .map_err(|_| format!("bad %rate in {clause:?}"))?;
+                if !(0.0..=1.0).contains(&r) {
+                    return Err(format!("rate outside 0..=1 in {clause:?}"));
+                }
+                (site, Trigger::Rate(r))
+            } else {
+                (clause, Trigger::Always)
+            };
+            let site = site.trim();
+            if site.is_empty() {
+                return Err(format!("empty site in {clause:?}"));
+            }
+            let (pattern, prefix) = match site.strip_suffix('*') {
+                Some(p) => (p.to_string(), true),
+                None => (site.to_string(), false),
+            };
+            new.rules.push(Rule {
+                pattern,
+                prefix,
+                trigger,
+            });
         }
+        if new.rules.is_empty() {
+            return Err("no fault rules in spec".into());
+        }
+        Ok(new)
     }
 }
 
-fn spec_error_slot() -> &'static Mutex<Option<String>> {
-    static SLOT: OnceLock<Mutex<Option<String>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// The parse error a malformed `QCF_FAULTS` spec produced at arming
-/// time, if any. Drivers that run chaos drills check this after calling
-/// [`armed`] and fail loudly instead of running clean.
-pub fn spec_error() -> Option<String> {
-    lock_unpoisoned(spec_error_slot()).clone()
+/// Arms `spec` with all event counters at zero.
+fn install(spec: FaultSpec) {
+    *lock_plan() = Plan {
+        spec,
+        ..Plan::default()
+    };
+    ARMED.store(1, Ordering::Relaxed);
 }
 
 /// Arms fault injection from a spec string (see the module docs for the
 /// grammar). Replaces any previous plan and resets all event counters.
 pub fn arm_from_spec(spec: &str) -> Result<(), String> {
-    let mut new = Plan::default();
-    for clause in spec.split([',', ';']) {
-        let clause = clause.trim();
-        if clause.is_empty() {
-            continue;
-        }
-        if let Some(seed) = clause.strip_prefix("seed=") {
-            new.seed = seed
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad seed in {clause:?}"))?;
-            continue;
-        }
-        let (site, trigger) = if let Some((site, n)) = clause.split_once('@') {
-            let n: u64 = n
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad @N in {clause:?}"))?;
-            if n == 0 {
-                return Err(format!("@N is 1-based in {clause:?}"));
-            }
-            (site, Trigger::Nth(n))
-        } else if let Some((site, r)) = clause.split_once('%') {
-            let r: f64 = r
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad %rate in {clause:?}"))?;
-            if !(0.0..=1.0).contains(&r) {
-                return Err(format!("rate outside 0..=1 in {clause:?}"));
-            }
-            (site, Trigger::Rate(r))
-        } else {
-            (clause, Trigger::Always)
-        };
-        let site = site.trim();
-        if site.is_empty() {
-            return Err(format!("empty site in {clause:?}"));
-        }
-        let (pattern, prefix) = match site.strip_suffix('*') {
-            Some(p) => (p.to_string(), true),
-            None => (site.to_string(), false),
-        };
-        new.rules.push(Rule {
-            pattern,
-            prefix,
-            trigger,
-        });
-    }
-    if new.rules.is_empty() {
-        return Err("no fault rules in spec".into());
-    }
-    *lock_plan() = new;
-    *lock_unpoisoned(spec_error_slot()) = None;
-    ARMED.store(1, Ordering::Relaxed);
+    install(FaultSpec::parse(spec)?);
     Ok(())
 }
 
@@ -257,8 +245,8 @@ fn inject_armed(site: &str) -> Option<u64> {
     let count = p.seen.entry(site.to_string()).or_insert(0);
     *count += 1;
     let count = *count;
-    let seed = p.seed;
-    let fire = p.rules.iter().any(|r| {
+    let seed = p.spec.seed;
+    let fire = p.spec.rules.iter().any(|r| {
         r.matches(site)
             && match r.trigger {
                 Trigger::Nth(n) => count == n,
@@ -372,22 +360,6 @@ mod tests {
         assert_eq!(p1, q1);
         assert_eq!(p2, q2);
         assert_ne!(p1, p2, "different events get different payloads");
-    }
-
-    #[test]
-    fn malformed_env_spec_is_recorded_not_silently_swallowed() {
-        let _g = chaos_guard();
-        assert!(!arm_from_env("state.chunk.bitflip%banana"));
-        assert!(!armed());
-        let err = spec_error().expect("the parse error must be queryable");
-        assert!(err.contains("rate") || err.contains("banana"), "{err}");
-        // A later *valid* arming clears the recorded error.
-        assert!(arm_from_env("seed=1,codec.decode@1"));
-        assert!(spec_error().is_none());
-        disarm();
-        // Empty specs stay the quiet not-armed path, not an error.
-        assert!(!arm_from_env("  "));
-        assert!(spec_error().is_none());
     }
 
     #[test]

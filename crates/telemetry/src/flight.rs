@@ -13,15 +13,15 @@
 //!
 //! ## Enabling
 //!
-//! The recorder is **off** unless `QCF_FLIGHT_RECORD` is set (to anything
-//! except `0`/`false`/`off`) or [`set_enabled`]`(true)` is called. When the
-//! variable's value looks like a file path (anything other than a bare
-//! `1`/`true`/`on`), it doubles as the default dump destination
-//! ([`dump_path`]); `qcfz` writes there on error *and* at normal exit, so
-//! the ring is available on demand, not only post-mortem. Recording also
+//! The recorder is **off** unless `QCF_FLIGHT_RECORD` arms it (a switch
+//! word that is on, or a path) or [`set_enabled`]`(true)` is called. A path
+//! value doubles as the default dump destination ([`dump_path`]); `qcfz`
+//! writes there on error *and* at normal exit, so the ring is available
+//! on demand, not only post-mortem. Recording also
 //! requires the telemetry layer itself to be enabled — a disabled process
 //! pays one relaxed atomic load per [`record`] call and nothing else.
 
+use crate::config::FlightRecord;
 use crate::lock_unpoisoned;
 use crate::metrics::Snapshot;
 use std::collections::VecDeque;
@@ -61,13 +61,6 @@ fn ring() -> &'static Mutex<Ring> {
 /// 0 = uninitialized, 1 = enabled, 2 = disabled.
 static ENABLED: AtomicU8 = AtomicU8::new(0);
 
-fn env_value() -> Option<&'static str> {
-    static VALUE: OnceLock<Option<String>> = OnceLock::new();
-    VALUE
-        .get_or_init(|| std::env::var("QCF_FLIGHT_RECORD").ok())
-        .as_deref()
-}
-
 /// True when the flight recorder is armed (see module docs for the
 /// `QCF_FLIGHT_RECORD` convention).
 pub fn enabled() -> bool {
@@ -80,16 +73,7 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn init_enabled() -> bool {
-    let on = match env_value() {
-        Some(v) => {
-            let v = v.trim();
-            !(v.is_empty()
-                || v == "0"
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("off"))
-        }
-        None => false,
-    };
+    let on = crate::config::config().flight_record != FlightRecord::Off;
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
     on
 }
@@ -102,16 +86,9 @@ pub fn set_enabled(on: bool) {
 /// The dump destination implied by `QCF_FLIGHT_RECORD`, when its value is
 /// a path rather than a bare on-switch.
 pub fn dump_path() -> Option<&'static std::path::Path> {
-    let v = env_value()?.trim();
-    let bare = matches!(v, "0" | "1")
-        || v.eq_ignore_ascii_case("true")
-        || v.eq_ignore_ascii_case("false")
-        || v.eq_ignore_ascii_case("on")
-        || v.eq_ignore_ascii_case("off");
-    if bare || v.is_empty() {
-        None
-    } else {
-        Some(std::path::Path::new(v))
+    match &crate::config::config().flight_record {
+        FlightRecord::Path(path) => Some(path),
+        _ => None,
     }
 }
 

@@ -179,16 +179,7 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn init_enabled() -> bool {
-    let on = match std::env::var("QCF_JOURNAL") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v.is_empty()
-                || v == "0"
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("off"))
-        }
-        Err(_) => false,
-    };
+    let on = crate::config::config().journal;
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
     on
 }

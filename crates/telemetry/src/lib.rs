@@ -24,6 +24,8 @@
 //! * [`journal`] — a per-chunk causal event journal (`QCF_JOURNAL`):
 //!   bounded per-chunk rings of sequence-numbered lifecycle events behind
 //!   every ledger requant/quarantine count.
+//! * [`config`] — every `QCF_*` variable, parsed once into one typed
+//!   [`config::Config`] under one policy for malformed values.
 //!
 //! ## Cost when disabled
 //!
@@ -37,6 +39,7 @@
 //! ([`span::MAX_SPAN_EVENTS`]); overflow increments a drop counter rather
 //! than growing without bound.
 
+pub mod config;
 pub mod export;
 pub mod faults;
 pub mod flight;
@@ -61,9 +64,8 @@ static ENABLED: AtomicU8 = AtomicU8::new(0);
 
 /// True when telemetry collection is active.
 ///
-/// Initialized on first call from the `QCF_TELEMETRY` environment variable
-/// (`0`, `false` or `off` disable; anything else — including unset —
-/// enables). One relaxed atomic load on every later call.
+/// Initialized on first call from `QCF_TELEMETRY` ([`config::config`];
+/// on unless switched off). One relaxed atomic load on every later call.
 #[inline]
 pub fn enabled() -> bool {
     match ENABLED.load(Ordering::Relaxed) {
@@ -75,13 +77,7 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn init_enabled() -> bool {
-    let on = match std::env::var("QCF_TELEMETRY") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off"))
-        }
-        Err(_) => true,
-    };
+    let on = config::config().telemetry;
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
     on
 }
@@ -138,7 +134,9 @@ impl RunScope {
         // this scope's freshly-reset ring.
         timeseries::stop();
         reset();
-        timeseries::arm_from_env();
+        if let Some(ms) = config::config().telemetry_sample_ms {
+            timeseries::start(ms);
+        }
         RunScope(())
     }
 

@@ -212,7 +212,7 @@ impl SloSpec {
     /// 1.5× the declared budget.
     pub fn defaults() -> Self {
         let mut spec = SloSpec::default();
-        let resident_cap = match env_budget_bytes() {
+        let resident_cap = match crate::config::config().mem_budget {
             // Enforcement keeps residency at or under budget; 1.5×
             // headroom means only a broken enforcer fires this.
             Some(b) => (b as f64) * 1.5,
@@ -286,18 +286,11 @@ impl SloSpec {
 
     /// The spec the process should run: `QCF_SLO` when set (inline rules,
     /// or `@path`/path to a rules file), the built-in defaults otherwise.
-    /// A malformed env spec is reported once on stderr and ignored.
     pub fn active() -> Self {
-        match std::env::var("QCF_SLO") {
-            Ok(raw) if !raw.trim().is_empty() => match Self::from_env_value(&raw) {
-                Ok(spec) => spec,
-                Err(e) => {
-                    eprintln!("QCF_SLO ignored: {e}");
-                    Self::defaults()
-                }
-            },
-            _ => Self::defaults(),
-        }
+        crate::config::config()
+            .slo
+            .clone()
+            .unwrap_or_else(Self::defaults)
     }
 
     /// Parses an env-style value: `@path` or a readable file path loads
@@ -463,14 +456,6 @@ fn parse_key(k: &str) -> Result<String, String> {
         return Err(format!("bad metric key {k:?}"));
     }
     Ok(k.to_string())
-}
-
-/// `QCF_MEM_BUDGET` in bytes when set and parsable (same `k`/`m`/`g`
-/// binary suffixes as the spill tier's parser).
-fn env_budget_bytes() -> Option<u64> {
-    let raw = std::env::var("QCF_MEM_BUDGET").ok()?;
-    let v = parse_threshold(raw.trim())?;
-    (v >= 0.0 && v == v.trunc()).then_some(v as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -881,13 +866,11 @@ pub fn armed() -> bool {
 
 #[cold]
 fn init_armed() -> bool {
-    let set = std::env::var("QCF_SLO").map(|v| !v.trim().is_empty()) == Ok(true);
-    if !set {
-        ARMED.store(2, Ordering::Relaxed);
-        return false;
+    match &crate::config::config().slo {
+        Some(spec) => arm(spec.clone()),
+        None => ARMED.store(2, Ordering::Relaxed),
     }
-    arm(SloSpec::active());
-    true
+    armed()
 }
 
 /// Arms the live evaluator with `spec`, replacing any previous spec and

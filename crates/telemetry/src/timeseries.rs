@@ -20,7 +20,7 @@
 //! ## Arming and lifecycle
 //!
 //! Off by default. `QCF_TELEMETRY_SAMPLE=<ms>` arms it for the process:
-//! [`crate::RunScope::enter`] calls [`arm_from_env`] and
+//! [`crate::RunScope::enter`] starts it at that interval and
 //! [`crate::RunScope::finish`] (or drop) stops and **joins** the thread,
 //! so no sampler outlives its run and consecutive `qcfz report` phases
 //! cannot interleave samples. Programmatic users (`qcfz top`) call
@@ -85,27 +85,6 @@ struct SamplerHandle {
 fn sampler() -> &'static Mutex<Option<SamplerHandle>> {
     static SAMPLER: OnceLock<Mutex<Option<SamplerHandle>>> = OnceLock::new();
     SAMPLER.get_or_init(|| Mutex::new(None))
-}
-
-/// The sampling interval requested by `QCF_TELEMETRY_SAMPLE` (milliseconds,
-/// must parse as a positive integer), or `None` when unset/unparsable.
-pub fn env_interval_ms() -> Option<u64> {
-    static VALUE: OnceLock<Option<u64>> = OnceLock::new();
-    *VALUE.get_or_init(|| {
-        std::env::var("QCF_TELEMETRY_SAMPLE")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-    })
-}
-
-/// Starts the sampler when `QCF_TELEMETRY_SAMPLE` arms it; no-op (returns
-/// `false`) otherwise or when a sampler is already running.
-pub fn arm_from_env() -> bool {
-    match env_interval_ms() {
-        Some(ms) => start(ms),
-        None => false,
-    }
 }
 
 /// Captures one sample into the ring immediately (the sampler thread's
@@ -232,11 +211,6 @@ pub fn interval_ms() -> Option<u64> {
 /// All retained samples, oldest first.
 pub fn samples() -> Vec<Sample> {
     lock_unpoisoned(ring()).samples.iter().cloned().collect()
-}
-
-/// The newest retained sample.
-pub fn latest() -> Option<Sample> {
-    lock_unpoisoned(ring()).samples.back().cloned()
 }
 
 /// The newest `n` samples, oldest first (the flight recorder's tail).

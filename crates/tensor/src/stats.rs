@@ -108,12 +108,6 @@ pub fn duplicated_block_frac(values: &[f64], block: usize) -> f64 {
     dup as f64 / nblocks as f64
 }
 
-/// Complex-tensor wrapper around [`duplicated_block_frac`]; `block` counts
-/// complex elements (so `2 * block` doubles).
-pub fn duplicated_block_frac_tensor(t: &Tensor, block: usize) -> f64 {
-    duplicated_block_frac(as_interleaved(t.data()), block * 2)
-}
-
 /// Number of distinct bit patterns among the doubles of a buffer. QTensor
 /// tensors built from a handful of gate entries often contain very few unique
 /// values, which bounds the entropy the compressor can exploit.

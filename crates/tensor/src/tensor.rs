@@ -310,13 +310,6 @@ impl Tensor {
             .fold(0.0, f64::max)
     }
 
-    /// Multiplies every element by a scalar in place.
-    pub fn scale_in_place(&mut self, s: Complex64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
     /// Renames an index label (used when stitching networks together).
     pub fn rename_index(&mut self, from: Ix, to: Ix) -> Result<(), TensorError> {
         if from == to {
