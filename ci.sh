@@ -50,6 +50,12 @@ cargo test --release -q -p compressors --test kernel_proptests
 echo "== LZ77 matcher reference proptests (release) =="
 cargo test --release -q -p codec-kit --test lz77_reference
 
+# The bitset elimination planner must return the adjacency-map reference
+# planner's orders and widths with optimizations on too: every
+# intermediate, frame and energy follows from the order.
+echo "== ordering reference proptests (release) =="
+cargo test --release -q -p qtensor --test ordering_reference
+
 # One pass over every bench workload with assertions instead of timing:
 # the vectorized codec kernels must stay bit-identical to their scalar
 # references, and parallel streams identical to serial ones.
@@ -217,8 +223,10 @@ echo "torn write: rejected by footer checksum on resume (exit $rc)"
 # variable or flag before any work, never run on a default in its place
 # (a typo'd QCF_FAULTS would otherwise pass a chaos drill vacuously). A
 # non-UTF-8 value is the one malformed QCF_FLIGHT_RECORD: any other word
-# that is not a switch names a dump path.
-echo "== refusal drill (malformed QCF_* variables and flags exit 2) =="
+# that is not a switch names a dump path. A misspelt variable name
+# (QCF_WORKER) is refused like a malformed value, and so is an unknown
+# experiment id, before any experiment runs or writes its JSON.
+echo "== refusal drill (malformed QCF_* variables, flags and experiment ids exit 2) =="
 refused() { # refused NAME CMD...: CMD must exit 2 and name NAME on stderr
     local name=$1 rc=0 err
     shift
@@ -231,14 +239,21 @@ refused() { # refused NAME CMD...: CMD must exit 2 and name NAME on stderr
 for bad in QCF_TELEMETRY=maybe QCF_TELEMETRY_SAMPLE=0 QCF_JOURNAL=banana \
     QCF_FLIGHT_RECORD=$'\xff' "QCF_FAULTS=state.chunk.bitflip%banana" \
     "QCF_SLO=no rules here" QCF_WORKERS=banana QCF_MEM_BUDGET=1.5k \
-    QCF_SPILL_LATENCY_US=5k QCF_LEDGER_MEASURE=measure; do
+    QCF_SPILL_LATENCY_US=5k QCF_LEDGER_MEASURE=measure QCF_WORKER=4; do
     refused "${bad%%=*}" env "$bad" "${qcfz[@]}" state --nodes 6
 done
 for flags in "--nodes banana" "--nodes" "--nodse 8" "--mem-budget 1.5k" "--rel x"; do
     read -ra f <<<"$flags"
     refused "${f[0]}" "${qcfz[@]}" state "${f[@]}"
 done
-echo "malformed variables and flags: refused up front (exit 2, each named)"
+mkdir "$ck_dir/results"
+refused e99 cargo run --release -q -p qcf-bench --bin experiments -- \
+    e10 e99 --quick --out "$ck_dir/results"
+if [ -n "$(ls -A "$ck_dir/results")" ]; then
+    echo "refusal drill FAILED: experiments wrote results before refusing e99" >&2
+    exit 1
+fi
+echo "malformed variables, flags and experiment ids: refused up front (exit 2, each named)"
 # QCF_MEM_BUDGET has one size parser: 2MB is 2 MiB for the state and for
 # the SLO capacity envelope (1.5x the budget).
 cap=$(QCF_MEM_BUDGET=2MB "${qcfz[@]}" slo --print | grep '^capacity.resident:')

@@ -1,18 +1,20 @@
 //! Experiment harness CLI.
 //!
 //! ```text
-//! experiments [e1|e2|...|e9|all] [--quick] [--out DIR]
+//! experiments [e1|e2|...|e11|all]... [--quick] [--out DIR]
 //!             [--trace FILE] [--metrics FILE] [--phases]
 //! ```
 //!
 //! Prints each regenerated table and writes JSON records (default
-//! `results/`). `--trace` writes a Chrome-trace JSON of all spans recorded
-//! across the run, `--metrics` dumps the telemetry registry (TSV, or JSON
-//! with a `.json` extension), and `--phases` prints the per-phase time
-//! breakdown table after the experiments finish.
+//! `results/`). Every id is resolved before any experiment runs, so an
+//! unknown one exits 2 having run and written nothing. `--trace` writes a
+//! Chrome-trace JSON of all spans recorded across the run, `--metrics`
+//! dumps the telemetry registry (TSV, or JSON with a `.json` extension),
+//! and `--phases` prints the per-phase time breakdown table after the
+//! experiments finish.
 
 use qcf_bench::cli::args;
-use qcf_bench::experiments::run_by_id;
+use qcf_bench::experiments;
 use qcf_bench::{cli, report};
 use std::path::Path;
 
@@ -35,27 +37,25 @@ fn main() {
         ids => ids,
     };
 
-    for id in ids {
+    let runs = experiments::resolve(ids).unwrap_or_else(|id| {
+        eprintln!("unknown experiment '{id}' (expected e1..e11 or all)");
+        std::process::exit(2);
+    });
+
+    for (id, run) in runs {
         let started = std::time::Instant::now();
-        match run_by_id(id, a.switch("--quick")) {
-            Some(tables) => {
-                for (k, table) in tables.iter().enumerate() {
-                    table.print();
-                    // Tables carry unique experiment ids; suffix only when
-                    // one experiment emits several tables under one id.
-                    let dup = tables.iter().filter(|t| t.id == table.id).count() > 1;
-                    let suffix = if dup { Some(k) } else { None };
-                    if let Err(e) = table.save_json(Path::new(out_dir), suffix) {
-                        eprintln!("warning: could not save {}: {e}", table.id);
-                    }
-                }
-                eprintln!("[{id} done in {:.1}s]", started.elapsed().as_secs_f64());
-            }
-            None => {
-                eprintln!("unknown experiment '{id}' (expected e1..e11 or all)");
-                std::process::exit(2);
+        let tables = run(a.switch("--quick"));
+        for (k, table) in tables.iter().enumerate() {
+            table.print();
+            // Tables carry unique experiment ids; suffix only when
+            // one experiment emits several tables under one id.
+            let dup = tables.iter().filter(|t| t.id == table.id).count() > 1;
+            let suffix = if dup { Some(k) } else { None };
+            if let Err(e) = table.save_json(Path::new(out_dir), suffix) {
+                eprintln!("warning: could not save {}: {e}", table.id);
             }
         }
+        eprintln!("[{id} done in {:.1}s]", started.elapsed().as_secs_f64());
     }
 
     if phases {

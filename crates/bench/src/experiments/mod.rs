@@ -73,38 +73,52 @@ pub fn measure(comp: &dyn Compressor, tensors: &[CorpusTensor], bound: ErrorBoun
     agg
 }
 
-/// All experiments in order, each returning its tables.
-pub fn run_all(quick: bool) -> Vec<Table> {
-    let mut out = Vec::new();
-    out.extend(e1_characterization::run(quick));
-    out.extend(e2_ratio::run(quick));
-    out.extend(e3_throughput::run(quick));
-    out.extend(e4_ablation::run(quick));
-    out.extend(e5_speed_mode::run(quick));
-    out.extend(e6_rate_distortion::run(quick));
-    out.extend(e7_energy::run(quick));
-    out.extend(e8_fidelity::run(quick));
-    out.extend(e9_footprint::run(quick));
-    out.extend(e10_breakdown::run(quick));
-    out.extend(e11_ordering::run(quick));
-    out
+/// One experiment: `quick` selects the reduced corpus.
+pub type Runner = fn(bool) -> Vec<Table>;
+
+/// Every experiment by id, in the order `all` runs them.
+const ALL: [(&str, Runner); 11] = [
+    ("e1", e1_characterization::run),
+    ("e2", e2_ratio::run),
+    ("e3", e3_throughput::run),
+    ("e4", e4_ablation::run),
+    ("e5", e5_speed_mode::run),
+    ("e6", e6_rate_distortion::run),
+    ("e7", e7_energy::run),
+    ("e8", e8_fidelity::run),
+    ("e9", e9_footprint::run),
+    ("e10", e10_breakdown::run),
+    ("e11", e11_ordering::run),
+];
+
+/// The experiments `ids` name (`"e1"`…`"e11"`, or `"all"` for every one),
+/// in the order given. Every id is resolved before anything runs: the
+/// first unknown one is the error.
+pub fn resolve<'a>(ids: &[&'a str]) -> Result<Vec<(&'static str, Runner)>, &'a str> {
+    let mut runs = Vec::new();
+    for &id in ids {
+        match ALL.iter().find(|(name, _)| *name == id) {
+            Some(&run) => runs.push(run),
+            None if id == "all" => runs.extend(ALL),
+            None => return Err(id),
+        }
+    }
+    Ok(runs)
 }
 
-/// Runs one experiment by id (`"e1"`…`"e11"` or `"all"`).
-pub fn run_by_id(id: &str, quick: bool) -> Option<Vec<Table>> {
-    Some(match id {
-        "e1" => e1_characterization::run(quick),
-        "e2" => e2_ratio::run(quick),
-        "e3" => e3_throughput::run(quick),
-        "e4" => e4_ablation::run(quick),
-        "e5" => e5_speed_mode::run(quick),
-        "e6" => e6_rate_distortion::run(quick),
-        "e7" => e7_energy::run(quick),
-        "e8" => e8_fidelity::run(quick),
-        "e9" => e9_footprint::run(quick),
-        "e10" => e10_breakdown::run(quick),
-        "e11" => e11_ordering::run(quick),
-        "all" => run_all(quick),
-        _ => return None,
-    })
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(ids: &[&'static str]) -> Result<Vec<&'static str>, &'static str> {
+        resolve(ids).map(|runs| runs.iter().map(|(id, _)| *id).collect())
+    }
+
+    #[test]
+    fn ids_resolve_in_order_and_an_unknown_one_is_named() {
+        assert_eq!(names(&["e10", "e2"]), Ok(vec!["e10", "e2"]));
+        assert_eq!(names(&["all"]).unwrap(), ALL.map(|(id, _)| id));
+        assert_eq!(names(&["e10", "e99", "e1"]), Err("e99"));
+        assert_eq!(names(&["all", "E1"]), Err("E1"));
+    }
 }

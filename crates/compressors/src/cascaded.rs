@@ -9,8 +9,8 @@
 
 use crate::traits::{read_stream_header, stream_header, Compressor, CompressorKind, ErrorBound};
 use codec_kit::bitio::{BitReader, BitWriter};
-use codec_kit::bitpack::{pack, required_width, unpack};
-use codec_kit::varint::{read_uvarint, write_uvarint};
+use codec_kit::bitpack::{pack, unpack};
+use codec_kit::varint::{read_uvarint, unzigzag, write_uvarint, zigzag};
 use codec_kit::CodecError;
 use gpu_model::{KernelSpec, MemoryPattern, Stream};
 
@@ -27,48 +27,36 @@ pub struct Cascaded;
 /// that are delta'd and packed independently — the plane split is what lets
 /// slowly varying exponent words pack narrow even when mantissas churn.
 fn cascade_encode(words: &[u64]) -> Option<Vec<u8>> {
-    // Stage 1: RLE over 64-bit words.
-    let mut values: Vec<u64> = Vec::new();
-    let mut runs: Vec<u64> = Vec::new();
-    let mut i = 0usize;
-    while i < words.len() {
-        let v = words[i];
-        let mut run = 1usize;
-        while i + run < words.len() && words[i + run] == v {
-            run += 1;
-        }
-        values.push(v);
-        runs.push(run as u64);
-        i += run;
+    // The widths are bit ORs of each stream's codes, so one pass that
+    // builds nothing sizes the packed stream: one that would not beat raw
+    // storage is never built.
+    let (mut n_values, mut lo_or, mut hi_or, mut run_or) = (0usize, 0u64, 0u64, 0u64);
+    for (lo, hi, run) in codes(words) {
+        n_values += 1;
+        lo_or |= lo;
+        hi_or |= hi;
+        run_or |= run;
     }
-
-    // Stage 2: split surviving values into 32-bit planes, delta each
-    // (zigzagged so the packer sees small unsigned codes).
-    let mut lo: Vec<u64> = Vec::with_capacity(values.len());
-    let mut hi: Vec<u64> = Vec::with_capacity(values.len());
-    let (mut prev_lo, mut prev_hi) = (0i64, 0i64);
-    for &v in &values {
-        let l = (v & 0xFFFF_FFFF) as i64;
-        let h = (v >> 32) as i64;
-        lo.push(codec_kit::varint::zigzag(l - prev_lo));
-        hi.push(codec_kit::varint::zigzag(h - prev_hi));
-        prev_lo = l;
-        prev_hi = h;
-    }
-
-    // Stage 3: bit-pack all three streams at their required widths, after
-    // a 75-bit header. The packed size is known before packing, so a stream
-    // that would not beat raw storage is never packed.
-    let lw = required_width(&lo).min(57);
-    let hw = required_width(&hi).min(57);
-    let rw = required_width(&runs).min(57);
-    let bits = 75 + values.len() as u128 * (lw + hw + rw) as u128;
+    let width = |or: u64| (64 - or.leading_zeros()).min(57);
+    let (lw, hw, rw) = (width(lo_or), width(hi_or), width(run_or));
+    let bits = 75 + n_values as u128 * (lw + hw + rw) as u128;
     if bits.div_ceil(8) >= words.len() as u128 * 8 {
         return None;
     }
-    let mut w = BitWriter::with_capacity(values.len() * 8);
-    w.write_bits(values.len() as u64 & 0xFFFF_FFFF, 32);
-    w.write_bits((values.len() as u64) >> 32, 25);
+
+    // Stage 3: bit-pack all three streams at their widths, after a 75-bit
+    // header.
+    let mut lo = Vec::with_capacity(n_values);
+    let mut hi = Vec::with_capacity(n_values);
+    let mut runs = Vec::with_capacity(n_values);
+    for (l, h, r) in codes(words) {
+        lo.push(l);
+        hi.push(h);
+        runs.push(r);
+    }
+    let mut w = BitWriter::with_capacity(n_values * 8);
+    w.write_bits(n_values as u64 & 0xFFFF_FFFF, 32);
+    w.write_bits((n_values as u64) >> 32, 25);
     w.write_bits(lw as u64, 6);
     w.write_bits(hw as u64, 6);
     w.write_bits(rw as u64, 6);
@@ -78,6 +66,24 @@ fn cascade_encode(words: &[u64]) -> Option<Vec<u8>> {
     let out = w.finish();
     debug_assert_eq!(out.len() as u128, bits.div_ceil(8));
     Some(out)
+}
+
+/// Stages 1 and 2, one `(lo, hi, run)` triple per run of equal words: the
+/// run's word split into 32-bit planes, each the zigzagged delta from the
+/// previous run's plane (so the packer sees small unsigned codes), and the
+/// run's length.
+fn codes(words: &[u64]) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+    let (mut i, mut prev_lo, mut prev_hi) = (0usize, 0i64, 0i64);
+    std::iter::from_fn(move || {
+        let &v = words.get(i)?;
+        let run = words[i..].iter().take_while(|&&w| w == v).count();
+        i += run;
+        let l = (v & 0xFFFF_FFFF) as i64;
+        let h = (v >> 32) as i64;
+        let code = (zigzag(l - prev_lo), zigzag(h - prev_hi), run as u64);
+        (prev_lo, prev_hi) = (l, h);
+        Some(code)
+    })
 }
 
 fn cascade_decode(payload: &[u8], n_words: usize) -> Result<Vec<u64>, CodecError> {
@@ -98,8 +104,8 @@ fn cascade_decode(payload: &[u8], n_words: usize) -> Result<Vec<u64>, CodecError
     let mut out = Vec::with_capacity(n_words);
     let (mut prev_lo, mut prev_hi) = (0i64, 0i64);
     for ((&l, &h), &run) in lo.iter().zip(&hi).zip(&runs) {
-        let vl = prev_lo + codec_kit::varint::unzigzag(l);
-        let vh = prev_hi + codec_kit::varint::unzigzag(h);
+        let vl = prev_lo + unzigzag(l);
+        let vh = prev_hi + unzigzag(h);
         if !(0..=u32::MAX as i64).contains(&vl) || !(0..=u32::MAX as i64).contains(&vh) {
             return Err(CodecError::Corrupt("cascaded delta out of plane range"));
         }

@@ -4,11 +4,12 @@
 //! blank value means unset.
 //!
 //! One policy for malformed values: `Config::parse` leaves a malformed
-//! variable at its default and reports it. Library code reads [`config`],
-//! where a malformed variable reads as unset and is named once on stderr,
-//! never a panic (a panic inside a codec call would be booked as a worker
-//! fault). The `qcfz` and `experiments` binaries call [`errors`] before
-//! any other work and exit 2 naming each bad variable.
+//! variable at its default and reports it, as it reports any other
+//! `QCF_`-prefixed name (a misspelt variable). Library code reads
+//! [`config`], where a malformed variable reads as unset and is named once
+//! on stderr, never a panic (a panic inside a codec call would be booked
+//! as a worker fault). The `qcfz` and `experiments` binaries call
+//! [`errors`] before any other work and exit 2 naming each bad variable.
 
 use crate::faults::FaultSpec;
 use crate::slo::SloSpec;
@@ -85,9 +86,10 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Builds a configuration from name/value pairs. Names other than the
-    /// ten variables are ignored and a blank value means unset; a
-    /// malformed value leaves its field at the default and adds one error,
+    /// Builds a configuration from name/value pairs. A blank value means
+    /// unset; a malformed value, or a name other than the ten variables
+    /// (a misspelt one would otherwise be ignored), leaves the
+    /// configuration at its default and adds one error,
     /// `NAME="value": reason`. Pure, apart from reading the rules file a
     /// `QCF_SLO` value names.
     pub(crate) fn parse(vars: &[(&str, &str)]) -> (Config, Vec<String>) {
@@ -96,7 +98,7 @@ impl Config {
         for &(name, raw) in vars {
             let v = raw.trim();
             let set = match name {
-                _ if v.is_empty() => continue,
+                _ if v.is_empty() && VARS.contains(&name) => continue,
                 "QCF_TELEMETRY" => parse_switch(v).map(|on| cfg.telemetry = on),
                 "QCF_TELEMETRY_SAMPLE" => {
                     parse_positive(v).map(|ms| cfg.telemetry_sample_ms = Some(ms as u64))
@@ -119,7 +121,7 @@ impl Config {
                     .map(|us| cfg.spill_latency_us = us)
                     .map_err(|_| "expected a whole number of microseconds".into()),
                 "QCF_LEDGER_MEASURE" => parse_switch(v).map(|on| cfg.ledger_measure = on),
-                _ => continue,
+                _ => Err("unknown variable".into()),
             };
             if let Err(reason) = set {
                 errors.push(format!("{name}={raw:?}: {reason}"));
@@ -129,23 +131,25 @@ impl Config {
     }
 }
 
-/// Reads [`VARS`] through [`Config::parse`] once per process: the one
-/// place that reads a `QCF_*` variable.
+/// Reads every `QCF_`-prefixed variable through [`Config::parse`] once
+/// per process: the one place that reads a `QCF_*` variable.
 fn load(warn: bool) -> &'static (Config, Vec<String>) {
     static LOADED: OnceLock<(Config, Vec<String>)> = OnceLock::new();
     LOADED.get_or_init(|| {
         let mut set = Vec::new();
         let mut errors = Vec::new();
-        for var in VARS {
-            match std::env::var(var) {
-                Ok(value) => set.push((var, value)),
-                Err(std::env::VarError::NotPresent) => {}
-                Err(std::env::VarError::NotUnicode(value)) => {
-                    errors.push(format!("{var}={value:?}: not valid Unicode"))
-                }
+        for (name, value) in std::env::vars_os() {
+            let name = name.to_string_lossy().into_owned();
+            if !name.starts_with("QCF_") {
+                continue;
+            }
+            match value.into_string() {
+                Ok(value) => set.push((name, value)),
+                Err(value) => errors.push(format!("{name}={value:?}: not valid Unicode")),
             }
         }
-        let set: Vec<(&str, &str)> = set.iter().map(|(n, v)| (*n, v.as_str())).collect();
+        set.sort();
+        let set: Vec<(&str, &str)> = set.iter().map(|(n, v)| (n.as_str(), v.as_str())).collect();
         let (cfg, parse_errors) = Config::parse(&set);
         errors.extend(parse_errors);
         if warn {
@@ -276,7 +280,6 @@ mod tests {
             }),
             ("QCF_LEDGER_MEASURE", "TRUE", |c| c.ledger_measure),
             ("QCF_LEDGER_MEASURE", "0", |c| !c.ledger_measure),
-            ("QCF_UNKNOWN", "banana", |c| *c == Config::default()),
         ];
         for (var, value, holds) in accepted {
             let (cfg, errors) = one(var, value);
@@ -307,6 +310,9 @@ mod tests {
             ("QCF_SPILL_LATENCY_US", "5k"),
             ("QCF_SPILL_LATENCY_US", "-5"),
             ("QCF_LEDGER_MEASURE", "measure"),
+            ("QCF_UNKNOWN", "banana"),
+            ("QCF_WORKER", "4"),
+            ("QCF_WORKER", ""),
         ];
         for (var, value) in refused {
             let (cfg, errors) = one(var, value);
