@@ -37,6 +37,13 @@ cargo test --release -q -p qcf-bench --test alloc_regression
 cargo test --release -q -p qcf-bench --test alloc_cuszx
 cargo test --release -q -p qcf-bench --test alloc_cusz_table
 
+# Warm codec round trips, a compressed tensor-network energy and a
+# compressed-state stage run must start no thread: kernel bodies run on
+# the executor's persistent pool, started once. QCF_WORKERS=4 gives the
+# pool workers even on a small host.
+echo "== thread-spawn regression (QCF_WORKERS=4, release) =="
+QCF_WORKERS=4 cargo test --release -q -p qcf-bench --test spawn_regression
+
 # The vectorized codec kernels must stay bit-identical to their scalar
 # references with optimizations on, where the two sum trees are compiled
 # independently.

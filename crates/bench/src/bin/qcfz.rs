@@ -33,7 +33,7 @@
 //! `report --diff <baseline.json>` checks against a stored baseline like
 //! `--baseline --check` and additionally prints the ranked movement
 //! attribution: which keys moved most and which SLO dimension each
-//! endangers.
+//! endangers — hard-gated keys first, host throughput in its own section.
 //!
 //! `verify <file>` scrubs a compressed stream (frame checksum + full
 //! decode); `verify --state` runs a QAOA circuit on the chunk-compressed
@@ -463,7 +463,7 @@ fn report(a: &Args) -> Result<(), cli::CliError> {
         println!("baseline JSON written to {path}");
     }
     if !res.attribution.is_empty() {
-        println!("movement attribution vs baseline (largest first):");
+        println!("movement attribution vs baseline (hard-gated keys first, then largest):");
         for line in &res.attribution {
             println!("  {line}");
         }

@@ -182,8 +182,11 @@ pub struct SloRow {
     /// Round-trippable objective text (`expr op threshold`).
     pub target: String,
     /// Worst end-of-run reading across the judged phases (`None` = the
-    /// signal never appeared — a hold, not a violation).
+    /// signal never appeared, or a quantile never had the events to
+    /// resolve — a hold, not a violation).
     pub value: Option<f64>,
+    /// What the reading column shows when `value` is `None`.
+    pub hold: &'static str,
     /// True when the reading violates the objective.
     pub violated: bool,
 }
@@ -246,6 +249,7 @@ fn slo_eval(spec: &SloSpec, snapshots: &[&Snapshot]) -> SloSection {
             name: obj.name.clone(),
             target: obj.to_text(),
             value,
+            hold: obj.expr.hold_label(),
             violated,
         });
     }
@@ -706,10 +710,16 @@ impl RunReport {
                 r.name.clone(),
                 match r.value {
                     Some(v) => format!("{v:.3e}"),
-                    None => "no signal".into(),
+                    None => r.hold.into(),
                 },
                 r.target.clone(),
-                if r.violated { "VIOLATED" } else { "ok" }.into(),
+                // A hold (no reading) is no verdict.
+                match (r.violated, r.value) {
+                    (true, _) => "VIOLATED",
+                    (false, None) => "-",
+                    (false, Some(_)) => "ok",
+                }
+                .into(),
             ]);
         }
         st.note("levels judged on phase-final registries; burn-rate lifecycle lives in `qcfz slo`");
@@ -1124,19 +1134,49 @@ fn slo_dimension(key: &str) -> &'static str {
     }
 }
 
-/// How many attribution lines `--diff` prints.
+/// How many attribution lines `--diff` prints before the throughput
+/// section.
 const ATTRIBUTION_TOP: usize = 10;
+/// How many throughput movers the throughput section prints.
+const THROUGHPUT_TOP: usize = 5;
+
+/// Header of the throughput section of the attribution.
+const THROUGHPUT_HEADER: &str =
+    "host throughput (moves 2-4x between report runs on one host; never gated hard):";
+
+/// True for the keys [`check`] fails hard on: compression ratios, requant
+/// counts, codec calls per gate, accumulated bounds and errors, energies.
+fn gated_hard(key: &str) -> bool {
+    key.ends_with(".cr")
+        || key == "qaoa.ratio"
+        || key.starts_with("state.requants")
+        || key.ends_with("_per_gate")
+        || key.contains("accumulated_bound")
+        || key.ends_with(".max_abs_err")
+        || key.ends_with(".energy")
+}
+
+/// True for host-clock throughput keys (`*_bps*`, `multicore_speedup`).
+fn throughput_key(key: &str) -> bool {
+    key.contains("_bps") || key.ends_with(".multicore_speedup")
+}
 
 /// Ranked regression attribution for `qcfz report --diff`: every key
-/// present on both sides, ordered by relative movement, annotated with
-/// the SLO dimension it endangers. Keys that did not move are dropped;
-/// the list is truncated to the [`ATTRIBUTION_TOP`] largest movers (the
-/// tail is summarized, never silently cut).
+/// present on both sides that moved, annotated with the SLO dimension it
+/// endangers. Keys [`check`] gates hard come first, then the other
+/// counts, each group by relative movement, truncated to the
+/// [`ATTRIBUTION_TOP`] lines. Host throughput keys, which move 2-4x
+/// between runs on one host, follow in their own labelled section of at
+/// most [`THROUGHPUT_TOP`] lines, so their noise never pushes a moved CR,
+/// count or bound below the cut. Each truncated tail is summarized, never
+/// silently cut.
 pub fn diff_attribution(
     current: &BTreeMap<String, f64>,
     stored: &BTreeMap<String, f64>,
 ) -> Vec<String> {
-    let mut moved: Vec<(f64, String)> = Vec::new();
+    // (not hard-gated, |relative move|, line)
+    let mut moved: Vec<(bool, f64, String)> = Vec::new();
+    let mut throughput: Vec<(bool, f64, String)> = Vec::new();
     for (key, &base) in stored {
         if key == "host.cores" {
             continue;
@@ -1152,25 +1192,38 @@ pub fn diff_attribution(
             "none" => "no mapped SLO dimension".to_string(),
             d => format!("endangers {d} SLOs"),
         };
-        moved.push((
-            rel.abs(),
-            format!(
-                "{key}: {base:.4e} -> {now:.4e} ({:+.1}% — {dim})",
-                rel * 100.0
-            ),
-        ));
+        let line = format!(
+            "{key}: {base:.4e} -> {now:.4e} ({:+.1}% — {dim})",
+            rel * 100.0
+        );
+        let list = if throughput_key(key) {
+            &mut throughput
+        } else {
+            &mut moved
+        };
+        list.push((!gated_hard(key), rel.abs(), line));
     }
-    moved.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+    let mut lines = ranked(moved, ATTRIBUTION_TOP);
+    if !throughput.is_empty() {
+        lines.push(THROUGHPUT_HEADER.to_string());
+        lines.extend(ranked(throughput, THROUGHPUT_TOP));
+    }
+    lines
+}
+
+/// Sorts `(soft, |move|, line)` hard-gated first, then by movement, and
+/// keeps the first `top` lines plus a summary of the rest.
+fn ranked(mut moved: Vec<(bool, f64, String)>, top: usize) -> Vec<String> {
+    moved.sort_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then(b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal))
+    });
     let total = moved.len();
-    let mut lines: Vec<String> = moved
-        .into_iter()
-        .take(ATTRIBUTION_TOP)
-        .map(|(_, l)| l)
-        .collect();
-    if total > ATTRIBUTION_TOP {
+    let mut lines: Vec<String> = moved.into_iter().take(top).map(|(.., l)| l).collect();
+    if total > top {
         lines.push(format!(
             "... and {} smaller movements not shown",
-            total - ATTRIBUTION_TOP
+            total - top
         ));
     }
     lines
@@ -1577,6 +1630,42 @@ mod tests {
                 .last()
                 .unwrap()
                 .contains("smaller movements not shown"),
+            "{lines:?}"
+        );
+
+        // Host-noisy throughput never outranks a hard-gated key: a 1% CR
+        // move prints above a dozen 2-4x throughput moves and a larger
+        // count move, and the throughput lines follow in their own
+        // bounded, labelled section.
+        let mut base: BTreeMap<String, f64> = BTreeMap::new();
+        let mut cur: BTreeMap<String, f64> = BTreeMap::new();
+        base.insert("quality.QCF-ratio.cr".into(), 10.0);
+        cur.insert("quality.QCF-ratio.cr".into(), 9.9); // -1%
+        base.insert("oocore.spill.writes".into(), 10.0);
+        cur.insert("oocore.spill.writes".into(), 15.0); // +50%, informational
+        for i in 0..12 {
+            let key = format!("quality.c{i}.host_compress_bps");
+            base.insert(key.clone(), 1e9);
+            cur.insert(key, 1e9 * (2.0 + 0.1 * i as f64)); // +100% .. +210%
+        }
+        base.insert("quality.cuSZ.multicore_speedup".into(), 1.0);
+        cur.insert("quality.cuSZ.multicore_speedup".into(), 4.0);
+        let lines = diff_attribution(&cur, &base);
+        assert!(lines[0].contains("quality.QCF-ratio.cr"), "{lines:?}");
+        assert!(lines[0].contains("-1.0%"), "{lines:?}");
+        assert!(lines[1].contains("oocore.spill.writes"), "{lines:?}");
+        assert_eq!(lines[2], THROUGHPUT_HEADER, "{lines:?}");
+        assert!(lines[3].contains("multicore_speedup"), "{lines:?}");
+        assert!(
+            lines[4].contains("quality.c11.host_compress_bps"),
+            "{lines:?}"
+        );
+        assert_eq!(lines.len(), 3 + THROUGHPUT_TOP + 1, "{lines:?}");
+        assert!(
+            lines
+                .last()
+                .unwrap()
+                .contains("8 smaller movements not shown"),
             "{lines:?}"
         );
     }

@@ -233,15 +233,21 @@ fn render(cfg: &SloConfig, report: &SloReport, energy: f64) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<24} {:<9} {:>12} {:>12} {:>8}  objective",
+        "{:<24} {:<17} {:>12} {:>12} {:>8}  objective",
         "alert", "state", "fast", "slow", "breaches"
     );
     for a in &report.alerts {
+        // An objective that held on every tick has no verdict to show.
+        let state = if a.judged_ticks == 0 {
+            a.objective.expr.hold_label()
+        } else {
+            a.state.label()
+        };
         let _ = writeln!(
             out,
-            "{:<24} {:<9} {:>12} {:>12} {:>8}  {} {} {}",
+            "{:<24} {:<17} {:>12} {:>12} {:>8}  {} {} {}",
             a.objective.name,
-            a.state.label(),
+            state,
             fmt_sig(a.fast),
             fmt_sig(a.slow),
             a.breach_ticks,
@@ -422,10 +428,13 @@ mod tests {
     #[test]
     fn clean_run_passes_with_exact_accounting() {
         let _g = crate::telemetry_test_lock();
-        // A forgiving objective a fault-free run can never breach.
+        // A forgiving objective a fault-free run can never breach, and a
+        // p99 of a run that records one apply per stage: far fewer than
+        // the 100 events a p99 needs, so it has no verdict.
         let spec = SloSpec::parse(
             "windows=2/4; pending=2; resolve=2; \
-             fidelity.quarantine: state.ledger.quarantines <= 0",
+             fidelity.quarantine: state.ledger.quarantines <= 0; \
+             latency.apply_p99: p99(state.apply_us) <= 0",
         )
         .unwrap();
         let out = run_with_spec(&base_cfg(), spec).unwrap();
@@ -433,6 +442,12 @@ mod tests {
         assert!(out.firing.is_empty());
         assert!(out.text.contains("slo accounting: exact"), "{}", out.text);
         assert!(out.text.contains("slo verdict: PASS"), "{}", out.text);
+        let p99_row = out
+            .text
+            .lines()
+            .find(|l| l.starts_with("latency.apply_p99"))
+            .unwrap_or_default();
+        assert!(p99_row.contains("insufficient data"), "{}", out.text);
         slo::disarm();
         timeseries::reset();
     }

@@ -612,6 +612,7 @@ mod tests {
             fast: 2048.0,
             slow: 1500.0,
             breach_ticks: 3,
+            judged_ticks: 5,
             transitions: 1,
         };
         // Disarmed engine hands back no alerts: no pane at all.

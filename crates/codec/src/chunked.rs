@@ -174,7 +174,8 @@ pub fn decode_chunked_into_slice(data: &[u8], out: &mut [u32]) -> Result<(), Cod
 /// Fans the per-chunk payloads out over the executor, each decoding
 /// straight into its disjoint region of `out` — no per-chunk result
 /// vectors. `out.chunks_mut(chunk)` aligns 1:1 with the gap array because
-/// `read_header` enforces `lens.len() == n.div_ceil(chunk)`.
+/// `read_header` enforces `lens.len() == n.div_ceil(chunk)`. The stream's
+/// multi-symbol decode table is built once, here, before the fan-out.
 fn decode_chunks(
     data: &[u8],
     chunk: usize,
@@ -190,6 +191,7 @@ fn decode_chunks(
         meta.push((offset, len));
         offset += len;
     }
+    dec.build_multi_symbol_table();
     // Record the lowest-indexed failure so the surfaced error does not
     // depend on worker scheduling.
     let first_err: Mutex<Option<(usize, CodecError)>> = Mutex::new(None);
@@ -317,6 +319,17 @@ mod tests {
             let syms = sample(n, 64, n as u64);
             let enc = encode_chunked(&syms, 64, DEFAULT_CHUNK);
             assert_eq!(decode_chunked(&enc).unwrap(), syms, "n={n}");
+        }
+    }
+
+    #[test]
+    fn decode_builds_one_multi_symbol_table_per_stream_on_the_caller() {
+        let syms = sample(20_000, 64, 9);
+        let enc = encode_chunked(&syms, 64, 1024);
+        for _ in 0..3 {
+            let built = crate::huffman::multi_symbol_tables_built();
+            assert_eq!(decode_chunked(&enc).unwrap(), syms);
+            assert_eq!(crate::huffman::multi_symbol_tables_built(), built + 1);
         }
     }
 

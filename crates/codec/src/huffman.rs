@@ -2,13 +2,30 @@
 //!
 //! The entropy stage of cuSZ (and our GDeflate) — built once per buffer from
 //! a histogram, encoded LSB-first with bit-reversed canonical codes (the
-//! DEFLATE convention), decoded through a flat `2^max_len` lookup table.
-//! Code lengths are limited to [`MAX_CODE_LEN`] by frequency-halving, which
-//! keeps the decode table small and mirrors cuSZ's fixed-width codebooks.
+//! DEFLATE convention). Code lengths are limited to [`MAX_CODE_LEN`] by
+//! frequency-halving, which keeps the decode tables small and mirrors
+//! cuSZ's fixed-width codebooks.
+//!
+//! A [`HuffmanDecoder`] has two tables, and each decode path builds only
+//! the one it reads:
+//!
+//! * the flat `2^max_len` table, built with the decoder, serves
+//!   [`HuffmanDecoder::decode_symbol`] — one symbol per lookup. GDeflate's
+//!   `inflate_bytes` (QCF-ratio's dictionary index stream) interleaves
+//!   Huffman symbols with raw extra bits, so it decodes one symbol at a
+//!   time and never needs more;
+//! * the multi-symbol prefix table ([`DECODE_LUT_BITS`] wide, several
+//!   symbols per lookup) serves [`HuffmanDecoder::decode_into`], the bulk
+//!   path behind cuSZ's chunked streams. It is built from the flat table on
+//!   the first `decode_into` call; the chunked decoder builds it once per
+//!   stream, on the calling thread, before its chunks fan out over the
+//!   executor.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::error::CodecError;
 use crate::varint::{read_uvarint, write_uvarint};
+use std::cell::Cell;
+use std::sync::OnceLock;
 
 /// Maximum canonical code length (DEFLATE's limit; decode table = 2^15).
 pub const MAX_CODE_LEN: u32 = 15;
@@ -284,6 +301,20 @@ struct LutEntry {
     bits: u8,
 }
 
+thread_local! {
+    /// Multi-symbol tables this thread has built; see
+    /// [`multi_symbol_tables_built`].
+    static LUT_BUILDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many multi-symbol prefix tables the calling thread has built so
+/// far. A probe for tests that pin which decode paths build one:
+/// [`HuffmanDecoder::decode_symbol`] never does.
+#[doc(hidden)]
+pub fn multi_symbol_tables_built() -> u64 {
+    LUT_BUILDS.with(Cell::get)
+}
+
 /// Table-driven canonical Huffman decoder.
 #[derive(Debug)]
 pub struct HuffmanDecoder {
@@ -294,8 +325,10 @@ pub struct HuffmanDecoder {
     /// [`decode_symbol`]: HuffmanDecoder::decode_symbol
     table: Vec<(u32, u8)>,
     /// Multi-symbol prefix table indexed by [`DECODE_LUT_BITS`] peeked
-    /// bits; empty when `max_len == 0`.
-    lut: Vec<LutEntry>,
+    /// bits, built on first use by [`decode_into`].
+    ///
+    /// [`decode_into`]: HuffmanDecoder::decode_into
+    lut: OnceLock<Vec<LutEntry>>,
     max_len: u32,
 }
 
@@ -306,7 +339,7 @@ impl HuffmanDecoder {
         if max_len == 0 {
             return Ok(HuffmanDecoder {
                 table: Vec::new(),
-                lut: Vec::new(),
+                lut: OnceLock::new(),
                 max_len: 0,
             });
         }
@@ -336,12 +369,27 @@ impl HuffmanDecoder {
                 idx += step;
             }
         }
-        let lut = build_lut(&table, max_len);
         Ok(HuffmanDecoder {
             table,
-            lut,
+            lut: OnceLock::new(),
             max_len,
         })
+    }
+
+    /// Builds the multi-symbol prefix table now, on the calling thread, if
+    /// it is not built yet. [`decode_into`](Self::decode_into) builds it on
+    /// first use anyway; a caller about to fan `decode_into` out over
+    /// worker threads calls this first, so one thread builds it once. An
+    /// empty code has no table.
+    pub(crate) fn build_multi_symbol_table(&self) {
+        if self.max_len > 0 {
+            self.multi_symbol_table();
+        }
+    }
+
+    fn multi_symbol_table(&self) -> &[LutEntry] {
+        self.lut
+            .get_or_init(|| build_lut(&self.table, self.max_len))
     }
 
     /// Reads the table serialized by [`HuffmanEncoder::write_table`].
@@ -390,8 +438,9 @@ impl HuffmanDecoder {
     /// Decodes exactly `out.len()` symbols into `out`.
     ///
     /// The hot path peeks [`DECODE_LUT_BITS`] bits and resolves every code
-    /// contained in the window with one table hit — several symbols per
-    /// lookup on skewed data — instead of one max-len peek per symbol. The
+    /// contained in the window with one hit in the multi-symbol table
+    /// (built on the first call) — several symbols per lookup on skewed
+    /// data — instead of one max-len peek per symbol. The
     /// fast path only engages when the reader still holds a full window
     /// and the entry does not overshoot the requested symbol count, so
     /// stream-end handling, exact-`n` semantics, and all error cases fall
@@ -406,10 +455,11 @@ impl HuffmanDecoder {
             }
             return Err(CodecError::Corrupt("decode with empty code"));
         }
+        let lut = self.multi_symbol_table();
         let mut i = 0usize;
         while i < n {
             if r.remaining_bits() >= DECODE_LUT_BITS as usize {
-                let e = &self.lut[r.peek_bits(DECODE_LUT_BITS) as usize];
+                let e = &lut[r.peek_bits(DECODE_LUT_BITS) as usize];
                 let c = e.count as usize;
                 if c > 0 && c <= n - i {
                     // Every packed code lies inside the peeked window, so
@@ -442,6 +492,7 @@ impl HuffmanDecoder {
 /// property that padding can only matter when the selected code is longer
 /// than the remaining bits, which is exactly the case we refuse to pack.
 fn build_lut(table: &[(u32, u8)], max_len: u32) -> Vec<LutEntry> {
+    LUT_BUILDS.with(|c| c.set(c.get() + 1));
     let mask = (1usize << max_len) - 1;
     (0..1usize << DECODE_LUT_BITS)
         .map(|idx| {
@@ -680,6 +731,67 @@ mod tests {
             let slow = (0..syms.len()).try_for_each(|_| dec.decode_symbol(&mut rs).map(|_| ()));
             assert_eq!(fast.is_err(), slow.is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn decode_into_after_decode_symbol_matches_it_errors_included() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let syms: Vec<u32> = (0..3_000)
+            .map(|_| {
+                let r: f64 = rng.gen();
+                ((1.0 / (r + 0.0005)).log2().floor() as u32).min(300)
+            })
+            .collect();
+        let enc = HuffmanEncoder::from_freqs(&histogram(&syms, 512));
+        let mut w = BitWriter::new();
+        enc.encode_all(&mut w, &syms);
+        let bytes = w.finish();
+        let dec = HuffmanDecoder::from_lengths(enc.lengths()).unwrap();
+
+        // The one-at-a-time path reads only the flat table.
+        let built = multi_symbol_tables_built();
+        let mut r = BitReader::new(&bytes);
+        let one_by_one: Vec<u32> = (0..syms.len())
+            .map(|_| dec.decode_symbol(&mut r).unwrap())
+            .collect();
+        assert_eq!(one_by_one, syms);
+        assert_eq!(
+            multi_symbol_tables_built(),
+            built,
+            "decode_symbol built a table"
+        );
+
+        // The same decoder's first decode_into builds the table once and
+        // then agrees with decode_symbol symbol for symbol, on the whole
+        // stream and on every truncation, errors included.
+        for cut in (0..=bytes.len()).step_by(97).chain([bytes.len()]) {
+            let mut rf = BitReader::new(&bytes[..cut]);
+            let mut fast = vec![u32::MAX; syms.len()];
+            let fast_res = dec.decode_into(&mut rf, &mut fast);
+            let mut rs = BitReader::new(&bytes[..cut]);
+            let mut slow = vec![u32::MAX; syms.len()];
+            let mut slow_res = Ok(());
+            for v in slow.iter_mut() {
+                match dec.decode_symbol(&mut rs) {
+                    Ok(s) => *v = s,
+                    Err(e) => {
+                        slow_res = Err(e);
+                        break;
+                    }
+                }
+            }
+            assert_eq!(fast_res, slow_res, "cut at {cut}");
+            if slow_res.is_ok() {
+                assert_eq!(fast, slow, "cut at {cut}");
+                assert_eq!(rf.remaining_bits(), rs.remaining_bits(), "cut at {cut}");
+            }
+        }
+        assert_eq!(
+            multi_symbol_tables_built(),
+            built + 1,
+            "one table per decoder"
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! every stage whiffs, so the stream carries a raw-fallback flag — exactly
 //! the behaviour the paper reports for Cascaded on tensors.
 
-use crate::traits::{read_stream_header, stream_header, Compressor, CompressorKind, ErrorBound};
+use crate::traits::{
+    read_stream_header, stream_header_into, Compressor, CompressorKind, ErrorBound,
+};
 use codec_kit::bitio::{BitReader, BitWriter};
 use codec_kit::bitpack::{pack, unpack};
 use codec_kit::varint::{read_uvarint, unzigzag, write_uvarint, zigzag};
@@ -21,12 +23,13 @@ pub const CASCADED_ID: u8 = 7;
 #[derive(Debug, Clone, Default)]
 pub struct Cascaded;
 
-/// Encodes 64-bit words through RLE→delta→bitpack; returns `None` when the
-/// result would not beat raw storage. The RLE runs over whole 64-bit words
-/// (one per double); surviving values are split into 32-bit low/high planes
-/// that are delta'd and packed independently — the plane split is what lets
-/// slowly varying exponent words pack narrow even when mantissas churn.
-fn cascade_encode(words: &[u64]) -> Option<Vec<u8>> {
+/// Encodes the doubles' 64-bit words through RLE→delta→bitpack; returns
+/// `None` when the result would not beat raw storage. The RLE runs over
+/// whole 64-bit words (one per double); surviving values are split into
+/// 32-bit low/high planes that are delta'd and packed independently — the
+/// plane split is what lets slowly varying exponent words pack narrow even
+/// when mantissas churn.
+fn cascade_encode(words: &[f64]) -> Option<Vec<u8>> {
     // The widths are bit ORs of each stream's codes, so one pass that
     // builds nothing sizes the packed stream: one that would not beat raw
     // storage is never built.
@@ -72,11 +75,11 @@ fn cascade_encode(words: &[u64]) -> Option<Vec<u8>> {
 /// run's word split into 32-bit planes, each the zigzagged delta from the
 /// previous run's plane (so the packer sees small unsigned codes), and the
 /// run's length.
-fn codes(words: &[u64]) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+fn codes(words: &[f64]) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
     let (mut i, mut prev_lo, mut prev_hi) = (0usize, 0i64, 0i64);
     std::iter::from_fn(move || {
-        let &v = words.get(i)?;
-        let run = words[i..].iter().take_while(|&&w| w == v).count();
+        let v = words.get(i)?.to_bits();
+        let run = words[i..].iter().take_while(|w| w.to_bits() == v).count();
         i += run;
         let l = (v & 0xFFFF_FFFF) as i64;
         let h = (v >> 32) as i64;
@@ -139,36 +142,51 @@ impl Compressor for Cascaded {
     fn compress_raw(
         &self,
         data: &[f64],
-        _bound: ErrorBound,
+        bound: ErrorBound,
         stream: &Stream,
     ) -> Result<Vec<u8>, CodecError> {
-        let words: Vec<u64> = data.iter().map(|v| v.to_bits()).collect();
-        let mut out = stream_header(CASCADED_ID, data.len());
-        let nbytes = (words.len() * 8) as u64;
+        let mut out = Vec::new();
+        self.compress_raw_into(data, bound, stream, &mut out)?;
+        Ok(out)
+    }
+
+    /// Encodes straight from `data` into `out`; the raw fallback reserves
+    /// its bytes once and copies each double's little-endian word.
+    fn compress_raw_into(
+        &self,
+        data: &[f64],
+        _bound: ErrorBound,
+        stream: &Stream,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        stream_header_into(CASCADED_ID, data.len(), out);
+        let nbytes = (data.len() * 8) as u64;
         let encoded = stream.launch(
             &KernelSpec::streaming("cascaded::rle_delta_pack", 2 * nbytes, nbytes / 2)
                 .with_pattern(MemoryPattern::Strided)
-                .with_flops(words.len() as u64 * 2),
-            || cascade_encode(&words),
+                .with_flops(data.len() as u64 * 2),
+            || cascade_encode(data),
         );
         match encoded {
             Some(payload) => {
                 out.push(1); // cascaded payload
-                write_uvarint(&mut out, payload.len() as u64);
+                write_uvarint(out, payload.len() as u64);
                 out.extend_from_slice(&payload);
             }
             None => {
                 out.push(0); // raw fallback
                 stream.launch(
                     &KernelSpec::streaming("cascaded::raw_copy", nbytes, nbytes),
-                    || (),
+                    || {
+                        out.reserve(data.len() * 8);
+                        for v in data {
+                            out.extend_from_slice(&v.to_le_bytes());
+                        }
+                    },
                 );
-                for w in &words {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {

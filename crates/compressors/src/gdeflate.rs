@@ -405,6 +405,23 @@ mod tests {
     }
 
     #[test]
+    fn inflate_builds_no_multi_symbol_table() {
+        // inflate reads one symbol at a time (extra bits sit between the
+        // codes), so only the flat decode tables may be built.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        let bytes: Vec<u8> = (0..50_000)
+            .map(|i| (i % 97) as u8 ^ rng.gen_range(0..4))
+            .collect();
+        let defl = deflate_bytes(&bytes);
+        let built = codec_kit::huffman::multi_symbol_tables_built();
+        let mut pos = 0;
+        assert_eq!(inflate_bytes(&defl, &mut pos, bytes.len()).unwrap(), bytes);
+        let v: Vec<f64> = (0..4096).map(|i| ((i * 13) % 17) as f64).collect();
+        roundtrip(&v);
+        assert_eq!(codec_kit::huffman::multi_symbol_tables_built(), built);
+    }
+
+    #[test]
     fn corrupt_stream_errors() {
         let v: Vec<f64> = (0..256).map(|i| i as f64).collect();
         let c = GDeflate;

@@ -502,34 +502,26 @@ impl QcfCompressor {
             stream.launch(&deint_spec, || deinterleave_into(data, &mut re, &mut im));
             drop(deint_span);
             // The planes are fully independent after the split, so encode
-            // them concurrently into separate buffers and concatenate —
+            // them concurrently (the imaginary plane on an executor pool
+            // worker) into separate buffers and concatenate —
             // byte-identical to the sequential order. Stream time is charged
             // at submission (see `gpu_model::Stream`), so the virtual clock
             // is unaffected by the overlap. Each branch recovers its owned
-            // plane into the pool once encoding is done.
+            // plane into the pool once encoding is done; a panic in either
+            // is re-raised here once both have finished.
             if gpu_model::exec::worker_count() > 1 {
-                let (re_buf, im_buf) = std::thread::scope(|s| {
-                    let im_task = s.spawn(move || {
-                        let mut plane = Cow::Owned(im);
-                        let mut buf = scratch::u8s().take_spare(n * 4 + 64);
-                        let res = self
-                            .encode_plane(&mut plane, abs_eb, stream, &mut buf)
-                            .map(|()| buf);
-                        if let Cow::Owned(v) = plane {
-                            scratch::f64s().put(v);
-                        }
-                        res
-                    });
-                    let mut plane = Cow::Owned(re);
+                let encode = |half: Vec<f64>| {
+                    let mut plane = Cow::Owned(half);
                     let mut buf = scratch::u8s().take_spare(n * 4 + 64);
-                    let re_res = self
+                    let res = self
                         .encode_plane(&mut plane, abs_eb, stream, &mut buf)
                         .map(|()| buf);
                     if let Cow::Owned(v) = plane {
                         scratch::f64s().put(v);
                     }
-                    (re_res, im_task.join().expect("plane encoder panicked"))
-                });
+                    res
+                };
+                let (re_buf, im_buf) = gpu_model::exec::join(|| encode(re), || encode(im));
                 let (re_buf, im_buf) = (re_buf?, im_buf?);
                 out.extend_from_slice(&re_buf);
                 out.extend_from_slice(&im_buf);

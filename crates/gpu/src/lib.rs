@@ -8,7 +8,8 @@
 //!
 //! * [`DeviceSpec`] / [`KernelSpec`] — the cost model ([`DeviceSpec::a100`]).
 //! * [`Stream`] — in-order launches, virtual clock, per-kernel event log.
-//! * [`exec`] — scoped-thread grid/block execution of kernel bodies.
+//! * [`exec`] — grid/block execution of kernel bodies on one persistent
+//!   worker pool.
 //! * [`ScratchPool`] — reusable scratch buffers for the codec hot loops.
 
 pub mod buffer;

@@ -757,6 +757,8 @@ impl<'a> CompressedState<'a> {
             schedule,
             pos: 0,
         });
+        // The I/O workers block on disk, so they are dedicated threads
+        // rather than executor pool work.
         let res = std::thread::scope(|s| {
             for _ in 0..spill::PREFETCH_WORKERS {
                 let shared = Arc::clone(&shared);
@@ -764,6 +766,7 @@ impl<'a> CompressedState<'a> {
                 s.spawn(move || {
                     spill::prefetch_worker(&shared, &path, compressor, chunk_len, latency_us)
                 });
+                gpu_model::exec::count_thread_spawn();
             }
             let res = self.run_stages(gates);
             shared.shutdown();
@@ -1643,17 +1646,24 @@ mod tests {
                     metrics: last,
                 },
             ];
-            let v = eval_window(&p99.expr, &window).expect("a reading");
-            (v, p99.op.violated(v, p99.threshold))
+            let v = eval_window(&p99.expr, &window)?;
+            Some((v, p99.op.violated(v, p99.threshold)))
         };
-        // A report state phase: 34 applies at 1 ms and one slow 12 ms one.
-        let mut phase = vec![1_000.0; 34];
-        phase.push(12_000.0);
-        let (v, breached) = judge(&phase);
+        // 100 applies, two of them slow at 12 ms: the p99 lands on a slow
+        // one, whose bucket must be finite and under the objective.
+        let mut phase = vec![1_000.0; 98];
+        phase.extend([12_000.0; 2]);
+        let (v, breached) = judge(&phase).expect("100 applies resolve a p99");
         assert!(v.is_finite() && !breached, "p99 {v} breached");
-        // One apply past the 100 ms objective still breaches it.
-        let (v, breached) = judge(&[150_000.0]);
+        // Two applies past the 100 ms objective still breach it.
+        phase.truncate(98);
+        phase.extend([150_000.0; 2]);
+        let (v, breached) = judge(&phase).expect("100 applies resolve a p99");
         assert!(breached, "p99 {v} passed");
+        // Fewer than 100 applies cannot resolve a p99: no reading at all,
+        // not the slowest apply passed off as the tail.
+        assert_eq!(judge(&phase[1..]), None);
+        assert_eq!(judge(&[150_000.0]), None);
     }
 
     #[test]

@@ -42,7 +42,12 @@
 //! A signal with no data in the window (key never sampled, zero
 //! denominator, empty quantile window) is a *hold*: the tick neither
 //! breaches nor clears, so alerts never resolve merely because the
-//! signal went dark.
+//! signal went dark. A quantile also holds while its window has fewer
+//! observations than it can resolve ([`Expr::min_observations`]: 100 for
+//! `p99`), so a p99 over three events never passes off the slowest one as
+//! a tail verdict. An objective that held on every tick has no verdict:
+//! renderers show its [`Expr::hold_label`] ("insufficient data" for a
+//! quantile, "no signal" otherwise) instead of a state.
 //!
 //! ## Burn-rate evaluation and lifecycle
 //!
@@ -146,6 +151,27 @@ impl Expr {
             Expr::Quantile(k, q) => format!("p{:.0}({k})", q * 100.0),
             Expr::Rate(k) => format!("rate({k})"),
             Expr::HitRate(a, b) => format!("hitrate({a}, {b})"),
+        }
+    }
+
+    /// Observations a window needs before this signal reads. A `pXX`
+    /// quantile needs ⌈1/(1−q)⌉ — 100 for p99, 20 for p95, 10 for p90, 2
+    /// for p50 — or its "tail" is just the window's largest event; other
+    /// signals need one.
+    pub fn min_observations(&self) -> u64 {
+        match self {
+            // The epsilon absorbs `1 - q` rounding (1 / (1 - 0.9) is
+            // 10.000000000000002 in f64).
+            Expr::Quantile(_, q) => (1.0 / (1.0 - q) - 1e-9).ceil() as u64,
+            _ => 1,
+        }
+    }
+
+    /// What a reading that holds shows instead of a value or verdict.
+    pub fn hold_label(&self) -> &'static str {
+        match self {
+            Expr::Quantile(..) => "insufficient data",
+            _ => "no signal",
         }
     }
 }
@@ -546,7 +572,7 @@ pub fn eval_window(expr: &Expr, window: &[Sample]) -> Option<f64> {
                     delta_buckets = last.buckets.clone();
                 }
             }
-            if delta_count == 0 {
+            if delta_count < expr.min_observations() {
                 return None;
             }
             let v = quantile_from_buckets(&delta_buckets, delta_count, *q);
@@ -624,6 +650,7 @@ struct Machine {
     breach_streak: u32,
     clean_streak: u32,
     breach_ticks: u64,
+    judged_ticks: u64,
     transitions: u64,
     last_fast: f64,
     last_slow: f64,
@@ -634,11 +661,26 @@ impl Machine {
         self.state.unwrap_or(AlertState::Ok)
     }
 
+    fn snapshot(&self, objective: &Objective) -> AlertSnapshot {
+        AlertSnapshot {
+            objective: objective.clone(),
+            state: self.state(),
+            fast: self.last_fast,
+            slow: self.last_slow,
+            breach_ticks: self.breach_ticks,
+            judged_ticks: self.judged_ticks,
+            transitions: self.transitions,
+        }
+    }
+
     /// Advances one tick. `breach` is `None` on hold. Returns the
     /// transition, if any.
     fn step(&mut self, breach: Option<bool>, spec: &SloSpec) -> Option<(AlertState, AlertState)> {
         let from = self.state();
         self.state = Some(from);
+        if breach.is_some() {
+            self.judged_ticks += 1;
+        }
         let to = match breach {
             None => from, // hold: no signal, no movement
             Some(true) => {
@@ -702,6 +744,9 @@ pub struct AlertSnapshot {
     pub slow: f64,
     /// Ticks on which this objective breached (exact, lifetime).
     pub breach_ticks: u64,
+    /// Ticks with a verdict, breach or clean (exact, lifetime): 0 means
+    /// every tick held, so the state is no verdict at all.
+    pub judged_ticks: u64,
     /// Lifecycle transitions taken (exact, lifetime).
     pub transitions: u64,
 }
@@ -747,10 +792,10 @@ impl SloReport {
             ));
         }
         for a in &self.alerts {
-            if a.breach_ticks > self.ticks {
+            if a.breach_ticks > a.judged_ticks || a.judged_ticks > self.ticks {
                 return Err(format!(
-                    "{}: {} breach ticks out of {} total",
-                    a.objective.name, a.breach_ticks, self.ticks
+                    "{}: {} breach ticks, {} judged, out of {} total",
+                    a.objective.name, a.breach_ticks, a.judged_ticks, self.ticks
                 ));
             }
         }
@@ -815,14 +860,7 @@ pub fn evaluate_ring(spec: &SloSpec, samples: &[Sample]) -> SloReport {
             .objectives
             .iter()
             .zip(&machines)
-            .map(|(obj, m)| AlertSnapshot {
-                objective: obj.clone(),
-                state: m.state(),
-                fast: m.last_fast,
-                slow: m.last_slow,
-                breach_ticks: m.breach_ticks,
-                transitions: m.transitions,
-            })
+            .map(|(obj, m)| m.snapshot(obj))
             .collect(),
         ticks: samples.len() as u64,
         breaches,
@@ -926,14 +964,7 @@ pub fn alerts() -> Vec<AlertSnapshot> {
         .objectives
         .iter()
         .zip(&eng.machines)
-        .map(|(obj, m)| AlertSnapshot {
-            objective: obj.clone(),
-            state: m.state(),
-            fast: m.last_fast,
-            slow: m.last_slow,
-            breach_ticks: m.breach_ticks,
-            transitions: m.transitions,
-        })
+        .map(|(obj, m)| m.snapshot(obj))
         .collect()
 }
 
@@ -1291,6 +1322,66 @@ mod tests {
         disarm();
         crate::timeseries::reset();
         crate::metrics::registry().reset_values();
+    }
+
+    /// A cumulative `lat` histogram sample: `fast` events at 1 ms and
+    /// `slow` ones at 100 ms so far.
+    fn latency_sample(t_us: u64, fast: u64, slow: u64) -> Sample {
+        let mut s = Snapshot::default();
+        s.histograms.insert(
+            "lat".into(),
+            crate::metrics::HistogramSnapshot {
+                count: fast + slow,
+                buckets: vec![(1e3, fast), (1e5, slow), (f64::INFINITY, 0)],
+                ..Default::default()
+            },
+        );
+        Sample { t_us, metrics: s }
+    }
+
+    #[test]
+    fn quantiles_hold_until_the_window_can_resolve_them() {
+        let p = |q: f64| Expr::Quantile("lat".into(), q);
+        assert_eq!(
+            [0.5, 0.9, 0.95, 0.99].map(|q| p(q).min_observations()),
+            [2, 10, 20, 100]
+        );
+        assert_eq!(Expr::Level("lat".into()).min_observations(), 1);
+        assert_eq!(p(0.99).hold_label(), "insufficient data");
+        assert_eq!(Expr::Rate("lat".into()).hold_label(), "no signal");
+
+        // Three events, one slow: p50 reads, but a p99 would only be the
+        // slowest event, so it holds.
+        let few = [latency_sample(0, 0, 0), latency_sample(1, 2, 1)];
+        assert_eq!(eval_window(&p(0.5), &few), Some(1e3));
+        assert_eq!(eval_window(&p(0.99), &few), None);
+        assert_eq!(eval_window(&p(0.95), &few), None);
+        // 99 observations still hold; 100 resolve.
+        let window = |n: u64| [latency_sample(0, 0, 0), latency_sample(1, 0, n)];
+        assert_eq!(eval_window(&p(0.99), &window(99)), None);
+        assert_eq!(eval_window(&p(0.99), &window(100)), Some(1e5));
+        // Only the window's own events count: 1000 before it, 3 in it.
+        let late = [latency_sample(0, 1000, 0), latency_sample(1, 1000, 3)];
+        assert_eq!(eval_window(&p(0.99), &late), None);
+
+        // Replayed: a p99 fed three slow events per sample never has a
+        // verdict; fed 150 per sample, it fires.
+        let spec = SloSpec::parse("windows=2/4; pending=1; lat.p99: p99(lat) <= 5000").unwrap();
+        let ring: Vec<Sample> = (0..8).map(|i| latency_sample(i, 0, 3 * i)).collect();
+        let report = evaluate_ring(&spec, &ring);
+        report.check_accounting().unwrap();
+        let a = &report.alerts[0];
+        assert_eq!(
+            (a.state, a.judged_ticks, a.breach_ticks),
+            (AlertState::Ok, 0, 0)
+        );
+        assert!(a.fast.is_nan() && a.slow.is_nan());
+        let ring: Vec<Sample> = (0..8).map(|i| latency_sample(i, 0, 150 * i)).collect();
+        let report = evaluate_ring(&spec, &ring);
+        report.check_accounting().unwrap();
+        let a = &report.alerts[0];
+        assert_eq!(a.state, AlertState::Firing);
+        assert_eq!((a.judged_ticks, a.breach_ticks), (7, 7));
     }
 
     #[test]
