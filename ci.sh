@@ -147,7 +147,10 @@ fi
 # SLO gate. Clean drill: a fault-free sampled run must end with zero
 # firing alerts (`qcfz slo` exits nonzero otherwise) and print the
 # exact burn-rate accounting line — ticks/breaches/transitions
-# reconciled against the replayed ring before anything renders. Fault
+# reconciled against the replayed ring before anything renders. The
+# budgeted 14-qubit run must last at least the 24-sample slow window, and
+# every objective but the apply p99 must reach a verdict (a QAOA run
+# makes fewer than the 100 stage applies a p99 window needs). Fault
 # drill: simulated spill-device latency plus a seeded fault storm must
 # actually ring the alarms — `--expect-firing` inverts the exit
 # contract, demanding that the latency and fidelity objectives fired
@@ -155,10 +158,22 @@ fi
 # stopped burning).
 echo "== slo gate (clean drill + seeded fault drill) =="
 slo_out=$(cargo run --release -q -p qcf-bench --bin qcfz -- slo \
-    --nodes 10 --seed 21 --interval 2)
+    --nodes 14 --seed 21 --chunk-qubits 6 --rel 1e-4 --mem-budget 16k --interval 1)
 echo "$slo_out" | grep -E "^(spec|slo)"
-if ! echo "$slo_out" | grep -q "slo accounting: exact"; then
+ticks=$(echo "$slo_out" | sed -n 's/^slo accounting: exact — \([0-9]*\) ticks,.*/\1/p')
+if [ -z "$ticks" ]; then
     echo "slo gate FAILED: accounting line missing from clean drill" >&2
+    exit 1
+fi
+if [ "$ticks" -lt 24 ]; then
+    echo "slo gate FAILED: clean drill ran $ticks ticks, fewer than the 24-sample slow window" >&2
+    exit 1
+fi
+held=$(echo "$slo_out" | grep -E "^[A-Za-z0-9._-]+ +(insufficient data|no signal) " |
+    grep -v "^latency.apply_p99 " || true)
+if [ -n "$held" ]; then
+    echo "slo gate FAILED: clean drill left objectives without a verdict:" >&2
+    echo "$held" >&2
     exit 1
 fi
 drill_out=$(QCF_SPILL_LATENCY_US=5000 \

@@ -154,59 +154,41 @@ fn bench_state_apply_armed(c: &mut Criterion) {
     qcf_telemetry::set_enabled(false);
 }
 
-fn bench_slo_tick(c: &mut Criterion) {
-    // The SLO engine's promise: disarmed, `tick` is a single relaxed
-    // atomic load; armed, a tick evaluates every default objective over
-    // the fast/slow windows of a fully populated sampler ring. Both are
-    // off the workload's hot path (the sampler thread calls `tick`), but
-    // the armed figure is what bounds the sampler thread's duty cycle.
-    use qcf_telemetry::slo;
-    use qcf_telemetry::timeseries;
+fn bench_slo_replay(c: &mut Criterion) {
+    // What one `qcfz top` frame pays for its alerts pane: the default spec
+    // replayed over a full sampler ring (`timeseries::CAPACITY` samples),
+    // each a registry snapshot taken after one more gate of a 10-qubit
+    // compressed-state run, so window evaluation walks real key sets.
+    use compressors::cuszx::CuSzx;
+    use qcf_telemetry::slo::{evaluate_ring, SloSpec};
+    use qcf_telemetry::timeseries::{Sample, CAPACITY};
+    use qcircuit::Gate;
+    use qtensor::CompressedState;
 
-    let mut group = c.benchmark_group("telemetry/slo_tick");
+    qcf_telemetry::set_enabled(true);
+    qcf_telemetry::metrics::registry().reset_values();
+    let comp = CuSzx::default();
+    let mut cs = CompressedState::zero(10, 6, &comp, ErrorBound::Abs(1e-7)).unwrap();
+    let gates = [Gate::H(0), Gate::Rx(1, 0.31), Gate::T(2)];
+    let ring: Vec<Sample> = (0..CAPACITY)
+        .map(|i| {
+            cs.apply(&gates[i % gates.len()]).unwrap();
+            Sample {
+                t_us: (i as u64 + 1) * 1000,
+                metrics: qcf_telemetry::metrics::registry().snapshot(),
+            }
+        })
+        .collect();
+    qcf_telemetry::set_enabled(false);
+    let spec = SloSpec::defaults();
+
+    let mut group = c.benchmark_group("telemetry/slo");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_secs(3));
-
-    group.bench_function("disarmed", |bch| {
-        slo::disarm();
-        bch.iter(slo::tick)
+    group.bench_function("replay", |bch| {
+        bch.iter(|| evaluate_ring(black_box(&spec), black_box(&ring)).ticks)
     });
-
-    group.bench_function("armed", |bch| {
-        // Populate the ring with realistic registry snapshots so window
-        // evaluation walks real key sets, then arm the default spec.
-        qcf_telemetry::set_enabled(true);
-        timeseries::stop();
-        timeseries::reset();
-        use compressors::cuszx::CuSzx;
-        use qcircuit::Gate;
-        use qtensor::CompressedState;
-        let comp = CuSzx::default();
-        let mut cs = CompressedState::zero(10, 6, &comp, ErrorBound::Abs(1e-7)).unwrap();
-        for q in 0..6u32 {
-            for g in [
-                Gate::H(q as usize),
-                Gate::Rx(q as usize, 0.31),
-                Gate::T(q as usize),
-            ] {
-                cs.apply(&g).unwrap();
-            }
-            timeseries::offer(timeseries::Sample {
-                t_us: (u64::from(q) + 1) * 1000,
-                metrics: qcf_telemetry::metrics::registry().snapshot(),
-            });
-        }
-        slo::arm(qcf_telemetry::slo::SloSpec::defaults());
-        bch.iter(|| {
-            slo::tick();
-            black_box(slo::ticks())
-        });
-        slo::disarm();
-        timeseries::reset();
-        qcf_telemetry::set_enabled(false);
-    });
-
     group.finish();
 }
 
@@ -216,6 +198,6 @@ criterion_group!(
     bench_compress,
     bench_state_apply,
     bench_state_apply_armed,
-    bench_slo_tick
+    bench_slo_replay
 );
 criterion_main!(benches);

@@ -52,9 +52,9 @@
 //! `chrome://tracing` / `ui.perfetto.dev`) and `--metrics out.tsv` (flat
 //! registry dump; `.json` extension switches the format).
 //!
-//! With `QCF_FLIGHT_RECORD` set, every run keeps a bounded ring of
-//! telemetry checkpoints; on error the ring is dumped next to the failure
-//! (and at normal exit too when the variable names a path).
+//! With `QCF_FLIGHT_RECORD` set, a failing run writes a flight dump (the
+//! live registry and the sampler ring's tail, labelled with the error),
+//! and so does a normal exit when the variable names a path.
 
 use gpu_model::{DeviceSpec, Stream};
 use qcf_bench::cli::args::{self, Args};
@@ -118,7 +118,7 @@ fn main() {
         eprintln!("error: {e}");
     }
     // Post-mortem on error, and at normal exit too when QCF_FLIGHT_RECORD
-    // names a path: dump the flight ring (a no-op unless it is armed).
+    // names a path: write the flight dump (a no-op unless it is armed).
     if result.is_err() || qcf_telemetry::flight::dump_path().is_some() {
         let label = result
             .as_ref()

@@ -1,11 +1,10 @@
 //! `qcfz slo` — evaluate the service-level objectives against a real run.
 //!
 //! The command drives one chunk-compressed state workload (the same
-//! instance `qcfz state` runs) with the background sampler, the live SLO
-//! engine and the causal journal armed, then replays the captured sample
-//! ring through the pure evaluator ([`qcf_telemetry::slo::evaluate_ring`])
-//! — the deterministic verdict path — and prints the alert table, the
-//! lifecycle transition log and an exact-accounting self check.
+//! instance `qcfz state` runs) with the background sampler armed, then
+//! replays the captured sample ring through the one SLO evaluator
+//! ([`qcf_telemetry::slo::evaluate_ring`]) and prints the alert table,
+//! the lifecycle transition log and an exact-accounting self check.
 //!
 //! Modes:
 //!
@@ -15,17 +14,14 @@
 //!   (the fault-drill contract — CI seeds faults and demands the alarm
 //!   rang, not that the fault conveniently lasted until the final tick);
 //! * `--explain <alert>`: additionally dissect one alert — its objective,
-//!   every transition with both window values, the contributing ring
-//!   samples around each transition, and the journal's causal chain for
-//!   the alert (the live engine journals each transition under
-//!   [`qcf_telemetry::slo::JOURNAL_BASE`]` + objective index`);
+//!   every transition with both window values and the contributing ring
+//!   samples around each transition;
 //! * `--print`: print the active spec (`QCF_SLO` or built-in defaults)
 //!   and exit — the round-trippable rules text, ready to edit.
 
 use crate::cli::{self, CliError, StateRunCfg};
 use compressors::ErrorBound;
-use qcf_telemetry::journal;
-use qcf_telemetry::slo::{self, AlertState, Expr, SloReport, SloSpec, JOURNAL_BASE};
+use qcf_telemetry::slo::{self, AlertState, Expr, SloReport, SloSpec};
 use qcf_telemetry::timeseries::{self, Sample};
 use std::fmt::Write as _;
 
@@ -84,8 +80,8 @@ pub struct SloOutcome {
     pub ok: bool,
 }
 
-/// The `qcfz slo` body: run the workload under the armed engine, replay
-/// the ring, render, and judge.
+/// The `qcfz slo` body: run the workload under the sampler, replay the
+/// ring, render, and judge.
 pub fn run(cfg: &SloConfig) -> Result<SloOutcome, CliError> {
     let spec = SloSpec::active();
     if cfg.print_spec {
@@ -101,12 +97,8 @@ pub fn run(cfg: &SloConfig) -> Result<SloOutcome, CliError> {
 /// [`run`] with an explicit spec (tests inject tight objectives here;
 /// the CLI path resolves `QCF_SLO`/defaults via [`SloSpec::active`]).
 pub fn run_with_spec(cfg: &SloConfig, spec: SloSpec) -> Result<SloOutcome, CliError> {
-    // Arm the whole continuous-telemetry stack: live engine (so the
-    // journal carries the causal chain `--explain` prints), sampler (the
-    // ring the verdict replays), journal.
+    // The sampler fills the ring the verdict replays.
     qcf_telemetry::set_enabled(true);
-    journal::set_enabled(true);
-    slo::arm(spec.clone());
     timeseries::stop();
     timeseries::reset();
     timeseries::start(cfg.interval_ms.max(1));
@@ -125,7 +117,6 @@ pub fn run_with_spec(cfg: &SloConfig, spec: SloSpec) -> Result<SloOutcome, CliEr
     // error, so a crashed run still leaves the ring inspectable.
     timeseries::capture();
     timeseries::stop();
-    journal::set_enabled(false);
     let summary = summary?;
 
     let samples = timeseries::samples();
@@ -296,9 +287,8 @@ fn point_value(expr: &Expr, samples: &[Sample], i: usize) -> f64 {
     slo::eval_window(expr, window).unwrap_or(f64::NAN)
 }
 
-/// `--explain <alert>`: one alert's objective, transitions, the ring
-/// samples inside the fast window at each transition, and the journal's
-/// causal chain for the alert.
+/// `--explain <alert>`: one alert's objective, its transitions, and the
+/// ring samples inside the fast window at each transition.
 fn explain(name: &str, report: &SloReport, samples: &[Sample]) -> Result<String, CliError> {
     let idx = report
         .spec
@@ -363,36 +353,6 @@ fn explain(name: &str, report: &SloReport, samples: &[Sample]) -> Result<String,
             );
         }
     }
-    // Journal causal chain: the live engine records every transition it
-    // took under a synthetic per-objective chunk id. The live machine can
-    // legitimately disagree with the replay after a ring fold (it ticked
-    // on samples the fold later discarded), so this is evidence of what
-    // the process experienced, labelled as such — not the verdict.
-    let events = journal::events(JOURNAL_BASE + idx as u64);
-    if !events.is_empty() {
-        let _ = writeln!(
-            out,
-            "  journal chain (live engine, {} events; detail = new state code):",
-            events.len()
-        );
-        for e in &events {
-            let to = match e.detail as i64 {
-                0 => "ok",
-                1 => "pending",
-                2 => "firing",
-                3 => "resolved",
-                _ => "?",
-            };
-            let _ = writeln!(
-                out,
-                "    seq {:>6} t+{}µs  {} -> {}",
-                e.seq,
-                e.t_us,
-                e.kind.label(),
-                to
-            );
-        }
-    }
     Ok(out)
 }
 
@@ -448,7 +408,6 @@ mod tests {
             .find(|l| l.starts_with("latency.apply_p99"))
             .unwrap_or_default();
         assert!(p99_row.contains("insufficient data"), "{}", out.text);
-        slo::disarm();
         timeseries::reset();
     }
 
@@ -484,7 +443,6 @@ mod tests {
         );
         assert!(out.text.contains("ok -> firing"), "{}", out.text);
         assert!(out.text.contains("sample"), "{}", out.text);
-        slo::disarm();
         timeseries::reset();
     }
 

@@ -18,16 +18,19 @@
 //! ([`qcf_telemetry::export::validate_prometheus`]), so `qcfz top --once`
 //! doubles as an end-to-end gate on the export surface.
 //!
-//! Live mode also arms the SLO engine ([`qcf_telemetry::slo`]) and renders
-//! an alerts pane, and handles SIGINT / SIGHUP / SIGPIPE: the sampler is
-//! stopped cleanly and one final **ANSI-free** summary frame is printed,
-//! so an interrupted session (or a closed terminal) ends with a readable
-//! record instead of a half-drawn escape soup.
+//! Every frame also renders an alerts pane: the active SLO spec (`QCF_SLO`
+//! or the defaults) replayed over the ring the frame draws
+//! ([`qcf_telemetry::slo::evaluate_ring`], at most
+//! [`qcf_telemetry::timeseries::CAPACITY`] samples). Live mode handles
+//! SIGINT / SIGHUP / SIGPIPE: the sampler is stopped cleanly and one final
+//! **ANSI-free** summary frame is printed, so an interrupted session (or a
+//! closed terminal) ends with a readable record instead of a half-drawn
+//! escape soup.
 
 use crate::cli::{cli_by_name, CliError};
 use compressors::ErrorBound;
 use qcf_telemetry::metrics::{quantile_from_buckets, HistogramSnapshot, Snapshot};
-use qcf_telemetry::slo::{self, AlertSnapshot, AlertState};
+use qcf_telemetry::slo::{self, AlertSnapshot, AlertState, SloSpec};
 use qcf_telemetry::timeseries::{self, Sample};
 use qcf_telemetry::{journal, prometheus_text};
 use qcircuit::{qaoa_circuit, Graph, QaoaParams};
@@ -125,12 +128,10 @@ fn emit(s: &str) {
 pub fn run(cfg: &TopConfig) -> Result<String, CliError> {
     // The dashboard *is* a telemetry consumer: force the substrate on and
     // arm the journal so per-chunk counts are live, then start the sampler
-    // at the requested cadence (programmatic, so no env var needed). The
-    // SLO engine is armed with the active spec (`QCF_SLO` or defaults) so
-    // the alerts pane always has objectives to show.
+    // at the requested cadence (programmatic, so no env var needed).
     qcf_telemetry::set_enabled(true);
     journal::set_enabled(true);
-    slo::arm_active();
+    let spec = SloSpec::active();
     install_signal_handlers();
     timeseries::stop();
     timeseries::start(cfg.interval_ms.max(1));
@@ -159,13 +160,7 @@ pub fn run(cfg: &TopConfig) -> Result<String, CliError> {
     if !cfg.once {
         while !worker.is_finished() && !STOP.load(Ordering::SeqCst) {
             std::thread::sleep(interval);
-            let frame = render(
-                &qcf_telemetry::registry().snapshot(),
-                &timeseries::samples(),
-                &slo::alerts(),
-                cfg,
-                None,
-            );
+            let frame = draw(&qcf_telemetry::registry().snapshot(), &spec, cfg, None);
             // Home + clear-to-end keeps the redraw flicker-free.
             emit(&format!("\x1b[H\x1b[J{frame}"));
         }
@@ -187,8 +182,7 @@ pub fn run(cfg: &TopConfig) -> Result<String, CliError> {
         } else {
             None
         };
-        let snap = qcf_telemetry::registry().snapshot();
-        let frame = render(&snap, &timeseries::samples(), &slo::alerts(), cfg, energy);
+        let frame = draw(&qcf_telemetry::registry().snapshot(), &spec, cfg, energy);
         emit(&format!(
             "\ninterrupted — final summary (partial run):\n{frame}"
         ));
@@ -206,13 +200,7 @@ pub fn run(cfg: &TopConfig) -> Result<String, CliError> {
     timeseries::stop();
 
     let snap = qcf_telemetry::registry().snapshot();
-    let frame = render(
-        &snap,
-        &timeseries::samples(),
-        &slo::alerts(),
-        cfg,
-        Some(energy),
-    );
+    let frame = draw(&snap, &spec, cfg, Some(energy));
     if cfg.once {
         emit(&frame);
     } else {
@@ -394,6 +382,13 @@ fn alerts_pane(alerts: &[AlertSnapshot]) -> String {
         ));
     }
     out
+}
+
+/// One frame over the current sampler ring, its alerts replayed from it.
+fn draw(snap: &Snapshot, spec: &SloSpec, cfg: &TopConfig, energy: Option<f64>) -> String {
+    let samples = timeseries::samples();
+    let alerts = slo::evaluate_ring(spec, &samples).alerts;
+    render(snap, &samples, &alerts, cfg, energy)
 }
 
 /// Renders one dashboard frame (pure: registry snapshot + sample ring +
@@ -615,7 +610,7 @@ mod tests {
             judged_ticks: 5,
             transitions: 1,
         };
-        // Disarmed engine hands back no alerts: no pane at all.
+        // No alerts, no pane at all.
         let cfg = TopConfig::new(10, 21, "QCF-speed", ErrorBound::Rel(1e-3));
         let frame = render(&synthetic_snapshot(), &[], &[], &cfg, None);
         assert!(!frame.contains("alerts"), "{frame}");

@@ -503,40 +503,30 @@ impl QcfCompressor {
             drop(deint_span);
             // The planes are fully independent after the split, so encode
             // them concurrently (the imaginary plane on an executor pool
-            // worker) into separate buffers and concatenate —
-            // byte-identical to the sequential order. Stream time is charged
+            // worker; after the real one on this thread when there is one
+            // worker) into separate buffers and concatenate — the same
+            // bytes in the same order either way. Stream time is charged
             // at submission (see `gpu_model::Stream`), so the virtual clock
             // is unaffected by the overlap. Each branch recovers its owned
             // plane into the pool once encoding is done; a panic in either
             // is re-raised here once both have finished.
-            if gpu_model::exec::worker_count() > 1 {
-                let encode = |half: Vec<f64>| {
-                    let mut plane = Cow::Owned(half);
-                    let mut buf = scratch::u8s().take_spare(n * 4 + 64);
-                    let res = self
-                        .encode_plane(&mut plane, abs_eb, stream, &mut buf)
-                        .map(|()| buf);
-                    if let Cow::Owned(v) = plane {
-                        scratch::f64s().put(v);
-                    }
-                    res
-                };
-                let (re_buf, im_buf) = gpu_model::exec::join(|| encode(re), || encode(im));
-                let (re_buf, im_buf) = (re_buf?, im_buf?);
-                out.extend_from_slice(&re_buf);
-                out.extend_from_slice(&im_buf);
-                scratch::u8s().put(re_buf);
-                scratch::u8s().put(im_buf);
-            } else {
-                for half in [re, im] {
-                    let mut plane = Cow::Owned(half);
-                    let res = self.encode_plane(&mut plane, abs_eb, stream, out);
-                    if let Cow::Owned(v) = plane {
-                        scratch::f64s().put(v);
-                    }
-                    res?;
+            let encode = |half: Vec<f64>| {
+                let mut plane = Cow::Owned(half);
+                let mut buf = scratch::u8s().take_spare(n * 4 + 64);
+                let res = self
+                    .encode_plane(&mut plane, abs_eb, stream, &mut buf)
+                    .map(|()| buf);
+                if let Cow::Owned(v) = plane {
+                    scratch::f64s().put(v);
                 }
-            }
+                res
+            };
+            let (re_buf, im_buf) = gpu_model::exec::join(|| encode(re), || encode(im));
+            let (re_buf, im_buf) = (re_buf?, im_buf?);
+            out.extend_from_slice(&re_buf);
+            out.extend_from_slice(&im_buf);
+            scratch::u8s().put(re_buf);
+            scratch::u8s().put(im_buf);
         } else {
             // Borrowed view: encode_plane copies only if zero collapse
             // actually engages, instead of cloning the whole input up front;

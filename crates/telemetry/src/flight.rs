@@ -1,62 +1,23 @@
-//! The flight recorder: a bounded ring of recent telemetry snapshots, so a
-//! bad run can explain itself after the fact.
+//! The flight recorder: a post-mortem dump, so a bad run can explain
+//! itself after the fact.
 //!
-//! Instrumented code (the `qcfz` subcommands, the report pipeline, any
-//! library user) calls [`record`]`("label")` at interesting moments; each
-//! call captures a [`FlightFrame`] — timestamp, label, the full metrics
-//! registry snapshot, and the span-buffer fill level — into a fixed-size
-//! ring ([`CAPACITY`] frames; older frames are overwritten and counted).
-//! When a run fails, [`dump`] (or the `qcfz` error path) writes the ring
-//! as one JSON document, so the operator sees the last N checkpoints of
-//! registry state leading up to the failure without having re-run under a
-//! debugger.
+//! [`dump`] writes one JSON document: a label (`exit`, `error: …`), the
+//! live metrics registry, the span-buffer fill and the newest
+//! [`SAMPLER_TAIL`] samples of the [`crate::timeseries`] ring, which is the
+//! one store of registry history. The recorder keeps no ring of its own:
+//! the registry at the moment of failure plus the sampler's recent view is
+//! the record.
 //!
 //! ## Enabling
 //!
 //! The recorder is **off** unless `QCF_FLIGHT_RECORD` arms it (a switch
 //! word that is on, or a path) or [`set_enabled`]`(true)` is called. A path
 //! value doubles as the default dump destination ([`dump_path`]); `qcfz`
-//! writes there on error *and* at normal exit, so the ring is available
-//! on demand, not only post-mortem. Recording also
-//! requires the telemetry layer itself to be enabled — a disabled process
-//! pays one relaxed atomic load per [`record`] call and nothing else.
+//! dumps on error *and*, when a path is set, at normal exit. Disarmed,
+//! [`dump`] writes nothing.
 
 use crate::config::FlightRecord;
-use crate::lock_unpoisoned;
-use crate::metrics::Snapshot;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// Maximum frames retained; older frames are overwritten (and counted in
-/// [`overwritten`]).
-pub const CAPACITY: usize = 32;
-
-/// One recorded checkpoint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightFrame {
-    /// Microseconds since the telemetry epoch (same clock as span events).
-    pub t_us: u64,
-    /// Caller-provided checkpoint label (e.g. `qaoa.done`, `error: …`).
-    pub label: String,
-    /// Full metrics registry snapshot at the checkpoint.
-    pub metrics: Snapshot,
-    /// Span events buffered at the checkpoint.
-    pub spans_buffered: usize,
-    /// Span events dropped (buffer full) at the checkpoint.
-    pub spans_dropped: u64,
-}
-
-#[derive(Debug, Default)]
-struct Ring {
-    frames: VecDeque<FlightFrame>,
-    overwritten: u64,
-}
-
-fn ring() -> &'static Mutex<Ring> {
-    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(Ring::default()))
-}
 
 /// 0 = uninitialized, 1 = enabled, 2 = disabled.
 static ENABLED: AtomicU8 = AtomicU8::new(0);
@@ -92,76 +53,26 @@ pub fn dump_path() -> Option<&'static std::path::Path> {
     }
 }
 
-/// Captures one frame labelled `label` into the ring. No-op unless both
-/// the recorder and telemetry are enabled.
-pub fn record(label: &str) {
-    if !enabled() || !crate::enabled() {
-        return;
-    }
-    let frame = FlightFrame {
-        t_us: crate::span::now_us(),
-        label: label.to_string(),
-        metrics: crate::metrics::registry().snapshot(),
-        spans_buffered: crate::span::buffered(),
-        spans_dropped: crate::span::dropped(),
-    };
-    let mut ring = lock_unpoisoned(ring());
-    if ring.frames.len() == CAPACITY {
-        ring.frames.pop_front();
-        ring.overwritten += 1;
-    }
-    ring.frames.push_back(frame);
-}
-
-/// All retained frames, oldest first.
-pub fn frames() -> Vec<FlightFrame> {
-    lock_unpoisoned(ring()).frames.iter().cloned().collect()
-}
-
-/// Frames displaced from the ring so far.
-pub fn overwritten() -> u64 {
-    lock_unpoisoned(ring()).overwritten
-}
-
-/// Clears the ring (tests, run isolation when a fresh recording is wanted).
-pub fn reset() {
-    let mut ring = lock_unpoisoned(ring());
-    ring.frames.clear();
-    ring.overwritten = 0;
-}
-
 /// Newest time-series samples embedded in every dump, so a post-mortem
-/// carries the last seconds of the sampler's view alongside the frames.
+/// carries the last seconds of the sampler's view alongside the registry.
 pub const SAMPLER_TAIL: usize = 8;
 
-/// Renders the ring as one JSON document:
-/// `{"capacity":…,"overwritten":…,"frames":[{…}],"sampler_tail":[{…}]}`.
-/// The `sampler_tail` array holds the newest [`SAMPLER_TAIL`] samples from
-/// [`crate::timeseries`] (empty when the sampler never ran).
-pub fn to_json() -> String {
+/// Renders the dump as one JSON document:
+/// `{"t_us":…,"label":…,"spans_buffered":…,"spans_dropped":…,"metrics":{…},"sampler_tail":[{…}]}`.
+/// `metrics` is the live registry; `sampler_tail` holds the newest
+/// [`SAMPLER_TAIL`] samples (empty when the sampler never ran).
+fn to_json(label: &str) -> String {
     use std::fmt::Write as _;
-    let frames = frames();
-    let overwritten = overwritten();
-    let mut out = String::with_capacity(256 + frames.len() * 512);
+    let mut out = String::with_capacity(1024);
+    let _ = write!(out, "{{\"t_us\":{},\"label\":\"", crate::span::now_us());
+    crate::export::escape_into(&mut out, label);
     let _ = write!(
         out,
-        "{{\"capacity\":{CAPACITY},\"overwritten\":{overwritten},\"frames\":["
+        "\",\"spans_buffered\":{},\"spans_dropped\":{},\"metrics\":{},\"sampler_tail\":[",
+        crate::span::buffered(),
+        crate::span::dropped(),
+        crate::export::metrics_json(&crate::metrics::registry().snapshot())
     );
-    for (i, f) in frames.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"t_us\":{},\"label\":\"", f.t_us);
-        crate::export::escape_into(&mut out, &f.label);
-        let _ = write!(
-            out,
-            "\",\"spans_buffered\":{},\"spans_dropped\":{},\"metrics\":{}}}",
-            f.spans_buffered,
-            f.spans_dropped,
-            crate::export::metrics_json(&f.metrics)
-        );
-    }
-    out.push_str("],\"sampler_tail\":[");
     for (i, s) in crate::timeseries::tail(SAMPLER_TAIL).iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -177,9 +88,9 @@ pub fn to_json() -> String {
     out
 }
 
-/// Records one final frame labelled `label` and writes the ring to `path`
-/// (or the `QCF_FLIGHT_RECORD` path, or `qcf-flight.json`). Returns the
-/// path written, or `None` when the recorder is disarmed.
+/// Writes the dump labelled `label` to `path` (or the `QCF_FLIGHT_RECORD`
+/// path, or `qcf-flight.json`). Returns the path written, or `None` when
+/// the recorder is disarmed.
 pub fn dump(
     label: &str,
     path: Option<&std::path::Path>,
@@ -187,12 +98,11 @@ pub fn dump(
     if !enabled() {
         return Ok(None);
     }
-    record(label);
     let path = match path {
         Some(p) => p,
         None => dump_path().unwrap_or_else(|| std::path::Path::new("qcf-flight.json")),
     };
-    std::fs::write(path, to_json())?;
+    std::fs::write(path, to_json(label))?;
     Ok(Some(path.to_path_buf()))
 }
 
@@ -200,94 +110,63 @@ pub fn dump(
 mod tests {
     use super::*;
 
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let _g = crate::test_guard();
-        crate::set_enabled(true);
-        set_enabled(false);
-        reset();
-        record("ignored");
-        assert!(frames().is_empty());
-        assert_eq!(dump("x", None).unwrap(), None);
+    fn scratch_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("qcf-flight-{}-{name}.json", std::process::id()))
     }
 
     #[test]
-    fn frames_capture_metrics_and_ring_is_bounded() {
+    fn disarmed_dump_writes_nothing() {
         let _g = crate::test_guard();
-        crate::set_enabled(true);
-        set_enabled(true);
-        reset();
-        let c = crate::registry().counter("flight.test.events");
-        for i in 0..(CAPACITY + 5) {
-            c.inc();
-            record(&format!("step {i}"));
-        }
-        let frames = frames();
-        assert_eq!(frames.len(), CAPACITY, "ring must stay bounded");
-        assert_eq!(overwritten(), 5);
-        // Oldest retained frame is step 5; newest is the last step.
-        assert_eq!(frames[0].label, "step 5");
-        assert_eq!(
-            frames.last().unwrap().label,
-            format!("step {}", CAPACITY + 4)
-        );
-        // Each frame froze the registry at its moment: the counter grows
-        // monotonically across frames.
-        let counts: Vec<u64> = frames
-            .iter()
-            .map(|f| *f.metrics.counters.get("flight.test.events").unwrap())
-            .collect();
-        assert!(counts.windows(2).all(|w| w[0] < w[1]), "{counts:?}");
-        reset();
         set_enabled(false);
+        let path = scratch_path("disarmed");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(dump("x", Some(&path)).unwrap(), None);
+        assert!(!path.exists(), "a disarmed recorder must not write");
     }
 
     #[test]
-    fn json_dump_is_valid() {
+    fn armed_dump_carries_label_live_registry_and_sampler_tail() {
         let _g = crate::test_guard();
         crate::set_enabled(true);
         set_enabled(true);
-        reset();
-        record("with \"quotes\" and\nnewlines");
-        let doc = to_json();
-        crate::export::validate_json(&doc).expect("flight JSON must be valid");
-        assert!(doc.contains("\"capacity\""));
-        assert!(doc.contains("quotes"));
-        assert!(doc.contains("\"sampler_tail\""));
-        reset();
-        set_enabled(false);
-    }
-
-    #[test]
-    fn dump_carries_the_sampler_tail() {
-        let _g = crate::test_guard();
-        crate::set_enabled(true);
-        set_enabled(true);
-        reset();
         crate::timeseries::reset();
+        let c = crate::registry().counter("flight.test.events");
+        let base = c.get();
         for _ in 0..(SAMPLER_TAIL + 4) {
+            c.inc();
             crate::timeseries::capture();
         }
-        record("end");
-        let doc = to_json();
-        crate::export::validate_json(&doc).expect("flight JSON with tail must be valid");
-        // Exactly SAMPLER_TAIL newest samples are embedded.
-        let tail_count = doc.matches("{\"t_us\":").count() - frames().len();
-        assert_eq!(tail_count, SAMPLER_TAIL, "{doc}");
-        crate::timeseries::reset();
-        reset();
-        set_enabled(false);
-    }
+        // Only the live registry has seen this value; every sample
+        // predates it.
+        c.add(1000);
+        let path = scratch_path("armed");
+        let label = "error: with \"quotes\" and\nnewlines";
+        assert_eq!(dump(label, Some(&path)).unwrap(), Some(path.clone()));
+        let doc = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        crate::export::validate_json(&doc).expect("flight JSON must be valid");
+        assert!(
+            doc.contains(r#""label":"error: with \"quotes\" and\nnewlines""#),
+            "{doc}"
+        );
 
-    #[test]
-    fn telemetry_disabled_blocks_recording() {
-        let _g = crate::test_guard();
-        set_enabled(true);
-        crate::set_enabled(false);
-        reset();
-        record("nope");
-        assert!(frames().is_empty(), "telemetry off ⇒ no frames");
-        crate::set_enabled(true);
+        // The counter's value in each JSON document, in order.
+        let counts = |json: &str| -> Vec<u64> {
+            let leading = |v: &str| -> u64 {
+                let digits = v.split(|ch: char| !ch.is_ascii_digit()).next();
+                digits.unwrap().parse().unwrap()
+            };
+            json.split("\"flight.test.events\":")
+                .skip(1)
+                .map(leading)
+                .collect()
+        };
+        let (live, tail) = doc.split_once("\"sampler_tail\":[").unwrap();
+        assert_eq!(counts(live), [base + SAMPLER_TAIL as u64 + 4 + 1000]);
+        // Exactly the SAMPLER_TAIL newest samples, oldest first.
+        let newest: Vec<u64> = (5..=SAMPLER_TAIL as u64 + 4).map(|i| base + i).collect();
+        assert_eq!(counts(tail), newest, "{doc}");
+        crate::timeseries::reset();
         set_enabled(false);
     }
 }

@@ -22,10 +22,10 @@
 //!
 //! Off by default; armed by `QCF_JOURNAL=1` (or [`set_enabled`], which
 //! `qcfz state --chunk` / `qcfz top` use). Disabled, every [`record`] call
-//! is one relaxed atomic load and a branch — the same contract as spans,
-//! metrics and the flight recorder. Chunk ids are the caller's (stable
-//! chunk index within a run); [`crate::RunScope`] resets the journal so
-//! ids cannot collide across phases in one process.
+//! is one relaxed atomic load and a branch — the same contract as spans
+//! and metrics. Chunk ids are the caller's (stable chunk index within a
+//! run); [`crate::RunScope`] resets the journal so ids cannot collide
+//! across phases in one process.
 
 use crate::lock_unpoisoned;
 use std::collections::{BTreeMap, VecDeque};
@@ -61,11 +61,6 @@ pub enum EventKind {
     /// Compressed frame fetched back from the disk tier (`detail`:
     /// fetched bytes).
     Fetch,
-    /// SLO alert lifecycle transition (`detail`: the new
-    /// [`crate::slo::AlertState`] code). Journaled under synthetic chunk
-    /// ids starting at [`crate::slo::JOURNAL_BASE`], so alert chains
-    /// share the journal's global sequence order with real chunk events.
-    Slo,
     /// Chunk's sealed frame serialized into a durable snapshot, or
     /// restored from one on resume (`detail`: frame bytes).
     Checkpoint,
@@ -75,7 +70,7 @@ pub enum EventKind {
 }
 
 /// Number of [`EventKind`] variants (size of the per-kind count table).
-pub const KINDS: usize = 12;
+pub const KINDS: usize = 11;
 
 impl EventKind {
     /// Stable index into per-kind count tables.
@@ -90,9 +85,8 @@ impl EventKind {
             EventKind::Quarantine => 6,
             EventKind::Spill => 7,
             EventKind::Fetch => 8,
-            EventKind::Slo => 9,
-            EventKind::Checkpoint => 10,
-            EventKind::Compact => 11,
+            EventKind::Checkpoint => 9,
+            EventKind::Compact => 10,
         }
     }
 
@@ -108,7 +102,6 @@ impl EventKind {
             EventKind::Quarantine => "quarantine",
             EventKind::Spill => "spill",
             EventKind::Fetch => "fetch",
-            EventKind::Slo => "slo",
             EventKind::Checkpoint => "checkpoint",
             EventKind::Compact => "compact",
         }
@@ -126,7 +119,6 @@ impl EventKind {
             EventKind::Quarantine,
             EventKind::Spill,
             EventKind::Fetch,
-            EventKind::Slo,
             EventKind::Checkpoint,
             EventKind::Compact,
         ]

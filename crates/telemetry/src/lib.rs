@@ -20,7 +20,12 @@
 //!   enabled flag.
 //! * [`timeseries`] — a background sampler (`QCF_TELEMETRY_SAMPLE=<ms>`)
 //!   capturing registry snapshots into a fixed-capacity downsampling ring
-//!   for rates-over-time and `qcfz top`.
+//!   for rates-over-time and `qcfz top`: the one store of registry
+//!   history.
+//! * [`slo`] — declarative service-level objectives (`QCF_SLO`), judged
+//!   by replaying the sampler ring.
+//! * [`flight`] — a post-mortem JSON dump (`QCF_FLIGHT_RECORD`) of the
+//!   live registry and the sampler ring's tail.
 //! * [`journal`] — a per-chunk causal event journal (`QCF_JOURNAL`):
 //!   bounded per-chunk rings of sequence-numbered lifecycle events behind
 //!   every ledger requant/quarantine count.
@@ -49,10 +54,7 @@ pub mod slo;
 pub mod span;
 pub mod timeseries;
 
-pub use export::{
-    chrome_trace, metrics_json, metrics_tsv, ndjson_samples, prometheus_text, LaneEvent, StreamLane,
-};
-pub use flight::FlightFrame;
+pub use export::{chrome_trace, metrics_json, metrics_tsv, prometheus_text, LaneEvent, StreamLane};
 pub use metrics::{registry, Counter, FloatGauge, Gauge, GaugeTrack, Histogram, Registry};
 pub use span::{SpanEvent, SpanGuard};
 
@@ -98,14 +100,12 @@ pub fn set_enabled(on: bool) {
 
 /// Clears all recorded spans, metric values (counters, gauges and
 /// histograms keep their registrations), time-series samples and journal
-/// rings. For isolating runs in one process. The flight recorder ring is
-/// deliberately *not* cleared — it is the cross-run post-mortem record.
+/// rings. For isolating runs in one process.
 pub fn reset() {
     span::reset();
     metrics::registry().reset_values();
     timeseries::reset();
     journal::reset();
-    slo::reset_state();
 }
 
 /// Scoped run isolation: entering a `RunScope` clears the span buffer,

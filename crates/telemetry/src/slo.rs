@@ -63,40 +63,23 @@
 //!   clean tick demotes `Pending` back to `Ok`;
 //! * `Firing` + `resolve` consecutive clean ticks → `Resolved`.
 //!
-//! Transitions append to a bounded log, become [`crate::journal`] events
-//! (kind [`crate::journal::EventKind::Slo`], chunk id
-//! [`JOURNAL_BASE`]` + objective index`) and flight-recorder
-//! checkpoints, and the engine maintains exact `slo.*` registry
-//! counters/gauges — which therefore flow through the Prometheus and
-//! NDJSON exporters like every other instrument.
+//! [`evaluate_ring`] replays this machine over a sampler ring: one tick
+//! per retained sample, windows clamped to the samples before it. It is
+//! the only evaluator: pure (no registry or journal side effects) and
+//! deterministic for a given ring, with totals that
+//! [`SloReport::check_accounting`] reconciles exactly.
 //!
-//! ## Arming and cost
+//! ## Who evaluates, and what it costs
 //!
-//! Exactly the `QCF_FAULTS` pattern: disarmed (the default when
-//! `QCF_SLO` is unset), [`tick`] is one relaxed atomic load. Armed, the
-//! sampler drives [`tick`] once per retained sample; engine hot paths
-//! never call into this module. [`evaluate_ring`] is the pure replay of
-//! the same machine over a finished ring — `qcfz slo` and tests use it
-//! for fully deterministic verdicts.
+//! Nothing evaluates on its own: engine hot paths and the sampler thread
+//! never call into this module. `qcfz slo` replays the ring once the run
+//! has finished; `qcfz top` replays the ring it is drawing on each frame
+//! (the ring holds at most [`crate::timeseries::CAPACITY`] samples, which
+//! bounds a replay); `qcfz report` judges each phase's final registry
+//! with [`eval_window`]. `QCF_SLO` selects the spec all three use.
 
-use crate::lock_unpoisoned;
 use crate::metrics::{quantile_from_buckets, Snapshot};
 use crate::timeseries::Sample;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// 0 = uninitialized, 1 = armed, 2 = disarmed.
-static ARMED: AtomicU8 = AtomicU8::new(0);
-
-/// Transitions retained in the log; older ones are dropped and counted.
-pub const TRANSITION_LOG: usize = 256;
-
-/// Journal chunk-id base for SLO alert events: objective `i` journals to
-/// chunk `JOURNAL_BASE + i`, far above any real chunk index, so alert
-/// chains and chunk chains share one sequence-ordered journal without
-/// id collisions.
-pub const JOURNAL_BASE: u64 = 1 << 62;
 
 /// Comparison direction of an objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -612,16 +595,6 @@ impl AlertState {
             AlertState::Resolved => "resolved",
         }
     }
-
-    /// Stable numeric code for the `slo.state.<name>` gauges.
-    pub fn code(self) -> i64 {
-        match self {
-            AlertState::Ok => 0,
-            AlertState::Pending => 1,
-            AlertState::Firing => 2,
-            AlertState::Resolved => 3,
-        }
-    }
 }
 
 /// One recorded lifecycle transition.
@@ -731,7 +704,7 @@ impl Machine {
     }
 }
 
-/// Point-in-time view of one alert (from [`alerts`] or a replay report).
+/// One alert as a replay left it (an entry of [`SloReport::alerts`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertSnapshot {
     /// The objective (name, expression, target).
@@ -824,11 +797,11 @@ fn eval_tick(
     (fast.unwrap_or(f64::NAN), slow.unwrap_or(f64::NAN), breach)
 }
 
-/// Replays the full lifecycle of `spec` over a finished ring: one tick
-/// per sample, windows clamped to the available prefix. Pure — no
-/// registry, journal or flight side effects — and deterministic for a
-/// given ring, which makes it the verdict path for `qcfz slo`, `qcfz
-/// report` and tests.
+/// Replays the full lifecycle of `spec` over a ring: one tick per sample,
+/// windows clamped to the available prefix. Pure — no registry or
+/// journal side effects — and deterministic for a given ring, which makes
+/// it the one verdict path: `qcfz slo`, `qcfz top`'s alerts pane and
+/// tests all read it.
 pub fn evaluate_ring(spec: &SloSpec, samples: &[Sample]) -> SloReport {
     let mut machines: Vec<Machine> = vec![Machine::default(); spec.objectives.len()];
     let mut transitions = Vec::new();
@@ -865,211 +838,6 @@ pub fn evaluate_ring(spec: &SloSpec, samples: &[Sample]) -> SloReport {
         ticks: samples.len() as u64,
         breaches,
         transitions,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Live engine
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct Engine {
-    spec: SloSpec,
-    machines: Vec<Machine>,
-    ticks: u64,
-    log: VecDeque<Transition>,
-    log_dropped: u64,
-}
-
-fn engine() -> &'static Mutex<Engine> {
-    static ENGINE: OnceLock<Mutex<Engine>> = OnceLock::new();
-    ENGINE.get_or_init(|| Mutex::new(Engine::default()))
-}
-
-fn lock_engine() -> MutexGuard<'static, Engine> {
-    lock_unpoisoned(engine())
-}
-
-/// True when the live evaluator is armed. Initialized on first call from
-/// `QCF_SLO` (unset ⇒ disarmed); one relaxed atomic load on every later
-/// call — the entire disarmed cost of [`tick`].
-#[inline]
-pub fn armed() -> bool {
-    match ARMED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => init_armed(),
-    }
-}
-
-#[cold]
-fn init_armed() -> bool {
-    match &crate::config::config().slo {
-        Some(spec) => arm(spec.clone()),
-        None => ARMED.store(2, Ordering::Relaxed),
-    }
-    armed()
-}
-
-/// Arms the live evaluator with `spec`, replacing any previous spec and
-/// resetting all machines.
-pub fn arm(spec: SloSpec) {
-    let mut eng = lock_engine();
-    eng.machines = vec![Machine::default(); spec.objectives.len()];
-    eng.spec = spec;
-    eng.ticks = 0;
-    eng.log.clear();
-    eng.log_dropped = 0;
-    ARMED.store(1, Ordering::Relaxed);
-}
-
-/// Arms with the active spec (`QCF_SLO` or defaults) unless already
-/// armed. `qcfz top` / `qcfz slo` call this so the live pane works with
-/// no environment setup.
-pub fn arm_active() {
-    if !armed() {
-        arm(SloSpec::active());
-    }
-}
-
-/// Disarms the evaluator and clears all state.
-pub fn disarm() {
-    *lock_engine() = Engine::default();
-    ARMED.store(2, Ordering::Relaxed);
-}
-
-/// Clears machines, tick counts and the transition log but keeps the
-/// armed spec — run isolation ([`crate::reset`] calls this so `qcfz
-/// report` phases judge only their own samples).
-pub fn reset_state() {
-    let mut eng = lock_engine();
-    eng.machines = vec![Machine::default(); eng.spec.objectives.len()];
-    eng.ticks = 0;
-    eng.log.clear();
-    eng.log_dropped = 0;
-}
-
-/// The armed spec, when armed.
-pub fn active_spec() -> Option<SloSpec> {
-    armed().then(|| lock_engine().spec.clone())
-}
-
-/// Live per-alert snapshots (empty when disarmed).
-pub fn alerts() -> Vec<AlertSnapshot> {
-    if !armed() {
-        return Vec::new();
-    }
-    let eng = lock_engine();
-    eng.spec
-        .objectives
-        .iter()
-        .zip(&eng.machines)
-        .map(|(obj, m)| m.snapshot(obj))
-        .collect()
-}
-
-/// The retained transition log, oldest first, plus the dropped count.
-pub fn transitions() -> (Vec<Transition>, u64) {
-    let eng = lock_engine();
-    (eng.log.iter().cloned().collect(), eng.log_dropped)
-}
-
-/// Live evaluation ticks run so far.
-pub fn ticks() -> u64 {
-    lock_engine().ticks
-}
-
-/// One live evaluation tick over the current sampler ring. The sampler
-/// calls this after each retained capture; disarmed it is exactly one
-/// relaxed atomic load.
-#[inline]
-pub fn tick() {
-    if !armed() {
-        return;
-    }
-    tick_armed();
-}
-
-#[cold]
-fn tick_armed() {
-    let samples = crate::timeseries::samples();
-    if samples.is_empty() {
-        return;
-    }
-    let reg = crate::metrics::registry();
-    let mut fired = Vec::new();
-    {
-        let mut eng = lock_engine();
-        let end = samples.len();
-        let tick_idx = eng.ticks;
-        eng.ticks += 1;
-        let spec = eng.spec.clone();
-        let mut tick_breaches = 0u64;
-        for (i, obj) in spec.objectives.iter().enumerate() {
-            let (fast, slow, breach) = eval_tick(&spec, obj, &samples, end);
-            let m = &mut eng.machines[i];
-            m.last_fast = fast;
-            m.last_slow = slow;
-            if breach == Some(true) {
-                tick_breaches += 1;
-                reg.counter(&format!("slo.breach.{}", obj.name)).inc();
-            }
-            if let Some((from, to)) = m.step(breach, &spec) {
-                let t = Transition {
-                    tick: tick_idx,
-                    t_us: samples[end - 1].t_us,
-                    name: obj.name.clone(),
-                    from,
-                    to,
-                    fast,
-                    slow,
-                };
-                if eng.log.len() == TRANSITION_LOG {
-                    eng.log.pop_front();
-                    eng.log_dropped += 1;
-                }
-                eng.log.push_back(t.clone());
-                fired.push((i as u64, t));
-            }
-            reg.gauge(&format!("slo.state.{}", obj.name))
-                .set(eng.machines[i].state().code());
-            if fast.is_finite() {
-                reg.float_gauge(&format!("slo.value.{}", obj.name))
-                    .set(fast);
-            }
-        }
-        reg.counter("slo.ticks").inc();
-        reg.counter("slo.breaches").add(tick_breaches);
-        let pending = eng
-            .machines
-            .iter()
-            .filter(|m| m.state() == AlertState::Pending)
-            .count();
-        let firing = eng
-            .machines
-            .iter()
-            .filter(|m| m.state() == AlertState::Firing)
-            .count();
-        reg.gauge("slo.pending").set(pending as i64);
-        reg.gauge("slo.firing").set(firing as i64);
-        if !fired.is_empty() {
-            reg.counter("slo.transitions").add(fired.len() as u64);
-        }
-    }
-    // Journal + flight outside the engine lock: both take their own
-    // locks and must never nest inside ours.
-    for (idx, t) in fired {
-        crate::journal::record(
-            JOURNAL_BASE + idx,
-            crate::journal::EventKind::Slo,
-            t.to.code() as f64,
-        );
-        crate::flight::record(&format!(
-            "slo:{}:{}->{}",
-            t.name,
-            t.from.label(),
-            t.to.label()
-        ));
     }
 }
 
@@ -1272,58 +1040,6 @@ mod tests {
         assert_eq!(report.alerts[0].breach_ticks, 3);
     }
 
-    #[test]
-    fn live_tick_disarmed_is_inert_and_armed_accounts_exactly() {
-        let _g = crate::test_guard();
-        crate::set_enabled(true);
-        crate::timeseries::reset();
-        crate::metrics::registry().reset_values();
-        disarm();
-        tick(); // disarmed: no state, no registry writes
-        assert_eq!(ticks(), 0);
-        assert!(alerts().is_empty());
-
-        arm(
-            SloSpec::parse("windows=1/2; pending=2; resolve=2; hot: telemetry.slo.test <= 5")
-                .unwrap(),
-        );
-        let c = crate::metrics::registry().counter("telemetry.slo.test");
-        for i in 0..6 {
-            if i >= 2 {
-                c.add(10);
-            }
-            crate::timeseries::capture(); // capture drives tick()
-        }
-        let snap = crate::metrics::registry().snapshot();
-        assert_eq!(snap.counters.get("slo.ticks"), Some(&6));
-        let live = alerts();
-        assert_eq!(live.len(), 1);
-        assert_eq!(live[0].state, AlertState::Firing);
-        assert_eq!(
-            snap.gauges.get("slo.firing").map(|&(v, _)| v),
-            Some(1),
-            "firing gauge must track the machine"
-        );
-        assert_eq!(
-            snap.counters.get("slo.breach.hot").copied().unwrap_or(0),
-            live[0].breach_ticks,
-            "per-alert breach counter must match the machine exactly"
-        );
-        let (log, dropped) = transitions();
-        assert_eq!(dropped, 0);
-        assert_eq!(log.len() as u64, live[0].transitions);
-        assert_eq!(
-            snap.counters.get("slo.transitions").copied().unwrap_or(0),
-            log.len() as u64
-        );
-        // Replaying the finished ring reaches the same final state.
-        let replay = evaluate_ring(&active_spec().unwrap(), &crate::timeseries::samples());
-        assert_eq!(replay.alerts[0].state, AlertState::Firing);
-        disarm();
-        crate::timeseries::reset();
-        crate::metrics::registry().reset_values();
-    }
-
     /// A cumulative `lat` histogram sample: `fast` events at 1 ms and
     /// `slow` ones at 100 ms so far.
     fn latency_sample(t_us: u64, fast: u64, slow: u64) -> Sample {
@@ -1382,30 +1098,5 @@ mod tests {
         let a = &report.alerts[0];
         assert_eq!(a.state, AlertState::Firing);
         assert_eq!((a.judged_ticks, a.breach_ticks), (7, 7));
-    }
-
-    #[test]
-    fn transitions_become_journal_events_and_flight_frames() {
-        let _g = crate::test_guard();
-        crate::set_enabled(true);
-        crate::journal::set_enabled(true);
-        crate::journal::reset();
-        crate::timeseries::reset();
-        crate::metrics::registry().reset_values();
-        arm(
-            SloSpec::parse("windows=1/1; pending=1; resolve=1; hot: telemetry.slo.j <= 0").unwrap(),
-        );
-        let c = crate::metrics::registry().counter("telemetry.slo.j");
-        c.add(3);
-        crate::timeseries::capture();
-        let ev = crate::journal::events(JOURNAL_BASE);
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].kind, crate::journal::EventKind::Slo);
-        assert_eq!(ev[0].detail, AlertState::Firing.code() as f64);
-        disarm();
-        crate::journal::reset();
-        crate::journal::set_enabled(false);
-        crate::timeseries::reset();
-        crate::metrics::registry().reset_values();
     }
 }

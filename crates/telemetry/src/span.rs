@@ -58,8 +58,8 @@ pub fn lane_id() -> u32 {
 }
 
 /// Microseconds since the process telemetry epoch (first telemetry use) —
-/// the same clock span events timestamp with, so flight-recorder frames
-/// line up with the trace.
+/// the same clock span events timestamp with, so sampler, journal and
+/// flight-dump timestamps line up with the trace.
 pub fn now_us() -> u64 {
     epoch().elapsed().as_micros() as u64
 }

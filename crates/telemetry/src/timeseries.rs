@@ -14,8 +14,11 @@
 //! retained sample is discarded and the keep-stride doubles, so a run of
 //! any length is always covered end to end by ≤ `CAPACITY` samples at a
 //! self-adjusting effective interval (`interval_ms · stride`). The newest
-//! samples are always at full stride resolution — `tail(n)` is what the
-//! flight recorder embeds in post-mortem dumps.
+//! samples are always at full stride resolution.
+//!
+//! This ring is the process's only store of registry history: the SLO
+//! evaluator ([`crate::slo::evaluate_ring`]) replays it, `qcfz top` draws
+//! it, and a flight dump ([`crate::flight::dump`]) carries its [`tail`].
 //!
 //! ## Arming and lifecycle
 //!
@@ -43,7 +46,7 @@ pub const CAPACITY: usize = 512;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Microseconds since the telemetry epoch (same clock as spans and
-    /// flight frames).
+    /// journal events).
     pub t_us: u64,
     /// Full metrics registry snapshot.
     pub metrics: Snapshot,
@@ -89,34 +92,28 @@ fn sampler() -> &'static Mutex<Option<SamplerHandle>> {
 
 /// Captures one sample into the ring immediately (the sampler thread's
 /// tick body; also used by `qcfz top --once` to guarantee a frame without
-/// waiting out an interval). No-op while telemetry is disabled. A
-/// retained capture also drives one SLO evaluation tick — a relaxed
-/// atomic load and nothing more while [`crate::slo`] is disarmed.
+/// waiting out an interval). No-op while telemetry is disabled.
 pub fn capture() {
     if !crate::enabled() {
         return;
     }
-    let sample = Sample {
+    offer(Sample {
         t_us: crate::span::now_us(),
         metrics: crate::metrics::registry().snapshot(),
-    };
-    if offer(sample) {
-        crate::slo::tick();
-    }
+    });
 }
 
-/// Offers one sample to the ring, returning whether it was retained
-/// (between-stride offers after a fold are dropped). Timestamps are
-/// forced **strictly** monotonic on admission: `now_us` can tie across
-/// adjacent captures (sub-microsecond ticks) and a tie that survives a
-/// fold would leave two retained samples claiming the same instant —
-/// rate and span math over the downsampled ring then divides by zero.
-/// Ties are bumped forward by 1 µs instead.
-pub fn offer(mut sample: Sample) -> bool {
+/// Offers one sample to the ring (between-stride offers after a fold are
+/// dropped). Timestamps are forced **strictly** monotonic on admission:
+/// `now_us` can tie across adjacent captures (sub-microsecond ticks) and
+/// a tie that survives a fold would leave two retained samples claiming
+/// the same instant — rate and span math over the downsampled ring then
+/// divides by zero. Ties are bumped forward by 1 µs instead.
+pub fn offer(mut sample: Sample) {
     let mut ring = lock_unpoisoned(ring());
     ring.offered += 1;
     if !(ring.offered - 1).is_multiple_of(ring.stride) {
-        return false; // between strides after a fold
+        return; // between strides after a fold
     }
     if ring.samples.len() == CAPACITY {
         // Fold: keep every other sample (newest half-resolution), double
@@ -138,7 +135,6 @@ pub fn offer(mut sample: Sample) -> bool {
         }
     }
     ring.samples.push_back(sample);
-    true
 }
 
 /// Starts a background sampler capturing every `interval_ms` milliseconds.

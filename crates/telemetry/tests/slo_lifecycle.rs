@@ -1,15 +1,15 @@
-//! Integration tests for the SLO engine: synthetic sampler rings drive
-//! the full pending → firing → resolved lifecycle through the public
-//! API only ([`qcf_telemetry::timeseries::offer`] +
-//! [`qcf_telemetry::slo::evaluate_ring`]), the way `qcfz slo` replays a
-//! finished run.
+//! Integration tests for the SLO evaluator: a synthetic ring and a ring
+//! captured from live registry counters drive the pending → firing →
+//! resolved lifecycle through the public API only
+//! ([`qcf_telemetry::timeseries`] + [`qcf_telemetry::slo::evaluate_ring`]),
+//! the way `qcfz slo` replays a finished run.
 
 use qcf_telemetry::metrics::Snapshot;
 use qcf_telemetry::slo::{self, AlertState, SloSpec};
 use qcf_telemetry::timeseries::{self, Sample};
 use std::sync::Mutex;
 
-/// The ring and engine are process-global; tests must not interleave.
+/// The ring and registry are process-global; tests must not interleave.
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// A ring sample with one counter and one float gauge set.
@@ -88,7 +88,7 @@ fn latency_burn_fires_and_resolves_over_synthetic_ring() {
 }
 
 #[test]
-fn replay_over_real_ring_matches_live_engine() {
+fn replay_over_real_ring_fires_with_exact_accounting() {
     let _g = qcf_telemetry::lock_unpoisoned(&LOCK);
     qcf_telemetry::set_enabled(true);
     timeseries::stop();
@@ -97,66 +97,40 @@ fn replay_over_real_ring_matches_live_engine() {
     let spec =
         SloSpec::parse("windows=1/3; pending=2; resolve=2; hot: telemetry.test.slo_int <= 2")
             .unwrap();
-    slo::arm(spec.clone());
 
+    // A ring captured from a live registry counter: three quiet samples,
+    // then five that each add 10.
     let c = qcf_telemetry::registry().counter("telemetry.test.slo_int");
     for i in 0..8 {
         if i >= 3 {
             c.add(10);
         }
-        timeseries::capture(); // live path: capture drives one tick
+        timeseries::capture();
     }
+    let samples = timeseries::samples();
+    assert_eq!(samples.len(), 8);
 
-    let live = slo::alerts();
-    assert_eq!(live.len(), 1);
-    assert_eq!(live[0].state, AlertState::Firing);
-
-    // The pure replay over the same retained ring agrees with the live
-    // machine on state and exact breach accounting.
-    let replay = slo::evaluate_ring(&spec, &timeseries::samples());
-    assert_eq!(replay.alerts[0].state, live[0].state);
-    assert_eq!(replay.alerts[0].breach_ticks, live[0].breach_ticks);
-    assert_eq!(replay.alerts[0].transitions, live[0].transitions);
-    replay.check_accounting().expect("exact accounting");
-
-    // And the registry carries the same numbers on the slo.* keys.
-    let snap = qcf_telemetry::registry().snapshot();
-    assert_eq!(snap.counters.get("slo.ticks"), Some(&8));
+    // Slow-window means: 0, 0, 0, 3.3, 10, 20, 30, 40. The first breach
+    // (tick 3) goes pending, the second fires, and the alert stays firing.
+    let report = slo::evaluate_ring(&spec, &samples);
+    report.check_accounting().expect("exact accounting");
+    let hot = &report.alerts[0];
+    assert_eq!(hot.state, AlertState::Firing);
+    assert_eq!((hot.breach_ticks, hot.judged_ticks), (5, 8));
+    assert_eq!((report.ticks, report.breaches), (8, 5));
+    let steps: Vec<(u64, AlertState, AlertState)> = report
+        .transitions
+        .iter()
+        .map(|t| (t.tick, t.from, t.to))
+        .collect();
     assert_eq!(
-        snap.counters.get("slo.breach.hot").copied().unwrap_or(0),
-        live[0].breach_ticks
+        steps,
+        vec![
+            (3, AlertState::Ok, AlertState::Pending),
+            (4, AlertState::Pending, AlertState::Firing),
+        ]
     );
-    assert_eq!(snap.gauges.get("slo.firing").map(|&(v, _)| v), Some(1));
 
-    slo::disarm();
-    timeseries::reset();
-    qcf_telemetry::registry().reset_values();
-}
-
-#[test]
-fn run_scope_isolation_resets_machines_but_keeps_spec() {
-    let _g = qcf_telemetry::lock_unpoisoned(&LOCK);
-    qcf_telemetry::set_enabled(true);
-    timeseries::stop();
-    timeseries::reset();
-    slo::arm(
-        SloSpec::parse("windows=1/1; pending=1; resolve=1; hot: telemetry.test.slo_rs <= 0")
-            .unwrap(),
-    );
-    let c = qcf_telemetry::registry().counter("telemetry.test.slo_rs");
-    c.add(1);
-    timeseries::capture();
-    assert_eq!(slo::alerts()[0].state, AlertState::Firing);
-
-    // A new scope must judge only its own samples: the firing machine
-    // from the previous phase is gone, the spec survives.
-    let scope = qcf_telemetry::RunScope::enter();
-    assert!(slo::armed());
-    assert_eq!(slo::alerts()[0].state, AlertState::Ok);
-    assert_eq!(slo::ticks(), 0);
-    drop(scope);
-
-    slo::disarm();
     timeseries::reset();
     qcf_telemetry::registry().reset_values();
 }
