@@ -204,11 +204,6 @@ fn json_str_array(items: &[String], _indent: &str) -> String {
     format!("[{}]", body.join(", "))
 }
 
-/// Formats a ratio like `12.3x`.
-pub fn fx(v: f64) -> String {
-    format!("{v:.1}x")
-}
-
 /// Formats a throughput in GB/s.
 pub fn gbps(bytes_per_sec: f64) -> String {
     format!("{:.1}", bytes_per_sec / 1e9)
@@ -268,7 +263,6 @@ mod tests {
 
     #[test]
     fn formatters() {
-        assert_eq!(fx(12.34), "12.3x");
         assert_eq!(gbps(1.5e9), "1.5");
         assert_eq!(pct(0.0123), "1.230%");
         assert_eq!(sci(0.000123), "1.2e-4");

@@ -340,31 +340,42 @@ fn budget_levels(samples: &[Sample]) -> Vec<f64> {
         .collect()
 }
 
-/// One alerts-pane line per non-ok alert (the quiet majority collapses to
-/// a count, so a healthy dashboard spends one row on the whole pane).
+/// One alerts-pane line per alert that is not ok (the quiet majority
+/// collapses to a count, so a healthy dashboard spends one row on the
+/// whole pane). An objective never judged is held, not ok: like `qcfz
+/// slo`, the pane shows its hold label ("insufficient data", "no signal").
 fn alerts_pane(alerts: &[AlertSnapshot]) -> String {
     if alerts.is_empty() {
         return String::new();
     }
-    let ok = alerts.iter().filter(|a| a.state == AlertState::Ok).count();
+    let held = |a: &AlertSnapshot| a.judged_ticks == 0;
+    let count = |state| {
+        alerts
+            .iter()
+            .filter(|a| !held(a) && a.state == state)
+            .count()
+    };
     let mut out = format!(
-        "alerts    {} objectives: {} ok / {} pending / {} firing / {} resolved\n",
+        "alerts    {} objectives: {} ok / {} held / {} pending / {} firing / {} resolved\n",
         alerts.len(),
-        ok,
-        alerts
-            .iter()
-            .filter(|a| a.state == AlertState::Pending)
-            .count(),
-        alerts
-            .iter()
-            .filter(|a| a.state == AlertState::Firing)
-            .count(),
-        alerts
-            .iter()
-            .filter(|a| a.state == AlertState::Resolved)
-            .count(),
+        count(AlertState::Ok),
+        alerts.iter().filter(|a| held(a)).count(),
+        count(AlertState::Pending),
+        count(AlertState::Firing),
+        count(AlertState::Resolved),
     );
-    for a in alerts.iter().filter(|a| a.state != AlertState::Ok) {
+    for a in alerts
+        .iter()
+        .filter(|a| held(a) || a.state != AlertState::Ok)
+    {
+        if held(a) {
+            out.push_str(&format!(
+                "  ? {:<22} {}\n",
+                a.objective.name,
+                a.objective.expr.hold_label()
+            ));
+            continue;
+        }
         let marker = if a.state == AlertState::Firing {
             '!'
         } else {
@@ -615,18 +626,27 @@ mod tests {
         let frame = render(&synthetic_snapshot(), &[], &[], &cfg, None);
         assert!(!frame.contains("alerts"), "{frame}");
 
+        // Never judged: held with its hold label, not counted ok.
+        let unjudged = AlertSnapshot {
+            judged_ticks: 0,
+            breach_ticks: 0,
+            ..snap("efficiency.prefetch", AlertState::Ok)
+        };
         let alerts = vec![
             snap("capacity.resident", AlertState::Firing),
             snap("fidelity.bound", AlertState::Ok),
             snap("latency.stall", AlertState::Pending),
+            unjudged,
         ];
         let frame = render(&synthetic_snapshot(), &[], &alerts, &cfg, None);
         assert!(
-            frame.contains("3 objectives: 1 ok / 1 pending / 1 firing / 0 resolved"),
+            frame.contains("4 objectives: 1 ok / 1 held / 1 pending / 1 firing / 0 resolved"),
             "{frame}"
         );
         assert!(frame.contains("! capacity.resident"), "{frame}");
         assert!(frame.contains("~ latency.stall"), "{frame}");
+        assert!(frame.contains("? efficiency.prefetch"), "{frame}");
+        assert!(frame.contains("no signal"), "{frame}");
         // Healthy objectives stay out of the per-alert rows.
         assert!(!frame.contains("fidelity.bound"), "{frame}");
         assert!(!frame.contains('\x1b'), "frame must be escape-free");

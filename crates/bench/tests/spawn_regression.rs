@@ -7,10 +7,10 @@
 //! which is exactly the pool's size. The operations are the benchmark
 //! workloads' hot paths: QCF-ratio and QCF-speed round trips, a p=2
 //! tensor-network energy with every intermediate compressed, and a
-//! compressed-state stage run without prefetch (prefetch starts two
-//! dedicated I/O threads per run by design). Run it in release with
-//! `QCF_WORKERS=4` so the pool really has workers; at one worker it still
-//! checks that nothing spawns.
+//! compressed-state stage run without prefetch. A budgeted, prefetched
+//! stage run starts its two dedicated spill readers and nothing else,
+//! every time. Run it in release with `QCF_WORKERS=4` so the pool really
+//! has workers; at one worker it still checks that nothing else spawns.
 //!
 //! Keep this file to a single `#[test]`: the spawn count is process-wide.
 
@@ -45,12 +45,18 @@ fn tn_energy() {
     assert!(hook.stats.tensors_compressed > 0);
 }
 
-fn state_stages() {
+/// A stage run; `prefetch` also sets an all-spill budget, so the run
+/// reads every chunk back through the spill readers.
+fn state_stages(prefetch: bool) {
     let graph = Graph::random_regular(12, 3, 7);
     let circuit = qaoa_circuit(&graph, &QaoaParams::fixed_angles_3reg_p1());
     let codec = QcfCompressor::speed();
     let mut cs = CompressedState::zero(12, 9, &codec, ErrorBound::Rel(1e-3)).unwrap();
-    cs.run_scheduled(circuit.gates(), false).unwrap();
+    if prefetch {
+        cs.set_mem_budget(Some(0));
+    }
+    cs.run_scheduled(circuit.gates(), prefetch).unwrap();
+    assert_eq!(cs.stats.prefetch_hits > 0, prefetch);
     assert!(cs.maxcut_energy(&graph).unwrap().is_finite());
 }
 
@@ -66,7 +72,9 @@ fn warm_operations_spawn_no_threads() {
             round_trip(&speed)
         }),
         ("p=2 CompressingHook energy", &tn_energy),
-        ("CompressedState stage run without prefetch", &state_stages),
+        ("CompressedState stage run without prefetch", &|| {
+            state_stages(false)
+        }),
     ];
     for (_, op) in &ops {
         op();
@@ -82,6 +90,14 @@ fn warm_operations_spawn_no_threads() {
         let spawned = threads_spawned() - before;
         assert_eq!(spawned, 0, "warm {name} started {spawned} threads");
     }
+    state_stages(true);
+    let before = threads_spawned();
+    state_stages(true);
+    let spawned = threads_spawned() - before;
+    assert_eq!(
+        spawned, 2,
+        "warm prefetched stage run started {spawned} threads"
+    );
     if qcf_telemetry::enabled() {
         let mirrored = qcf_telemetry::registry()
             .counter("exec.threads_spawned")

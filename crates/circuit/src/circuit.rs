@@ -91,11 +91,6 @@ impl Circuit {
         self.gates.iter().filter(|g| g.is_diagonal()).count()
     }
 
-    /// Count of two-qubit gates.
-    pub fn two_qubit_gate_count(&self) -> usize {
-        self.gates.iter().filter(|g| g.arity() == 2).count()
-    }
-
     /// Circuit depth: length of the longest chain of gates sharing qubits,
     /// computed greedily layer by layer.
     pub fn depth(&self) -> usize {
@@ -180,7 +175,6 @@ mod tests {
             .with(Gate::Cz(1, 2))
             .with(Gate::Rx(2, 0.1));
         assert_eq!(c.diagonal_gate_count(), 2);
-        assert_eq!(c.two_qubit_gate_count(), 2);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl BitWriter {
         }
     }
 
-    /// Total bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.out.len() * 8 + self.nbits as usize
-    }
-
     /// Finishes (byte-aligning) and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
         self.align_byte();
@@ -256,16 +251,6 @@ mod tests {
         w.write_bits(0xAB, 8);
         let bytes = w.finish();
         assert_eq!(bytes, vec![0x01, 0xAB]);
-    }
-
-    #[test]
-    fn bit_len_counts() {
-        let mut w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
-        w.write_bits(0, 5);
-        assert_eq!(w.bit_len(), 5);
-        w.write_bits(0, 5);
-        assert_eq!(w.bit_len(), 10);
     }
 
     #[test]

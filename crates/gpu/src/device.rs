@@ -72,23 +72,6 @@ impl DeviceSpec {
         }
     }
 
-    /// NVIDIA V100 (an older point of comparison for scaling studies).
-    pub fn v100() -> Self {
-        DeviceSpec {
-            name: "V100-SXM2-32GB (simulated)",
-            sm_count: 80,
-            hbm_bytes_per_sec: 900.0e9,
-            fp64_flops: 7.8e12,
-            fp32_flops: 15.7e12,
-            launch_latency_s: 5.0e-6,
-            pcie_bytes_per_sec: 13.0e9,
-            eff_streaming: 0.82,
-            eff_strided: 0.50,
-            eff_random: 0.12,
-            eff_bit_serial: 0.05,
-        }
-    }
-
     /// Bandwidth efficiency for a pattern.
     pub fn efficiency(&self, pattern: MemoryPattern) -> f64 {
         match pattern {
@@ -219,13 +202,6 @@ mod tests {
         let t = k.time_on(&dev);
         // 2^40 flops at <= 9.7 Tflop/s -> >= 0.1 s
         assert!(t > 0.1);
-    }
-
-    #[test]
-    fn v100_is_slower_than_a100() {
-        let bytes = 1u64 << 30;
-        let k = KernelSpec::streaming("copy", bytes, bytes);
-        assert!(k.time_on(&DeviceSpec::v100()) > k.time_on(&DeviceSpec::a100()));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::checkpoint::{self, CkptError};
 use crate::contraction::ContractError;
 use crate::ledger::{ChunkRecord, ErrorLedger, LedgerSummary};
-use crate::spill::{self, Consume, FramePayload, PrefetchCtl, PrefetchRequest, SpillTier};
+use crate::spill::{self, Readahead, SpillTier};
 use crate::statevector::{apply_diagonal_2q, apply_gate_to_amplitudes, StateVector};
 use compressors::traits::value_range;
 use compressors::{Compressor, CompressorKind, ErrorBound};
@@ -76,7 +76,7 @@ pub struct StateStats {
     pub fetches: u64,
     /// Current live bytes on the disk tier.
     pub spilled_bytes: usize,
-    /// Disk-tier fetches served by the async prefetch pipeline.
+    /// Disk-tier fetches served by a read the spill readers made ahead.
     pub prefetch_hits: u64,
     /// Disk-tier fetches that fell back to a synchronous read.
     pub prefetch_misses: u64,
@@ -252,10 +252,8 @@ impl VerifyReport {
 /// Decodes one compressed chunk via the reusable `flat` interleaved
 /// scratch and appends its amplitudes to `amps` (a group buffer decodes
 /// its members in place; on an error `amps` is untouched) — a free
-/// function so callers can split borrows
-/// across `CompressedState` fields (and the prefetch workers can decode
-/// off-thread with exactly the main thread's semantics).
-pub(crate) fn decode_chunk(
+/// function so callers can split borrows across `CompressedState` fields.
+fn decode_chunk(
     compressor: &dyn Compressor,
     stream: &Stream,
     chunk_len: usize,
@@ -311,10 +309,10 @@ pub(crate) struct Stage {
 }
 
 /// The stages of `gates` and each stage's chunk groups, in apply order —
-/// the single enumerator behind both the stage loop
-/// ([`CompressedState::run_scheduled`], [`CompressedState::apply`]) and the
-/// prefetch schedule ([`spill::touch_schedule`]), so the prefetcher follows
-/// the apply loop by construction.
+/// the single enumerator behind the stage loop
+/// ([`CompressedState::run_scheduled`], [`CompressedState::apply`]). The
+/// readahead walks each stage's group list too, so it follows the apply
+/// order by construction.
 ///
 /// Stages are cut greedily: a gate joins the current stage unless its
 /// gather bits would take the stage past two. A group holds the `2^nh`
@@ -420,6 +418,9 @@ pub struct CompressedState<'a> {
     flat: Vec<f64>,
     /// Reused group buffer: a stage decodes each group into it.
     group_buf: Vec<Complex64>,
+    /// Reused list of the current stage's groups, which the readahead
+    /// reads ahead in.
+    stage_groups: Vec<[usize; 4]>,
     /// Per-chunk error-budget accounting (see [`crate::ledger`]).
     ledger: ErrorLedger,
     /// Measure actual max-abs-error at each lossy write-back
@@ -435,8 +436,8 @@ pub struct CompressedState<'a> {
     /// Compressed-RAM budget in bytes (`QCF_MEM_BUDGET`); `None` means
     /// unbounded — the disk tier is never used.
     mem_budget: Option<usize>,
-    /// Active prefetch pipeline during a scheduled run.
-    prefetch: Option<PrefetchCtl>,
+    /// The spill readers' feed during a prefetched run.
+    prefetch: Option<Readahead>,
     /// Last-touch stamp per chunk — spill coldness.
     touch_stamp: Vec<u64>,
     touch_tick: u64,
@@ -519,6 +520,7 @@ impl<'a> CompressedState<'a> {
                 .track(),
             flat: Vec::new(),
             group_buf: Vec::new(),
+            stage_groups: Vec::new(),
             ledger,
             measure_err: config.ledger_measure,
             chunk_norm,
@@ -643,35 +645,23 @@ impl<'a> CompressedState<'a> {
     }
 
     /// If chunk `id` lives on the disk tier, brings its frame back into
-    /// RAM: a prefetched payload is claimed first (*hit* — even when we
-    /// wait on an in-flight read, so hit/miss counts depend only on the
-    /// deterministic issue/consume schedule, never on timing); otherwise
-    /// the frame is read synchronously (*miss*). Either way the bytes
-    /// land in `chunks[id]` before any decode, so the recovery chain
-    /// treats disk corruption exactly like RAM corruption. Returns the
-    /// amplitudes when a prefetch worker already decoded the frame, so the
-    /// caller skips its own codec call.
-    fn fetch_if_spilled(&mut self, id: usize) -> Option<Vec<Complex64>> {
-        let entry = self.spill_tier.entry(id)?;
+    /// RAM: a read the stage loop requested is taken first (*hit* — even
+    /// when it waits for the read, so hit/miss counts depend only on where
+    /// reads are requested and taken, never on timing); otherwise the
+    /// frame is read synchronously (*miss*). Either way the bytes land in
+    /// `chunks[id]` before the decode, so the recovery chain treats disk
+    /// corruption exactly like RAM corruption.
+    fn fetch_if_spilled(&mut self, id: usize) {
+        let Some(entry) = self.spill_tier.entry(id) else {
+            return;
+        };
         let t0 = Instant::now();
-        let claimed = match &self.prefetch {
-            Some(ctl) => ctl.shared.consume(id, entry.gen),
-            None => Consume::Miss,
-        };
-        let mut decoded = None;
-        let (bytes, hit) = match claimed {
-            Consume::Ready(FramePayload::Decoded { bytes, amps }) => {
-                decoded = Some(amps);
-                (bytes, true)
-            }
-            Consume::Ready(FramePayload::Bytes(b)) => (b, true),
-            Consume::Ready(FramePayload::Failed) | Consume::Miss => {
-                // Synchronous fallback. A failed read leaves empty bytes:
-                // the decode below fails and the chunk goes through
-                // retry → quarantine with exact accounting.
-                (self.spill_tier.read(entry).unwrap_or_default(), false)
-            }
-        };
+        let prefetched = self.prefetch.as_mut().and_then(|ra| ra.take(id, entry.gen));
+        let hit = prefetched.is_some();
+        // A failed synchronous read leaves empty bytes: the decode fails
+        // and the chunk goes through retry → quarantine with exact
+        // accounting.
+        let bytes = prefetched.unwrap_or_else(|| self.spill_tier.read(entry).unwrap_or_default());
         let stall = t0.elapsed().as_micros() as u64;
         self.stats.prefetch_stall_us += stall;
         self.counters.stall_us.add(stall);
@@ -690,38 +680,12 @@ impl<'a> CompressedState<'a> {
         self.resident.add(bytes.len() as i64);
         self.chunks[id] = bytes;
         self.sync_resident_stats();
-        decoded
     }
 
-    /// Bumps chunk `id`'s last-touch stamp and, during a scheduled run,
-    /// advances the prefetcher and tops up its lookahead window with
-    /// upcoming spilled chunks.
+    /// Bumps chunk `id`'s last-touch stamp (spill coldness).
     fn note_touch(&mut self, id: usize) {
         self.touch_tick += 1;
         self.touch_stamp[id] = self.touch_tick;
-        let Some(mut ctl) = self.prefetch.take() else {
-            return;
-        };
-        ctl.advance(id);
-        let horizon = (ctl.pos + spill::PREFETCH_LOOKAHEAD).min(ctl.schedule.len());
-        let mut slots = spill::PREFETCH_WINDOW.saturating_sub(ctl.shared.tracked());
-        for &next in &ctl.schedule[ctl.pos..horizon] {
-            if slots == 0 {
-                break;
-            }
-            if let Some(entry) = self.spill_tier.entry(next) {
-                if !ctl.shared.is_tracked(next) {
-                    ctl.shared.request(PrefetchRequest {
-                        id: next,
-                        offset: entry.offset,
-                        len: entry.len,
-                        gen: entry.gen,
-                    });
-                    slots -= 1;
-                }
-            }
-        }
-        self.prefetch = Some(ctl);
     }
 
     /// Applies `gates` stage by stage ([`chunk_groups`]): each stage decodes
@@ -730,63 +694,35 @@ impl<'a> CompressedState<'a> {
     /// under a lossy one each chunk is requantized at most once per stage
     /// instead of once per gate.
     ///
-    /// With `prefetch` and a memory budget set, the async prefetch
-    /// pipeline is armed: the upcoming chunk-touch schedule comes from the
-    /// same `chunk_groups` enumerator the stage loop walks, and two I/O
-    /// worker threads read + decode spilled frames ahead of use so disk
-    /// latency overlaps gate compute. Prefetch only changes *when* frames
+    /// With `prefetch` and a memory budget set, two spill readers read
+    /// the spilled frames of each stage's upcoming groups ahead of use, so
+    /// disk latency overlaps gate compute; the frames are still decoded
+    /// here, on the calling thread. Prefetch only changes *when* frames
     /// are read, never what is computed. Without a budget (or with
     /// `prefetch` false: the synchronous-fetch-on-miss baseline) the stages
     /// run on the calling thread alone.
     pub fn run_scheduled(&mut self, gates: &[Gate], prefetch: bool) -> Result<(), ContractError> {
-        let use_prefetch = prefetch
-            && self.mem_budget.is_some()
-            && !self.spill_tier.disabled
-            && self.spill_tier.ensure_file().is_ok();
-        if !use_prefetch {
+        if !prefetch || self.mem_budget.is_none() || self.spill_tier.disabled {
             return self.run_stages(gates);
         }
-        let schedule = spill::touch_schedule(gates, self.chunk_qubits, self.chunks.len());
-        let shared = Arc::new(spill::PrefetchShared::new());
-        let path = self.spill_tier.path().to_path_buf();
-        let compressor = self.compressor;
-        let chunk_len = self.chunk_len();
         let latency_us = self.spill_tier.latency_us;
-        self.prefetch = Some(PrefetchCtl {
-            shared: Arc::clone(&shared),
-            schedule,
-            pos: 0,
-        });
-        // The I/O workers block on disk, so they are dedicated threads
-        // rather than executor pool work.
-        let res = std::thread::scope(|s| {
-            for _ in 0..spill::PREFETCH_WORKERS {
-                let shared = Arc::clone(&shared);
-                let path = path.clone();
-                s.spawn(move || {
-                    spill::prefetch_worker(&shared, &path, compressor, chunk_len, latency_us)
-                });
-                gpu_model::exec::count_thread_spawn();
-            }
-            let res = self.run_stages(gates);
-            shared.shutdown();
-            res
-        });
-        self.prefetch = None;
-        // The pipeline blocks compaction for the whole run (workers hold
-        // the pre-compaction file handle and offsets); settle the churn
-        // it accumulated now that they are gone.
-        self.maybe_compact();
-        res
+        // The readers block on disk, so they are dedicated threads rather
+        // than executor pool work.
+        std::thread::scope(|s| {
+            self.prefetch = Some(Readahead::start(s, latency_us));
+            let res = panic::catch_unwind(AssertUnwindSafe(|| self.run_stages(gates)));
+            // Closes the readers' request channel, so the scope can join
+            // them, also after a panic.
+            self.prefetch = None;
+            res.unwrap_or_else(|payload| panic::resume_unwind(payload))
+        })
     }
 
     /// Compacts the spill log when the dead-space policy says a rewrite
-    /// pays for itself ([`SpillTier::should_compact`]). A no-op while the
-    /// prefetch pipeline is armed: its workers read via pre-compaction
-    /// offsets on the old file handle. Failures leave the log as it was
-    /// (the rewrite goes to a temp file first) and only warn.
+    /// pays for itself ([`SpillTier::should_compact`]). Failures leave the
+    /// log as it was (the rewrite goes to a temp file first) and only warn.
     fn maybe_compact(&mut self) {
-        if self.prefetch.is_some() || !self.spill_tier.should_compact() {
+        if !self.spill_tier.should_compact() {
             return;
         }
         if let Err(e) = self.compact_now() {
@@ -983,14 +919,7 @@ impl<'a> CompressedState<'a> {
         amps: &mut Vec<Complex64>,
     ) -> Result<bool, ContractError> {
         let chunk_len = self.chunk_len() as f64;
-        if let Some(decoded) = self.fetch_if_spilled(id) {
-            // A prefetch worker already decoded the fetched frame (which
-            // proves its integrity); skip the redundant main-thread
-            // decode but keep the causal record identical.
-            amps.extend_from_slice(&decoded);
-            journal::record(id as u64, EventKind::Decode, chunk_len);
-            return Ok(true);
-        }
+        self.fetch_if_spilled(id);
         if self.try_decode(id, amps).is_ok() {
             journal::record(id as u64, EventKind::Decode, chunk_len);
             return Ok(true);
@@ -1240,7 +1169,10 @@ impl<'a> CompressedState<'a> {
     /// One stage with gathered chunk-id `bits` (possibly none): each
     /// group's `2^|bits|` chunks are decoded once, straight into the group
     /// buffer, take all of the stage's gates, and are each encoded back
-    /// from the buffer once ([`write_back`](Self::write_back)).
+    /// from the buffer once ([`write_back`](Self::write_back)). During a
+    /// prefetched run, the spilled chunks among the next
+    /// [`spill::PREFETCH_LOOKAHEAD`] touches are requested before each
+    /// group.
     fn apply_stage(
         &mut self,
         gates: &[Gate],
@@ -1249,12 +1181,25 @@ impl<'a> CompressedState<'a> {
     ) -> Result<(), ContractError> {
         let c = self.chunk_qubits;
         let chunk_len = self.chunk_len();
+        let n_members = 1 << bits.len();
+        let mut list = std::mem::take(&mut self.stage_groups);
+        list.clear();
+        list.extend(groups);
         let mut buffer = std::mem::take(&mut self.group_buf);
-        for ids in groups {
-            let members = &ids[..1 << bits.len()];
-            buffer.clear();
-            buffer.reserve(chunk_len << bits.len());
-            let res = (|| {
+        let res = (|| {
+            for (g, ids) in list.iter().enumerate() {
+                let members = &ids[..n_members];
+                if let Some(ra) = self.prefetch.as_mut() {
+                    // The look-ahead ends with the stage, which touches each
+                    // chunk once: no requested record is fetched or
+                    // re-spilled before its own touch.
+                    let touches = list[g..]
+                        .iter()
+                        .flat_map(|ids| ids[..n_members].iter().copied());
+                    ra.request(&self.spill_tier, touches.take(spill::PREFETCH_LOOKAHEAD));
+                }
+                buffer.clear();
+                buffer.reserve(chunk_len << bits.len());
                 for &id in members {
                     self.note_touch(id);
                     self.decode_healed(id, &mut buffer)?;
@@ -1283,15 +1228,12 @@ impl<'a> CompressedState<'a> {
                 for (m, &id) in members.iter().enumerate() {
                     self.write_back(id, &buffer[m * chunk_len..(m + 1) * chunk_len])?;
                 }
-                Ok(())
-            })();
-            if res.is_err() {
-                self.group_buf = buffer;
-                return res;
             }
-        }
+            Ok(())
+        })();
         self.group_buf = buffer;
-        Ok(())
+        self.stage_groups = list;
+        res
     }
 
     /// Recompresses `amps` into chunk `id`'s byte buffer (capacity reused),

@@ -1,6 +1,5 @@
 //! The disk tier: an append-log spill file for sealed compressed frames,
-//! plus the gate-schedule-aware async prefetch pipeline that hides its
-//! latency.
+//! plus the readers that fetch them ahead of the stage loop.
 //!
 //! ## Why a disk tier
 //!
@@ -19,10 +18,10 @@
 //! becomes dead space until a [`SpillTier::compact`] pass rewrites the
 //! live records and atomically swaps the file (long-lived sessions would
 //! otherwise grow the log without bound). Every record carries a
-//! monotonically increasing *generation*: a prefetch issued against
-//! generation `g` is dropped on arrival if the chunk was re-spilled to
-//! `g' > g` in the meantime, so stale reads can never resurface old
-//! amplitudes.
+//! monotonically increasing *generation*: crash recovery keeps the
+//! newest record of each chunk, and a read that arrives for an older
+//! generation than the chunk's current record is refused, so a stale
+//! read can never resurface old amplitudes.
 //!
 //! ## Crash consistency
 //!
@@ -39,50 +38,44 @@
 //! Spill logs are named with the owning pid; opening a tier sweeps
 //! leftovers whose owner is dead, so crash drills don't leak disk.
 //!
-//! ## Prefetch pipeline
+//! ## Readahead
 //!
-//! `touch_schedule` lists every chunk a run of gates will touch, in
-//! order, from the same `chunk_groups` stage enumerator the stage loop
-//! walks, so the schedule cannot drift from the touches it predicts.
-//! [`PrefetchShared`] is a tiny request queue + completion map shared
-//! with [`PREFETCH_WORKERS`] I/O threads (double-buffered I/O: two
-//! frames in flight while the main thread computes). Workers read the
-//! frame and, when fault injection is disarmed, also decode it — the
-//! main thread then skips its own codec call. With faults armed the
-//! worker returns raw bytes only, keeping every injection draw on the
-//! main thread so deterministic fault accounting is preserved. A worker
-//! failure of any kind degrades to the synchronous fallback path; it can
-//! never corrupt state, because consumed payloads re-enter the normal
-//! decode/heal chain.
+//! A prefetched run starts [`PREFETCH_READERS`] reader threads that only
+//! read bytes ([`Readahead`]). The stage loop feeds them from the stage's
+//! own group list: before each group it requests the spilled chunks
+//! among the next [`PREFETCH_LOOKAHEAD`] touches, until
+//! [`PREFETCH_WINDOW`] reads are outstanding. Every frame, read ahead or
+//! not, is decoded on the main thread through the normal decode → retry →
+//! quarantine chain, so fault draws and their accounting stay on one
+//! thread. A request carries the log's file handle as it was when the
+//! read was requested: a compaction in the middle of a run swaps the log,
+//! and reads still in flight finish on the old file, which the swap
+//! unlinks but never changes.
 //!
 //! `QCF_SPILL_LATENCY_US` adds a per-read sleep that models a slow
 //! device (object store, spinning disk); the async/sync A-B comparisons
 //! in tests and `qcfz report` use it to make overlap measurable on fast
 //! local filesystems.
 
-use crate::compressed_state::chunk_groups;
 use codec_kit::frame::fnv1a32;
-use compressors::Compressor;
-use gpu_model::{DeviceSpec, Stream};
 use qcf_telemetry::lock_unpoisoned;
-use qcircuit::Gate;
-use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, Once};
+use std::thread::Scope;
 use std::time::Duration;
-use tensornet::Complex64;
 
-/// I/O worker threads per scheduled run (two frames in flight).
-pub(crate) const PREFETCH_WORKERS: usize = 2;
-/// Max outstanding prefetch requests (queued + in flight + completed,
-/// not yet consumed).
+/// Reader threads per prefetched run: two frames in flight while the main
+/// thread computes.
+pub(crate) const PREFETCH_READERS: usize = 2;
+/// Most reads outstanding at once (requested and not yet taken).
 pub(crate) const PREFETCH_WINDOW: usize = 8;
-/// How far ahead of the current schedule position to scan for spilled
-/// chunks when topping up the window.
+/// How many upcoming touches of the stage's group list a top-up scans for
+/// spilled chunks. Without the bound the window fills with chunks far
+/// ahead while the next few touches miss.
 pub(crate) const PREFETCH_LOOKAHEAD: usize = 64;
 
 // ---------------------------------------------------------------------------
@@ -102,7 +95,8 @@ pub(crate) struct SpillEntry {
     /// readers stay oblivious to the header in front of it.
     pub offset: u64,
     pub len: u32,
-    /// Monotone re-spill generation; guards against stale prefetches.
+    /// Monotone re-spill generation: the newest record wins recovery,
+    /// and a read of an older one is stale.
     pub gen: u64,
 }
 
@@ -116,6 +110,20 @@ fn push_record_header(rec: &mut Vec<u8>, chunk: u32, gen: u64, payload: &[u8]) {
     rec.extend_from_slice(&gen.to_le_bytes());
     rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     rec.extend_from_slice(&fnv1a32(payload).to_le_bytes());
+}
+
+/// Reads `entry`'s frame bytes from `file` after the simulated device
+/// latency: the one read behind synchronous fetches, read-only scans and
+/// the readahead. A torn tail reads back zero-padded rather than erroring
+/// — the payload's sealed frame rejects it downstream through the heal
+/// chain.
+fn read_record(file: &Mutex<File>, entry: SpillEntry, latency_us: u64) -> std::io::Result<Vec<u8>> {
+    if latency_us > 0 {
+        std::thread::sleep(Duration::from_micros(latency_us));
+    }
+    let mut bytes = vec![0u8; entry.len as usize];
+    read_zero_padded(&mut lock_unpoisoned(file), entry.offset, &mut bytes)?;
+    Ok(bytes)
 }
 
 /// Reads as many bytes as the file still has, leaving the rest zero:
@@ -198,8 +206,10 @@ fn sweep_stale_temp_once() {
 pub(crate) struct SpillTier {
     path: PathBuf,
     /// Lazily created; behind a mutex so `&self` readers
-    /// (`to_statevector`, `maxcut_energy`, `norm_sq`) can seek + read.
-    file: Option<Mutex<File>>,
+    /// (`to_statevector`, `maxcut_energy`, `norm_sq`) can seek + read, and
+    /// shared so a read request keeps the handle it was issued against
+    /// across a compaction.
+    file: Option<Arc<Mutex<File>>>,
     index: Vec<Option<SpillEntry>>,
     end: u64,
     live_bytes: u64,
@@ -226,10 +236,10 @@ impl SpillTier {
         }
     }
 
-    /// Creates the spill file if it does not exist yet; returns its path.
-    /// The first creation in a process also sweeps the temp dir for
-    /// crash leftovers of dead runs.
-    pub fn ensure_file(&mut self) -> std::io::Result<&Path> {
+    /// Creates the spill file if it does not exist yet. The first creation
+    /// in a process also sweeps the temp dir for crash leftovers of dead
+    /// runs.
+    fn ensure_file(&mut self) -> std::io::Result<()> {
         if self.file.is_none() {
             sweep_stale_temp_once();
             let f = OpenOptions::new()
@@ -238,9 +248,9 @@ impl SpillTier {
                 .create(true)
                 .truncate(true)
                 .open(&self.path)?;
-            self.file = Some(Mutex::new(f));
+            self.file = Some(Arc::new(Mutex::new(f)));
         }
-        Ok(&self.path)
+        Ok(())
     }
 
     /// Reopens an existing spill log after a crash: scans the record
@@ -290,7 +300,7 @@ impl SpillTier {
         let live_bytes = index.iter().flatten().map(|e| u64::from(e.len)).sum();
         Ok(SpillTier {
             path: path.to_path_buf(),
-            file: Some(Mutex::new(f)),
+            file: Some(Arc::new(Mutex::new(f))),
             index,
             end: pos,
             live_bytes,
@@ -339,11 +349,11 @@ impl SpillTier {
 
     /// Rewrites live records into a fresh log and atomically swaps it
     /// over the old one (write → fsync → rename), dropping dead space.
-    /// Generations are preserved, so the stale-prefetch guard stays
-    /// monotone across a compaction. Returns the bytes reclaimed.
+    /// Generations are preserved, so they stay monotone across a
+    /// compaction. Returns the bytes reclaimed.
     ///
-    /// Not safe while prefetch workers hold the old file open — the
-    /// caller gates on that.
+    /// A read requested before the swap holds the old handle and finishes
+    /// on the old file, which the rename unlinks but leaves unchanged.
     pub fn compact(&mut self) -> std::io::Result<u64> {
         let Some(file) = self.file.as_ref() else {
             return Ok(0);
@@ -433,22 +443,14 @@ impl SpillTier {
         old
     }
 
-    /// Synchronous read of `entry`'s frame bytes (applies the simulated
-    /// device latency). `&self` so read-only scans can fetch. A torn
-    /// tail reads back zero-padded rather than erroring — the payload's
-    /// sealed frame rejects it downstream through the heal chain.
+    /// Synchronous read of `entry`'s frame bytes ([`read_record`]).
+    /// `&self` so read-only scans can fetch.
     pub fn read(&self, entry: SpillEntry) -> std::io::Result<Vec<u8>> {
         let file = self
             .file
             .as_ref()
             .ok_or_else(|| std::io::Error::other("spill file not created"))?;
-        if self.latency_us > 0 {
-            std::thread::sleep(Duration::from_micros(self.latency_us));
-        }
-        let mut bytes = vec![0u8; entry.len as usize];
-        let mut f = lock_unpoisoned(file);
-        read_zero_padded(&mut f, entry.offset, &mut bytes)?;
-        Ok(bytes)
+        read_record(file, entry, self.latency_us)
     }
 
     /// Bytes of live (non-superseded) spilled frames.
@@ -461,7 +463,8 @@ impl SpillTier {
         self.index.iter().filter(|e| e.is_some()).count()
     }
 
-    pub fn path(&self) -> &Path {
+    #[cfg(test)]
+    fn path(&self) -> &Path {
         &self.path
     }
 }
@@ -475,242 +478,110 @@ impl Drop for SpillTier {
 }
 
 // ---------------------------------------------------------------------------
-// Gate-schedule extraction
+// Readahead
 // ---------------------------------------------------------------------------
 
-/// The exact chunk-touch sequence `CompressedState::run_scheduled` will
-/// perform for `gates`: each stage's [`chunk_groups`] flattened member by
-/// member, from the same enumerator the stage loop walks, so the schedule
-/// matches the apply order by construction. A stage touches each chunk
-/// once however many gates it holds. It is the prefetcher's entire
-/// knowledge of the future. A list with a gate outside the register
-/// yields nothing: the stage loop refuses it before touching any chunk.
-pub(crate) fn touch_schedule(gates: &[Gate], chunk_qubits: usize, n_chunks: usize) -> Vec<usize> {
-    let mut sched = Vec::new();
-    for (stage, groups) in chunk_groups(gates, chunk_qubits, n_chunks)
-        .into_iter()
-        .flatten()
-    {
-        sched.extend(groups.flat_map(|ids| ids.into_iter().take(1 << stage.nh)));
-    }
-    sched
+/// One read for a reader: chunk `id`'s record on the log file as it was
+/// when the read was requested.
+struct ReadRequest {
+    id: usize,
+    entry: SpillEntry,
+    file: Arc<Mutex<File>>,
 }
 
-// ---------------------------------------------------------------------------
-// The prefetch pipeline
-// ---------------------------------------------------------------------------
+/// A finished read: the chunk, the generation read, and the bytes
+/// (`None` when the read failed).
+type ReadDone = (usize, u64, Option<Vec<u8>>);
 
-/// What a worker delivered for one request.
-pub(crate) enum FramePayload {
-    /// Frame read *and* decoded off-thread: the main thread skips its
-    /// own codec call entirely.
-    Decoded {
-        bytes: Vec<u8>,
-        amps: Vec<Complex64>,
-    },
-    /// Frame read off-thread; decode left to the main thread (fault
-    /// injection armed, or the worker's decode attempt failed).
-    Bytes(Vec<u8>),
-    /// The read itself failed; fall back to the synchronous path.
-    Failed,
-}
-
-pub(crate) struct PrefetchRequest {
-    pub id: usize,
-    pub offset: u64,
-    pub len: u32,
-    pub gen: u64,
-}
-
-struct Slot {
-    gen: u64,
-    payload: FramePayload,
-}
-
-#[derive(Default)]
-struct PrefetchInner {
-    queue: VecDeque<PrefetchRequest>,
-    /// id → requested generation, for everything queued, in flight, or
-    /// completed-but-unconsumed. Bounds the window and dedupes requests.
-    tracked: HashMap<usize, u64>,
-    done: HashMap<usize, Slot>,
-    shutdown: bool,
-}
-
-/// Queue + completion map shared between the scheduled main thread and
-/// the I/O workers.
-pub(crate) struct PrefetchShared {
-    inner: Mutex<PrefetchInner>,
-    cv: Condvar,
-}
-
-/// Outcome of consuming a prefetch at the moment the chunk is needed.
-pub(crate) enum Consume {
-    /// A payload for the wanted generation (a *hit*, even if we waited —
-    /// issue/consume points are deterministic, so hit counts are too).
-    Ready(FramePayload),
-    /// Never requested, request was stale, or the read failed: the
-    /// caller fetches synchronously (a *miss*).
-    Miss,
-}
-
-impl PrefetchShared {
-    pub fn new() -> Self {
-        PrefetchShared {
-            inner: Mutex::new(PrefetchInner::default()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Queued + in-flight + completed-unconsumed requests.
-    pub fn tracked(&self) -> usize {
-        lock_unpoisoned(&self.inner).tracked.len()
-    }
-
-    pub fn is_tracked(&self, id: usize) -> bool {
-        lock_unpoisoned(&self.inner).tracked.contains_key(&id)
-    }
-
-    /// Enqueues a read unless `id` is already tracked.
-    pub fn request(&self, req: PrefetchRequest) {
-        let mut inner = lock_unpoisoned(&self.inner);
-        if inner.tracked.contains_key(&req.id) {
+/// One reader thread: reads each requested record and sends its bytes
+/// back, until the request channel closes. It decodes nothing.
+fn reader(requests: &Mutex<Receiver<ReadRequest>>, done: &Sender<ReadDone>, latency_us: u64) {
+    loop {
+        // The receiver's lock is released at the end of this statement, so
+        // the other reader takes the next request while this one reads.
+        let Ok(req) = lock_unpoisoned(requests).recv() else {
+            return;
+        };
+        let bytes = read_record(&req.file, req.entry, latency_us).ok();
+        if done.send((req.id, req.entry.gen, bytes)).is_err() {
             return;
         }
-        inner.tracked.insert(req.id, req.gen);
-        inner.queue.push_back(req);
-        drop(inner);
-        self.cv.notify_all();
-    }
-
-    /// Worker side: blocks for the next request; `None` on shutdown.
-    fn next_request(&self) -> Option<PrefetchRequest> {
-        let mut inner = lock_unpoisoned(&self.inner);
-        loop {
-            if let Some(req) = inner.queue.pop_front() {
-                return Some(req);
-            }
-            if inner.shutdown {
-                return None;
-            }
-            inner = self
-                .cv
-                .wait_timeout(inner, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-    }
-
-    /// Worker side: publishes a finished request.
-    fn complete(&self, id: usize, gen: u64, payload: FramePayload) {
-        let mut inner = lock_unpoisoned(&self.inner);
-        inner.done.insert(id, Slot { gen, payload });
-        drop(inner);
-        self.cv.notify_all();
-    }
-
-    /// Main-thread side: claims the payload for `(id, want_gen)`. Waits
-    /// (bounded) while the request is still in flight; the caller times
-    /// this call to account prefetch stall.
-    pub fn consume(&self, id: usize, want_gen: u64) -> Consume {
-        let mut inner = lock_unpoisoned(&self.inner);
-        loop {
-            if let Some(slot) = inner.done.remove(&id) {
-                inner.tracked.remove(&id);
-                if slot.gen != want_gen {
-                    return Consume::Miss; // re-spilled since requested
-                }
-                return match slot.payload {
-                    FramePayload::Failed => Consume::Miss,
-                    p => Consume::Ready(p),
-                };
-            }
-            if !inner.tracked.contains_key(&id) {
-                return Consume::Miss; // never requested
-            }
-            // Queued or in flight: wait for the workers.
-            inner = self
-                .cv
-                .wait_timeout(inner, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-    }
-
-    /// Ends the pipeline; workers drain to `None` and exit.
-    pub fn shutdown(&self) {
-        lock_unpoisoned(&self.inner).shutdown = true;
-        self.cv.notify_all();
     }
 }
 
-/// Main-thread bookkeeping for one scheduled run: where we are in the
-/// touch schedule and the shared pipeline handle.
-pub(crate) struct PrefetchCtl {
-    pub shared: Arc<PrefetchShared>,
-    pub schedule: Vec<usize>,
-    pub pos: usize,
+/// The stage loop's side of the readers during one prefetched run.
+pub(crate) struct Readahead {
+    requests: Sender<ReadRequest>,
+    done: Receiver<ReadDone>,
+    /// Chunks requested and not yet taken: the window.
+    inflight: Vec<usize>,
+    /// Finished reads not yet taken.
+    ready: Vec<ReadDone>,
 }
 
-impl PrefetchCtl {
-    /// Advances past the touch of `id`, which is the next scheduled id by
-    /// construction ([`touch_schedule`] and the stage loop share one
-    /// enumerator).
-    pub fn advance(&mut self, id: usize) {
-        debug_assert_eq!(
-            self.schedule.get(self.pos),
-            Some(&id),
-            "chunk touch off the prefetch schedule"
-        );
-        self.pos += 1;
-    }
-}
-
-/// One I/O worker: read the frame at the requested offset (after the
-/// simulated device latency) and decode it unless fault injection is
-/// armed — injection draws must stay on the main thread so exact
-/// accounting is single-threaded. Every failure degrades to a payload
-/// the main thread can recover from synchronously.
-pub(crate) fn prefetch_worker(
-    shared: &PrefetchShared,
-    path: &Path,
-    compressor: &dyn Compressor,
-    chunk_len: usize,
-    latency_us: u64,
-) {
-    let mut file = File::open(path).ok();
-    let stream = Stream::new(DeviceSpec::a100());
-    let mut flat: Vec<f64> = Vec::new();
-    while let Some(req) = shared.next_request() {
-        if latency_us > 0 {
-            std::thread::sleep(Duration::from_micros(latency_us));
+impl Readahead {
+    /// Starts [`PREFETCH_READERS`] readers on `scope`. They exit once the
+    /// readahead is dropped, which closes their request channel.
+    pub fn start<'scope>(scope: &'scope Scope<'scope, '_>, latency_us: u64) -> Self {
+        let (requests, rx) = mpsc::channel();
+        let (done_tx, done) = mpsc::channel();
+        let rx = Arc::new(Mutex::new(rx));
+        for _ in 0..PREFETCH_READERS {
+            let (rx, done_tx) = (Arc::clone(&rx), done_tx.clone());
+            scope.spawn(move || reader(&rx, &done_tx, latency_us));
+            gpu_model::exec::count_thread_spawn();
         }
-        let mut bytes = vec![0u8; req.len as usize];
-        let read_ok = match file.as_mut() {
-            Some(f) => f
-                .seek(SeekFrom::Start(req.offset))
-                .and_then(|_| f.read_exact(&mut bytes))
-                .is_ok(),
-            None => false,
+        Readahead {
+            requests,
+            done,
+            inflight: Vec::with_capacity(PREFETCH_WINDOW),
+            ready: Vec::with_capacity(PREFETCH_WINDOW),
+        }
+    }
+
+    /// Requests, in order, the chunks among `touches` that live on `tier`,
+    /// until [`PREFETCH_WINDOW`] reads are outstanding. A chunk already
+    /// requested is not requested again.
+    pub fn request(&mut self, tier: &SpillTier, touches: impl Iterator<Item = usize>) {
+        let Some(file) = tier.file.as_ref() else {
+            return;
         };
-        let payload = if !read_ok {
-            FramePayload::Failed
-        } else if qcf_telemetry::faults::armed() {
-            FramePayload::Bytes(bytes)
-        } else {
-            let decoded = panic::catch_unwind(AssertUnwindSafe(|| {
-                let mut amps: Vec<Complex64> = Vec::new();
-                crate::compressed_state::decode_chunk(
-                    compressor, &stream, chunk_len, &bytes, &mut flat, &mut amps,
-                )
-                .map(|()| amps)
-            }));
-            match decoded {
-                Ok(Ok(amps)) => FramePayload::Decoded { bytes, amps },
-                _ => FramePayload::Bytes(bytes),
+        for id in touches {
+            if self.inflight.len() >= PREFETCH_WINDOW {
+                return;
             }
-        };
-        shared.complete(req.id, req.gen, payload);
+            let Some(entry) = tier.entry(id) else {
+                continue;
+            };
+            if self.inflight.contains(&id) {
+                continue;
+            }
+            self.inflight.push(id);
+            // The readers outlive the readahead, so the send cannot fail.
+            let _ = self.requests.send(ReadRequest {
+                id,
+                entry,
+                file: Arc::clone(file),
+            });
+        }
+    }
+
+    /// The bytes of chunk `id`'s record at generation `gen`, waiting for
+    /// the read if it is still in flight. `None` when the chunk was never
+    /// requested, the read failed or it read an older generation (stale):
+    /// the caller then reads synchronously.
+    pub fn take(&mut self, id: usize, gen: u64) -> Option<Vec<u8>> {
+        let pos = self.inflight.iter().position(|&i| i == id)?;
+        self.inflight.swap_remove(pos);
+        loop {
+            if let Some(pos) = self.ready.iter().position(|r| r.0 == id) {
+                let (_, read_gen, bytes) = self.ready.swap_remove(pos);
+                return bytes.filter(|_| read_gen == gen);
+            }
+            // An error means both readers are gone: nothing more arrives.
+            let done = self.done.recv().ok()?;
+            self.ready.push(done);
+        }
     }
 }
 
@@ -847,25 +718,6 @@ mod tests {
         assert!(!path.exists());
     }
 
-    #[test]
-    fn touch_schedule_touches_each_chunk_once_per_stage() {
-        // 2 chunk qubits over 5 qubits → 8 chunks; qubits 2, 3, 4 are
-        // chunk-id bits 0, 1, 2.
-        let gates = [
-            Gate::H(0),
-            Gate::H(2),
-            Gate::H(3),
-            Gate::Zz(0, 4, 0.5), // diagonal: no gather, stays in the stage
-            Gate::H(4),          // a third gathered bit: a new stage
-            Gate::Cz(2, 4),
-        ];
-        let sched = touch_schedule(&gates, 2, 8);
-        let mut expect = vec![0, 1, 2, 3, 4, 5, 6, 7]; // bits {0, 1}: bases 0, 4
-        expect.extend([0, 4, 1, 5, 2, 6, 3, 7]); // bit {2}: bases 0..4, members {b, b|4}
-        assert_eq!(sched, expect);
-        assert!(touch_schedule(&[Gate::H(0), Gate::H(5)], 2, 8).is_empty());
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 8,
@@ -921,40 +773,33 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_queue_dedupes_and_consumes_by_generation() {
-        let shared = PrefetchShared::new();
-        shared.request(PrefetchRequest {
-            id: 3,
-            offset: 0,
-            len: 4,
-            gen: 7,
+    fn readahead_dedupes_and_takes_by_generation() {
+        let _guard = qcf_telemetry::faults::chaos_guard();
+        let mut tier = SpillTier::new(4);
+        let e1 = tier.append(1, b"one").unwrap();
+        tier.append(2, b"two").unwrap();
+        std::thread::scope(|s| {
+            let mut ra = Readahead::start(s, 0);
+            // A repeated request is dropped; a chunk in RAM is skipped.
+            ra.request(&tier, [1, 1, 0].into_iter());
+            assert_eq!(ra.inflight, [1]);
+            assert_eq!(ra.take(1, e1.gen).as_deref(), Some(&b"one"[..]));
+            assert!(ra.inflight.is_empty() && ra.ready.is_empty());
+            // A never-requested chunk, and one already taken, are misses.
+            assert_eq!(ra.take(2, tier.entry(2).unwrap().gen), None);
+            assert_eq!(ra.take(1, e1.gen), None);
+            // A read of an older generation is stale.
+            ra.request(&tier, [2].into_iter());
+            let e2 = tier.append(2, b"two-v2").unwrap();
+            assert_eq!(ra.take(2, e2.gen), None);
         });
-        shared.request(PrefetchRequest {
-            id: 3,
-            offset: 0,
-            len: 4,
-            gen: 7,
+        // A failed read is a miss: every read of a write-only handle fails.
+        let write_only = OpenOptions::new().write(true).open(tier.path()).unwrap();
+        tier.file = Some(Arc::new(Mutex::new(write_only)));
+        std::thread::scope(|s| {
+            let mut ra = Readahead::start(s, 0);
+            ra.request(&tier, [1].into_iter());
+            assert_eq!(ra.take(1, e1.gen), None);
         });
-        assert_eq!(shared.tracked(), 1);
-        let req = shared.next_request().unwrap();
-        shared.complete(req.id, req.gen, FramePayload::Bytes(vec![1, 2, 3, 4]));
-        match shared.consume(3, 7) {
-            Consume::Ready(FramePayload::Bytes(b)) => assert_eq!(b, vec![1, 2, 3, 4]),
-            _ => panic!("expected a hit"),
-        }
-        assert_eq!(shared.tracked(), 0);
-        // Stale generation and never-requested are both misses.
-        shared.request(PrefetchRequest {
-            id: 5,
-            offset: 0,
-            len: 1,
-            gen: 1,
-        });
-        let req = shared.next_request().unwrap();
-        shared.complete(req.id, req.gen, FramePayload::Bytes(vec![9]));
-        assert!(matches!(shared.consume(5, 2), Consume::Miss));
-        assert!(matches!(shared.consume(42, 1), Consume::Miss));
-        shared.shutdown();
-        assert!(shared.next_request().is_none());
     }
 }

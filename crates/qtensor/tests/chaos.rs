@@ -254,52 +254,64 @@ fn spill_fault_storm_completes_with_exact_accounting() {
     let dense = StateVector::run(&circuit);
     let reference = dense.maxcut_energy(&graph);
 
-    // Only the spill site armed: every decode error must trace back to a
-    // flipped on-disk record, making the accounting exactly closed.
-    faults::arm_from_spec("seed=57,state.spill.bitflip%0.05").unwrap();
-    let comp = Memcpy;
-    let mut cs = CompressedState::zero(8, 3, &comp, ErrorBound::Abs(0.0)).expect("zero state");
-    cs.set_mem_budget(Some(0));
-    for g in circuit.gates() {
-        cs.apply(g)
-            .expect("chaos run must complete degraded, not die");
-    }
-    let flips = faults::injected_count("state.spill.bitflip");
-    faults::disarm();
-    // Disarmed scrub (injects nothing more): fetches every remaining —
-    // possibly corrupt — record exactly once.
-    for _ in 0..5 {
-        if cs.verify().unwrap().all_clean() {
-            break;
+    // Gate by gate, and as one prefetched run whose readers read ahead of
+    // the stage loop: either way every decode stays on the main thread.
+    for prefetch in [false, true] {
+        // Only the spill site armed: every decode error must trace back to
+        // a flipped on-disk record, making the accounting exactly closed.
+        faults::arm_from_spec("seed=57,state.spill.bitflip%0.05").unwrap();
+        let comp = Memcpy;
+        let mut cs = CompressedState::zero(8, 3, &comp, ErrorBound::Abs(0.0)).expect("zero state");
+        cs.set_mem_budget(Some(0));
+        if prefetch {
+            cs.run_scheduled(circuit.gates(), true)
+                .expect("chaos run must complete degraded, not die");
+            assert!(cs.stats.prefetch_hits > 0, "the readers never read ahead");
+        } else {
+            for g in circuit.gates() {
+                cs.apply(g)
+                    .expect("chaos run must complete degraded, not die");
+            }
         }
-    }
+        let flips = faults::injected_count("state.spill.bitflip");
+        faults::disarm();
+        // Disarmed scrub (injects nothing more): fetches every remaining —
+        // possibly corrupt — record exactly once.
+        for _ in 0..5 {
+            if cs.verify().unwrap().all_clean() {
+                break;
+            }
+        }
 
-    assert!(flips > 0, "5% over hundreds of spills must fire");
-    // Exact accounting: every *fetched* corrupt record fails its frame
-    // checksum exactly once and quarantines exactly once. Flips can exceed detections only via records that a
-    // fresh write-back superseded before any fetch: corruption of
-    // already-dead bytes, which by definition can never reach the state.
-    assert!(cs.faults.decode_errors > 0, "no corruption detected");
-    assert!(
-        cs.faults.decode_errors <= flips,
-        "more detections than injected flips"
-    );
-    assert_eq!(
-        cs.faults.retries_ok, 0,
-        "persistent corruption never retries clean"
-    );
-    assert_eq!(cs.faults.quarantines, cs.faults.decode_errors);
-    assert!(cs.verify().unwrap().all_clean(), "storm never settled");
-    let s = cs.ledger_summary();
-    assert_eq!(s.total_quarantines, cs.faults.quarantines);
-    let e = cs.maxcut_energy(&graph).unwrap();
-    let bound = graph.edges().len() as f64 * cs.faults.lost_norm_sq + 1e-10;
-    assert!(
-        (e - reference).abs() <= bound,
-        "energy drift {} exceeds quarantine-adjusted bound {bound} (lost norm² {})",
-        (e - reference).abs(),
-        cs.faults.lost_norm_sq
-    );
+        assert!(flips > 0, "5% over hundreds of spills must fire");
+        // Exact accounting: every *fetched* corrupt record fails its frame
+        // checksum exactly once and quarantines exactly once. Flips can
+        // exceed detections only via records that a fresh write-back
+        // superseded before any fetch: corruption of already-dead bytes,
+        // which by definition can never reach the state.
+        assert!(cs.faults.decode_errors > 0, "no corruption detected");
+        assert!(
+            cs.faults.decode_errors <= flips,
+            "more detections than injected flips"
+        );
+        assert_eq!(
+            cs.faults.retries_ok, 0,
+            "persistent corruption never retries clean"
+        );
+        assert_eq!(cs.faults.quarantines, cs.faults.decode_errors);
+        assert!(cs.verify().unwrap().all_clean(), "storm never settled");
+        let s = cs.ledger_summary();
+        assert_eq!(s.total_quarantines, cs.faults.quarantines);
+        let e = cs.maxcut_energy(&graph).unwrap();
+        let bound = graph.edges().len() as f64 * cs.faults.lost_norm_sq + 1e-10;
+        assert!(
+            (e - reference).abs() <= bound,
+            "prefetch={prefetch}: energy drift {} exceeds quarantine-adjusted bound {bound} \
+             (lost norm² {})",
+            (e - reference).abs(),
+            cs.faults.lost_norm_sq
+        );
+    }
 }
 
 #[test]

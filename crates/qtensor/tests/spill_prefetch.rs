@@ -1,4 +1,4 @@
-//! The point of the prefetch pipeline: disk latency overlaps gate
+//! The point of the spill readahead: disk latency overlaps gate
 //! compute instead of serializing with it. With a simulated per-read
 //! device latency (the `QCF_SPILL_LATENCY_US` knob, set here
 //! programmatically so the test is filesystem-independent), the
@@ -7,9 +7,10 @@
 //! bit-identical to it.
 
 use compressors::dummy::Memcpy;
+use compressors::lz4::Lz4;
 use compressors::ErrorBound;
 use qcircuit::{qaoa_circuit, Graph, QaoaParams};
-use qtensor::CompressedState;
+use qtensor::{CompressedState, StateVector};
 use std::time::Instant;
 
 const LATENCY_US: u64 = 250;
@@ -47,7 +48,7 @@ fn async_prefetch_beats_synchronous_fetch_on_miss() {
         "prefetch hit rate below 80%: {hits} hits / {misses} misses"
     );
 
-    // Two I/O workers overlap reads with compute and with each other:
+    // Two spill readers overlap reads with compute and with each other:
     // ideal async wall ≈ sync/2. Assert a conservative 0.85 to keep the
     // test robust under load.
     assert!(
@@ -68,5 +69,39 @@ fn async_prefetch_beats_synchronous_fetch_on_miss() {
     for (x, y) in a.amplitudes().iter().zip(s.amplitudes()) {
         assert_eq!(x.re.to_bits(), y.re.to_bits());
         assert_eq!(x.im.to_bits(), y.im.to_bits());
+    }
+}
+
+#[test]
+fn prefetched_run_compacts_its_spill_log_mid_run() {
+    let graph = Graph::random_regular(10, 3, 21);
+    let circuit = qaoa_circuit(&graph, &QaoaParams::fixed_angles_3reg_p1());
+    let comp = Lz4;
+    let mut cs = CompressedState::zero(10, 3, &comp, ErrorBound::Abs(0.0)).unwrap();
+    cs.set_mem_budget(Some(0)); // all-spill: every stage churns the log
+    cs.run_scheduled(circuit.gates(), true).unwrap();
+    // Reads in flight keep the handle of the log they were requested
+    // from, so the log compacts while the run goes on, not once after it.
+    assert!(
+        cs.stats.compactions >= 2,
+        "{} compactions in one prefetched run",
+        cs.stats.compactions
+    );
+    assert_eq!(
+        cs.stats.prefetch_misses, 0,
+        "a compaction made a read stale"
+    );
+    let dense = StateVector::run(&circuit);
+    for (x, y) in cs
+        .to_statevector()
+        .unwrap()
+        .amplitudes()
+        .iter()
+        .zip(dense.amplitudes())
+    {
+        assert_eq!(
+            (x.re.to_bits(), x.im.to_bits()),
+            (y.re.to_bits(), y.im.to_bits())
+        );
     }
 }

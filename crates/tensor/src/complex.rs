@@ -48,15 +48,6 @@ impl Complex64 {
         }
     }
 
-    /// Creates a complex number from polar coordinates.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Complex64 {
-            re: r * theta.cos(),
-            im: r * theta.sin(),
-        }
-    }
-
     /// Complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
@@ -302,9 +293,8 @@ mod tests {
     }
 
     #[test]
-    fn from_polar_matches_cartesian() {
-        let z = Complex64::from_polar(2.0, std::f64::consts::FRAC_PI_2);
-        assert!(z.approx_eq(Complex64::new(0.0, 2.0), TOL));
+    fn arg_of_the_positive_imaginary_axis() {
+        let z = Complex64::new(0.0, 2.0);
         assert!((z.arg() - std::f64::consts::FRAC_PI_2).abs() < TOL);
     }
 

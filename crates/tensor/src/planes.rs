@@ -1,11 +1,11 @@
-//! Conversions between complex tensors and flat `f64` representations.
+//! Zero-copy views of complex tensors as flat `f64` buffers.
 //!
 //! QTensor stores tensors as interleaved complex values (`re, im, re, im, …`).
 //! The paper's first pre-processing step (P1) de-interleaves them into two
 //! contiguous *planes* — a real plane and an imaginary plane — because the
 //! Lorenzo predictor in SZ-family compressors predicts much better when
-//! consecutive values come from the same component. This module provides both
-//! views plus zero-copy reinterpretation helpers.
+//! consecutive values come from the same component. Codecs take the
+//! interleaved view from here and split the planes themselves.
 
 use crate::complex::Complex64;
 
@@ -26,47 +26,6 @@ pub fn as_interleaved_mut(values: &mut [Complex64]) -> &mut [f64] {
     unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr() as *mut f64, values.len() * 2) }
 }
 
-/// De-interleaves complex values into `(real_plane, imag_plane)`.
-pub fn split_planes(values: &[Complex64]) -> (Vec<f64>, Vec<f64>) {
-    let mut re = Vec::with_capacity(values.len());
-    let mut im = Vec::with_capacity(values.len());
-    for v in values {
-        re.push(v.re);
-        im.push(v.im);
-    }
-    (re, im)
-}
-
-/// Re-interleaves planes produced by [`split_planes`].
-///
-/// # Panics
-/// Panics when the plane lengths differ.
-pub fn merge_planes(re: &[f64], im: &[f64]) -> Vec<Complex64> {
-    assert_eq!(
-        re.len(),
-        im.len(),
-        "real/imag planes must have equal length"
-    );
-    re.iter()
-        .zip(im)
-        .map(|(&re, &im)| Complex64 { re, im })
-        .collect()
-}
-
-/// Copies an interleaved `f64` buffer into complex values.
-///
-/// # Panics
-/// Panics when `flat.len()` is odd.
-pub fn from_interleaved(flat: &[f64]) -> Vec<Complex64> {
-    assert!(
-        flat.len().is_multiple_of(2),
-        "interleaved buffer must have even length"
-    );
-    flat.chunks_exact(2)
-        .map(|p| Complex64 { re: p[0], im: p[1] })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,17 +37,10 @@ mod tests {
     }
 
     #[test]
-    fn split_merge_roundtrip() {
-        let v = sample(17);
-        let (re, im) = split_planes(&v);
-        assert_eq!(merge_planes(&re, &im), v);
-    }
-
-    #[test]
-    fn interleaved_roundtrip() {
+    fn interleaved_view_alternates_re_and_im() {
         let v = sample(9);
-        let flat = as_interleaved(&v).to_vec();
-        assert_eq!(from_interleaved(&flat), v);
+        let want: Vec<f64> = v.iter().flat_map(|c| [c.re, c.im]).collect();
+        assert_eq!(as_interleaved(&v), want);
     }
 
     #[test]
@@ -102,19 +54,5 @@ mod tests {
     fn empty_slices_are_fine() {
         let v: Vec<Complex64> = Vec::new();
         assert!(as_interleaved(&v).is_empty());
-        let (re, im) = split_planes(&v);
-        assert!(merge_planes(&re, &im).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "even length")]
-    fn odd_interleaved_panics() {
-        from_interleaved(&[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn mismatched_planes_panic() {
-        merge_planes(&[1.0], &[]);
     }
 }

@@ -1,14 +1,10 @@
 //! Value-distribution statistics over tensors.
 //!
 //! The paper's evaluation begins by characterizing QTensor-generated tensors
-//! (experiment E1): value ranges, the heavy mass of near-zero entries, and the
-//! large fraction of duplicated fixed-size blocks. Those three properties are
-//! exactly what the framework's pre-processing stages exploit, so the same
-//! statistics drive both the dataset table and the pipeline's heuristics.
+//! (experiment E1): value ranges, the heavy mass of near-zero entries, and
+//! how few distinct values they hold — properties the framework's
+//! pre-processing stages exploit.
 
-use crate::complex::Complex64;
-use crate::planes::as_interleaved;
-use crate::tensor::Tensor;
 use std::collections::HashSet;
 
 /// Summary statistics of a flat `f64` buffer.
@@ -75,37 +71,6 @@ impl ValueStats {
             near_zero_threshold,
         }
     }
-
-    /// Statistics over the interleaved real/imag stream of a complex tensor.
-    pub fn of_tensor(t: &Tensor, near_zero_threshold: f64) -> Self {
-        ValueStats::of(as_interleaved(t.data()), near_zero_threshold)
-    }
-}
-
-/// Fraction of fixed-size blocks that are exact duplicates of an earlier
-/// block. Gate-structured tensors repeat whole slices, which the dedup
-/// pre-processing stage (P3) exploits.
-///
-/// A trailing partial block is ignored. Returns 0 when there are fewer than
-/// two whole blocks.
-pub fn duplicated_block_frac(values: &[f64], block: usize) -> f64 {
-    assert!(block > 0, "block size must be positive");
-    let nblocks = values.len() / block;
-    if nblocks < 2 {
-        return 0.0;
-    }
-    let mut seen: HashSet<Vec<u64>> = HashSet::with_capacity(nblocks);
-    let mut dup = 0usize;
-    for b in 0..nblocks {
-        let key: Vec<u64> = values[b * block..(b + 1) * block]
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        if !seen.insert(key) {
-            dup += 1;
-        }
-    }
-    dup as f64 / nblocks as f64
 }
 
 /// Number of distinct bit patterns among the doubles of a buffer. QTensor
@@ -119,22 +84,9 @@ pub fn distinct_values(values: &[f64]) -> usize {
     seen.len()
 }
 
-/// Maximum pointwise complex distance between equally-shaped buffers.
-///
-/// # Panics
-/// Panics when lengths differ.
-pub fn max_pointwise_error(a: &[Complex64], b: &[Complex64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "buffers must have equal length");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (*x - *y).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::Tensor;
 
     #[test]
     fn stats_on_known_data() {
@@ -162,49 +114,10 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_blocks_counted() {
-        // blocks of 2: [1,2] [3,4] [1,2] [1,2] -> 2 of 4 duplicated
-        let v = [1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 1.0, 2.0];
-        assert!((duplicated_block_frac(&v, 2) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn duplicate_blocks_all_unique() {
-        let v: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        assert_eq!(duplicated_block_frac(&v, 4), 0.0);
-    }
-
-    #[test]
-    fn duplicate_blocks_short_input() {
-        assert_eq!(duplicated_block_frac(&[1.0, 2.0], 4), 0.0);
-    }
-
-    #[test]
     fn negative_zero_distinct_from_zero() {
         // bit-exact semantics: -0.0 and 0.0 are different patterns, which is
         // what a lossless compressor sees.
         assert_eq!(distinct_values(&[0.0, -0.0]), 2);
         assert_eq!(distinct_values(&[1.0, 1.0, 2.0]), 2);
-    }
-
-    #[test]
-    fn tensor_stats_cover_both_planes() {
-        let t = Tensor::qubit(
-            vec![0],
-            vec![Complex64::new(0.0, 5.0), Complex64::new(-5.0, 0.0)],
-        )
-        .unwrap();
-        let s = ValueStats::of_tensor(&t, 1e-9);
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, -5.0);
-        assert_eq!(s.max, 5.0);
-        assert!((s.near_zero_frac - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pointwise_error() {
-        let a = vec![Complex64::new(1.0, 0.0), Complex64::new(0.0, 1.0)];
-        let b = vec![Complex64::new(1.0, 0.0), Complex64::new(0.0, 0.0)];
-        assert!((max_pointwise_error(&a, &b) - 1.0).abs() < 1e-12);
     }
 }

@@ -274,53 +274,12 @@ impl Tensor {
         })
     }
 
-    /// Fixes axis `ix` at position `value`, removing it (a slice).
-    pub fn fix_index(&self, ix: Ix, value: usize) -> Result<Tensor, TensorError> {
-        let pos = self.position(ix).ok_or(TensorError::MissingIndex(ix))?;
-        let d = self.dims[pos];
-        assert!(value < d, "slice position out of range");
-        let outer: usize = self.dims[..pos].iter().product();
-        let inner: usize = self.dims[pos + 1..].iter().product();
-        let mut data = Vec::with_capacity(outer * inner);
-        for o in 0..outer {
-            let base = (o * d + value) * inner;
-            data.extend_from_slice(&self.data[base..base + inner]);
-        }
-        let mut indices = self.indices.clone();
-        let mut dims = self.dims.clone();
-        indices.remove(pos);
-        dims.remove(pos);
-        Ok(Tensor {
-            indices,
-            dims,
-            data,
-        })
-    }
-
-    /// Frobenius norm of the tensor.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v.norm_sq()).sum::<f64>().sqrt()
-    }
-
     /// Largest magnitude among elements (0 for empty tensors).
     pub fn max_abs(&self) -> f64 {
         self.data
             .iter()
             .map(|v| v.re.abs().max(v.im.abs()))
             .fold(0.0, f64::max)
-    }
-
-    /// Renames an index label (used when stitching networks together).
-    pub fn rename_index(&mut self, from: Ix, to: Ix) -> Result<(), TensorError> {
-        if from == to {
-            return Ok(());
-        }
-        if self.indices.contains(&to) {
-            return Err(TensorError::DuplicateIndex(to));
-        }
-        let pos = self.position(from).ok_or(TensorError::MissingIndex(from))?;
-        self.indices[pos] = to;
-        Ok(())
     }
 }
 
@@ -534,15 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn fix_index_slices() {
-        let t = Tensor::new(vec![0, 1], vec![2, 3], iota(6)).unwrap();
-        let row1 = t.fix_index(0, 1).unwrap();
-        assert_eq!(row1.data(), &[c(3.0), c(4.0), c(5.0)]);
-        let col2 = t.fix_index(1, 2).unwrap();
-        assert_eq!(col2.data(), &[c(2.0), c(5.0)]);
-    }
-
-    #[test]
     fn scalar_tensor() {
         let t = Tensor::scalar(Complex64::new(2.0, 1.0));
         assert_eq!(t.rank(), 0);
@@ -551,19 +501,8 @@ mod tests {
     }
 
     #[test]
-    fn rename_index_checks_collisions() {
-        let mut t = Tensor::new(vec![0, 1], vec![2, 2], iota(4)).unwrap();
-        t.rename_index(0, 9).unwrap();
-        assert_eq!(t.indices(), &[9, 1]);
-        assert!(t.rename_index(9, 1).is_err());
-        assert!(t.rename_index(123, 4).is_err());
-        t.rename_index(1, 1).unwrap(); // no-op
-    }
-
-    #[test]
-    fn norms() {
+    fn max_abs_takes_the_largest_component() {
         let t = Tensor::new(vec![0], vec![2], vec![c(3.0), c(4.0)]).unwrap();
-        assert!((t.frobenius_norm() - 5.0).abs() < 1e-12);
         assert!((t.max_abs() - 4.0).abs() < 1e-12);
     }
 }
