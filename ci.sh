@@ -95,11 +95,14 @@ if echo "$chaos_out" | grep -q " 0 quarantines"; then
 fi
 
 # Out-of-core gate. A budgeted run must actually exceed its budget and
-# spill (nonzero writes), the gate-schedule prefetcher must cover at
-# least half the fetches, and frame placement must be pure: the energy
-# line of the budgeted run matches the unbudgeted one character for
-# character. Then a QCF_MEM_BUDGET-armed `verify --state` proves the
-# scrub walks the disk tier clean (exit code is the contract).
+# spill (nonzero writes), the stage-fed readahead must cover at least
+# half the fetches and miss none (hits and misses depend only on where
+# reads are requested and taken, never on timing, so a feed regression
+# fails here rather than passing at the hit-rate floor), and frame
+# placement must be pure: the energy line of the budgeted run matches
+# the unbudgeted one character for character. Then a
+# QCF_MEM_BUDGET-armed `verify --state` proves the scrub walks the disk
+# tier clean (exit code is the contract).
 echo "== out-of-core gate (spill tier + prefetch) =="
 oo_flags=(state --nodes 12 --seed 21 --compressor LZ4 --abs 0)
 base_out=$(cargo run --release -q -p qcf-bench --bin qcfz -- "${oo_flags[@]}")
@@ -119,6 +122,11 @@ fi
 hit_rate=$(echo "$spill_out" | sed -n '/^spill:/s/.*(\([0-9]*\)% hit rate.*/\1/p')
 if [ -z "$hit_rate" ] || [ "$hit_rate" -lt 50 ]; then
     echo "out-of-core gate FAILED: prefetch hit rate ${hit_rate:-?}% below 50%" >&2
+    exit 1
+fi
+misses=$(echo "$spill_out" | sed -n '/^spill:/s/.* \([0-9]*\) misses.*/\1/p')
+if [ "$misses" != "0" ]; then
+    echo "out-of-core gate FAILED: ${misses:-?} prefetch misses, expected 0" >&2
     exit 1
 fi
 oo_verify=$(QCF_MEM_BUDGET=4k cargo run --release -q -p qcf-bench --bin qcfz -- \

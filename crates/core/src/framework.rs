@@ -132,16 +132,6 @@ const STAGE_LATENCY_BOUNDS_US: [f64; 10] = [
     10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
 ];
 
-/// Starts a whole-call latency measurement iff telemetry is enabled.
-#[inline]
-fn lat_start() -> Option<std::time::Instant> {
-    if qcf_telemetry::enabled() {
-        Some(std::time::Instant::now())
-    } else {
-        None
-    }
-}
-
 impl QcfCompressor {
     /// Ratio mode with all stages.
     pub fn ratio() -> Self {
@@ -614,12 +604,8 @@ impl Compressor for QcfCompressor {
         stream: &Stream,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        let t0 = lat_start();
-        let res = self.encode(data, bound, stream, out);
-        if let Some(t0) = t0 {
-            self.lat_encode.observe(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        res
+        self.lat_encode
+            .time_us(|| self.encode(data, bound, stream, out))
     }
 
     fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
@@ -634,12 +620,7 @@ impl Compressor for QcfCompressor {
         stream: &Stream,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
-        let t0 = lat_start();
-        let res = self.decode(bytes, stream, out);
-        if let Some(t0) = t0 {
-            self.lat_decode.observe(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        res
+        self.lat_decode.time_us(|| self.decode(bytes, stream, out))
     }
 }
 

@@ -28,25 +28,30 @@
 //! copy outlives its group. Under a lossy codec each chunk is requantized
 //! exactly once per stage that touches it.
 //!
+//! This module is the stage front: the stage loop, the decode → retry →
+//! quarantine chain, the error ledger and the snapshot body. Where a frame
+//! lives — RAM or the spill log, under which budget, read ahead or not —
+//! is [`spill::Frames`]'s decision alone: the stage loop gets each frame
+//! from it, stamps each touch, feeds it the stage's group list to read
+//! ahead in, and puts each freshly encoded frame back.
+//!
 //! The tests measure the end effect as state fidelity and energy drift vs.
 //! the dense oracle; `tests/differential.rs` holds every knob to it.
 
 use crate::checkpoint::{self, CkptError};
 use crate::contraction::ContractError;
 use crate::ledger::{ChunkRecord, ErrorLedger, LedgerSummary};
-use crate::spill::{self, Readahead, SpillTier};
+use crate::spill::{self, Frames};
 use crate::statevector::{apply_diagonal_2q, apply_gate_to_amplitudes, StateVector};
 use compressors::traits::value_range;
 use compressors::{Compressor, CompressorKind, ErrorBound};
 use gpu_model::{DeviceSpec, Stream};
 use qcf_telemetry::journal::{self, EventKind};
-use qcf_telemetry::{Counter, Gauge, GaugeTrack, Histogram};
+use qcf_telemetry::{Counter, Histogram};
 use qcircuit::{Circuit, Gate, Graph};
-use std::borrow::Cow;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
 use tensornet::planes::as_interleaved;
 use tensornet::Complex64;
 
@@ -124,28 +129,17 @@ const LATENCY_BOUNDS_US: [f64; 15] = [
     100000.0, 250000.0, 1000000.0,
 ];
 
-/// Cached handles for every `state.*` registry instrument, resolved once
-/// at construction so the hot path never takes the registry lock.
-/// Counter and histogram updates are lock-free and allocation-free, which
-/// keeps the warm apply path inside the zero-allocation gate.
+/// Handles for the state's own `state.*` registry instruments (the spill
+/// and prefetch ones belong to [`Frames`]), resolved once per process —
+/// registry instruments live as long as it — so the hot path never takes
+/// the registry lock and a latency timer can hold its histogram beside a
+/// `&mut` borrow of the state. Updates are lock-free and allocation-free.
 struct StateCounters {
     // `state.faults.*`, mirrors of `FaultStats`
     decode_errors: Arc<Counter>,
     retries_ok: Arc<Counter>,
     quarantines: Arc<Counter>,
     worker_panics: Arc<Counter>,
-    // `state.spill.*`, `state.prefetch.*`
-    spill_writes: Arc<Counter>,
-    spill_reads: Arc<Counter>,
-    spill_bytes: Arc<Counter>,
-    spill_live_bytes: GaugeTrack,
-    /// Dead (superseded-record) bytes in the spill log — the level the
-    /// `capacity.spill_dead` SLO watches; compaction drives it back down.
-    spill_dead_bytes: Arc<Gauge>,
-    compactions: Arc<Counter>,
-    prefetch_hits: Arc<Counter>,
-    prefetch_misses: Arc<Counter>,
-    stall_us: Arc<Counter>,
     // `state.ckpt.*`
     ckpt_writes: Arc<Counter>,
     ckpt_bytes: Arc<Counter>,
@@ -159,30 +153,24 @@ struct StateCounters {
 }
 
 impl StateCounters {
-    fn new() -> Self {
-        let reg = qcf_telemetry::registry();
-        let us = |name| reg.histogram(name, &LATENCY_BOUNDS_US);
-        StateCounters {
-            decode_errors: reg.counter("state.faults.decode_errors"),
-            retries_ok: reg.counter("state.faults.retries_ok"),
-            quarantines: reg.counter("state.faults.quarantines"),
-            worker_panics: reg.counter("state.faults.worker_panics"),
-            spill_writes: reg.counter("state.spill.writes"),
-            spill_reads: reg.counter("state.spill.reads"),
-            spill_bytes: reg.counter("state.spill.bytes"),
-            spill_live_bytes: reg.gauge("state.spill.live_bytes").track(),
-            spill_dead_bytes: reg.gauge("state.spill.dead_bytes"),
-            compactions: reg.counter("state.spill.compactions"),
-            prefetch_hits: reg.counter("state.prefetch.hits"),
-            prefetch_misses: reg.counter("state.prefetch.misses"),
-            stall_us: reg.counter("state.prefetch.stall_us"),
-            ckpt_writes: reg.counter("state.ckpt.writes"),
-            ckpt_bytes: reg.counter("state.ckpt.bytes"),
-            ckpt_restores: reg.counter("state.ckpt.restores"),
-            apply_us: us("state.apply_us"),
-            encode_us: us("state.encode_us"),
-            decode_us: us("state.decode_us"),
-        }
+    fn get() -> &'static Self {
+        static COUNTERS: OnceLock<StateCounters> = OnceLock::new();
+        COUNTERS.get_or_init(|| {
+            let reg = qcf_telemetry::registry();
+            let us = |name| reg.histogram(name, &LATENCY_BOUNDS_US);
+            StateCounters {
+                decode_errors: reg.counter("state.faults.decode_errors"),
+                retries_ok: reg.counter("state.faults.retries_ok"),
+                quarantines: reg.counter("state.faults.quarantines"),
+                worker_panics: reg.counter("state.faults.worker_panics"),
+                ckpt_writes: reg.counter("state.ckpt.writes"),
+                ckpt_bytes: reg.counter("state.ckpt.bytes"),
+                ckpt_restores: reg.counter("state.ckpt.restores"),
+                apply_us: us("state.apply_us"),
+                encode_us: us("state.encode_us"),
+                decode_us: us("state.decode_us"),
+            }
+        })
     }
 }
 
@@ -199,25 +187,6 @@ pub struct TierBreakdown {
     /// Total spill-log bytes on disk (live records plus dead space the
     /// next compaction will reclaim).
     pub spill_file_bytes: usize,
-}
-
-/// Starts a latency measurement iff telemetry is enabled (one relaxed load
-/// on the disabled path, no clock read).
-#[inline]
-fn lat_start() -> Option<Instant> {
-    if qcf_telemetry::enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    }
-}
-
-/// Ends a latency measurement started by [`lat_start`].
-#[inline]
-fn lat_end(hist: &Histogram, t0: Option<Instant>) {
-    if let Some(t0) = t0 {
-        hist.observe(t0.elapsed().as_secs_f64() * 1e6);
-    }
 }
 
 /// Result of a [`CompressedState::verify`] scrub.
@@ -406,14 +375,11 @@ fn apply_stage_gates(buf: &mut [Complex64], c: usize, bits: &[usize], base: usiz
 pub struct CompressedState<'a> {
     n: usize,
     chunk_qubits: usize,
-    chunks: Vec<Vec<u8>>,
     compressor: &'a dyn Compressor,
     bound: ErrorBound,
     stream: Stream,
-    /// Resident-bytes level: locally exact per run, mirrored into the
-    /// `state.resident_bytes` registry gauge when telemetry is enabled.
-    /// Tracks the *compressed* bytes held in `chunks`.
-    resident: GaugeTrack,
+    /// Where every chunk's sealed frame lives (RAM or the spill log).
+    frames: Frames,
     /// Reused interleaved-f64 scratch for chunk (de)compression.
     flat: Vec<f64>,
     /// Reused group buffer: a stage decodes each group into it.
@@ -430,17 +396,7 @@ pub struct CompressedState<'a> {
     /// loss estimate recorded when a chunk has to be quarantined.
     chunk_norm: Vec<f64>,
     /// Cached `state.*` registry handles.
-    counters: StateCounters,
-    /// The disk tier (inert until the first spill).
-    spill_tier: SpillTier,
-    /// Compressed-RAM budget in bytes (`QCF_MEM_BUDGET`); `None` means
-    /// unbounded — the disk tier is never used.
-    mem_budget: Option<usize>,
-    /// The spill readers' feed during a prefetched run.
-    prefetch: Option<Readahead>,
-    /// Last-touch stamp per chunk — spill coldness.
-    touch_stamp: Vec<u64>,
-    touch_tick: u64,
+    counters: &'static StateCounters,
     /// Gates applied by this process; beside [`StateStats`], whose fields
     /// callers build as literals (see [`gates_applied`](Self::gates_applied)).
     gates_applied: u64,
@@ -469,11 +425,11 @@ impl<'a> CompressedState<'a> {
             chunk_qubits,
             compressor,
             bound,
-            Vec::with_capacity(n_chunks),
             vec![0.0; n_chunks],
             ErrorLedger::new(n_chunks),
         );
         let chunk_len = 1usize << chunk_qubits;
+        let mut frames = Vec::with_capacity(n_chunks);
         for chunk_id in 0..n_chunks {
             let mut amps = vec![Complex64::ZERO; chunk_len];
             if chunk_id == 0 {
@@ -485,70 +441,48 @@ impl<'a> CompressedState<'a> {
             let abs_bound = state.lossy_abs_bound(&amps);
             state.ledger.record_initial(chunk_id, abs_bound);
             state.chunk_norm[chunk_id] = amps.iter().map(|a| a.norm_sq()).sum();
-            state.resident.add(bytes.len() as i64);
-            state.chunks.push(bytes);
+            frames.push(bytes);
         }
-        state.sync_resident_stats();
-        state.enforce_budget();
+        state.frames.load(frames, &mut state.stats);
         Ok(state)
     }
 
     /// The one constructor behind [`zero`](Self::zero) and
-    /// [`resume`](Self::resume): wraps chunk frames, norms and ledger in
-    /// a fresh (inert) spill tier, the env-configured
-    /// knobs and the registry handles, with zeroed run and fault tallies.
+    /// [`resume`](Self::resume): wraps chunk norms and ledger with frame
+    /// placement still empty (the caller loads the frames), the
+    /// env-configured knobs and the registry handles, with zeroed run and
+    /// fault tallies.
     fn assemble(
         n: usize,
         chunk_qubits: usize,
         compressor: &'a dyn Compressor,
         bound: ErrorBound,
-        chunks: Vec<Vec<u8>>,
         chunk_norm: Vec<f64>,
         ledger: ErrorLedger,
     ) -> Self {
-        let n_chunks = 1usize << (n - chunk_qubits);
-        let config = qcf_telemetry::config::config();
         CompressedState {
             n,
             chunk_qubits,
-            chunks,
             compressor,
             bound,
             stream: Stream::new(DeviceSpec::a100()),
-            resident: qcf_telemetry::registry()
-                .gauge("state.resident_bytes")
-                .track(),
+            frames: Frames::new(1usize << (n - chunk_qubits)),
             flat: Vec::new(),
             group_buf: Vec::new(),
             stage_groups: Vec::new(),
             ledger,
-            measure_err: config.ledger_measure,
+            measure_err: qcf_telemetry::config::config().ledger_measure,
             chunk_norm,
-            counters: StateCounters::new(),
-            spill_tier: SpillTier::new(n_chunks),
-            mem_budget: config.mem_budget,
-            prefetch: None,
-            touch_stamp: vec![0; n_chunks],
-            touch_tick: 0,
+            counters: StateCounters::get(),
             gates_applied: 0,
             stats: StateStats::default(),
             faults: FaultStats::default(),
         }
     }
 
-    /// Copies the tracker's level/peak into the public stats struct.
-    fn sync_resident_stats(&mut self) {
-        self.stats.resident_bytes = self.resident.value() as usize;
-        self.stats.peak_resident_bytes = self.resident.peak() as usize;
-        self.stats.spilled_bytes = self.spill_tier.live_bytes() as usize;
-        self.counters
-            .spill_dead_bytes
-            .set(self.spill_tier.dead_bytes() as i64);
-    }
-
     /// The configured compressed-RAM budget in bytes (`None` = unbounded).
     pub fn mem_budget(&self) -> Option<usize> {
-        self.mem_budget
+        self.frames.budget()
     }
 
     /// Sets the compressed-RAM budget and immediately re-tiers to honor
@@ -556,136 +490,19 @@ impl<'a> CompressedState<'a> {
     /// stops future spills (already-spilled frames fetch back lazily on
     /// their next touch).
     pub fn set_mem_budget(&mut self, budget: Option<usize>) {
-        self.mem_budget = budget;
-        self.enforce_budget();
+        self.frames.set_budget(budget, &mut self.stats);
     }
 
     /// Overrides the simulated per-read disk latency
     /// (`QCF_SPILL_LATENCY_US`) — lets tests and demos model a slow
     /// device deterministically.
     pub fn set_spill_latency_us(&mut self, us: u64) {
-        self.spill_tier.latency_us = us;
+        self.frames.set_latency_us(us);
     }
 
-    /// Current distribution of the state across the three storage tiers.
+    /// Current distribution of the state across the storage tiers.
     pub fn tier_breakdown(&self) -> TierBreakdown {
-        TierBreakdown {
-            ram_compressed_bytes: self.resident.value() as usize,
-            spilled_bytes: self.spill_tier.live_bytes() as usize,
-            spilled_chunks: self.spill_tier.spilled_chunks(),
-            spill_file_bytes: self.spill_tier.file_bytes() as usize,
-        }
-    }
-
-    /// Spills coldest-first until compressed-in-RAM bytes fit the
-    /// budget.
-    fn enforce_budget(&mut self) {
-        let Some(budget) = self.mem_budget else {
-            return;
-        };
-        if self.spill_tier.disabled {
-            return;
-        }
-        while (self.resident.value() as usize) > budget {
-            let victim = (0..self.chunks.len())
-                .filter(|&id| !self.chunks[id].is_empty() && self.spill_tier.entry(id).is_none())
-                .min_by_key(|&id| self.touch_stamp[id]);
-            let Some(id) = victim else {
-                break;
-            };
-            if !self.spill_chunk(id) {
-                break;
-            }
-        }
-    }
-
-    /// Moves chunk `id`'s compressed frame from RAM to the disk tier.
-    /// Returns `false` (and disables the tier) on an I/O failure — the
-    /// frame stays in RAM and the simulation degrades to unbounded.
-    fn spill_chunk(&mut self, id: usize) -> bool {
-        let bytes = std::mem::take(&mut self.chunks[id]);
-        // Chaos site: flip one bit in the *on-disk* record only; the RAM
-        // copy is dropped, so the corruption lives purely in the disk
-        // tier and must be caught by the frame checksum at fetch time.
-        // Byte 0 is skipped for the same reason as `state.chunk.bitflip`:
-        // clearing the frame-flag bit would fake a legacy-v1 stream, an
-        // undetectable fault outside the model.
-        let mut flipped;
-        let disk: &[u8] = if bytes.len() > 1 {
-            if let Some(payload) = qcf_telemetry::faults::inject("state.spill.bitflip") {
-                flipped = bytes.clone();
-                let bit = 8 + (payload as usize) % ((flipped.len() - 1) * 8);
-                flipped[bit / 8] ^= 1 << (bit % 8);
-                &flipped
-            } else {
-                &bytes
-            }
-        } else {
-            &bytes
-        };
-        match self.spill_tier.append(id, disk) {
-            Ok(entry) => {
-                self.resident.add(-(bytes.len() as i64));
-                self.stats.spills += 1;
-                self.counters.spill_writes.inc();
-                self.counters.spill_bytes.add(bytes.len() as u64);
-                self.counters.spill_live_bytes.add(i64::from(entry.len));
-                journal::record(id as u64, EventKind::Spill, bytes.len() as f64);
-                self.sync_resident_stats();
-                self.maybe_compact();
-                true
-            }
-            Err(e) => {
-                eprintln!("warning: disk spill tier disabled after I/O error: {e}");
-                self.spill_tier.disabled = true;
-                self.chunks[id] = bytes;
-                false
-            }
-        }
-    }
-
-    /// If chunk `id` lives on the disk tier, brings its frame back into
-    /// RAM: a read the stage loop requested is taken first (*hit* — even
-    /// when it waits for the read, so hit/miss counts depend only on where
-    /// reads are requested and taken, never on timing); otherwise the
-    /// frame is read synchronously (*miss*). Either way the bytes land in
-    /// `chunks[id]` before the decode, so the recovery chain treats disk
-    /// corruption exactly like RAM corruption.
-    fn fetch_if_spilled(&mut self, id: usize) {
-        let Some(entry) = self.spill_tier.entry(id) else {
-            return;
-        };
-        let t0 = Instant::now();
-        let prefetched = self.prefetch.as_mut().and_then(|ra| ra.take(id, entry.gen));
-        let hit = prefetched.is_some();
-        // A failed synchronous read leaves empty bytes: the decode fails
-        // and the chunk goes through retry → quarantine with exact
-        // accounting.
-        let bytes = prefetched.unwrap_or_else(|| self.spill_tier.read(entry).unwrap_or_default());
-        let stall = t0.elapsed().as_micros() as u64;
-        self.stats.prefetch_stall_us += stall;
-        self.counters.stall_us.add(stall);
-        if hit {
-            self.stats.prefetch_hits += 1;
-            self.counters.prefetch_hits.inc();
-        } else {
-            self.stats.prefetch_misses += 1;
-            self.counters.prefetch_misses.inc();
-        }
-        self.spill_tier.invalidate(id);
-        self.counters.spill_live_bytes.add(-i64::from(entry.len));
-        self.stats.fetches += 1;
-        self.counters.spill_reads.inc();
-        journal::record(id as u64, EventKind::Fetch, bytes.len() as f64);
-        self.resident.add(bytes.len() as i64);
-        self.chunks[id] = bytes;
-        self.sync_resident_stats();
-    }
-
-    /// Bumps chunk `id`'s last-touch stamp (spill coldness).
-    fn note_touch(&mut self, id: usize) {
-        self.touch_tick += 1;
-        self.touch_stamp[id] = self.touch_tick;
+        self.frames.breakdown()
     }
 
     /// Applies `gates` stage by stage ([`chunk_groups`]): each stage decodes
@@ -702,52 +519,19 @@ impl<'a> CompressedState<'a> {
     /// `prefetch` false: the synchronous-fetch-on-miss baseline) the stages
     /// run on the calling thread alone.
     pub fn run_scheduled(&mut self, gates: &[Gate], prefetch: bool) -> Result<(), ContractError> {
-        if !prefetch || self.mem_budget.is_none() || self.spill_tier.disabled {
+        if !prefetch {
             return self.run_stages(gates);
         }
-        let latency_us = self.spill_tier.latency_us;
         // The readers block on disk, so they are dedicated threads rather
         // than executor pool work.
         std::thread::scope(|s| {
-            self.prefetch = Some(Readahead::start(s, latency_us));
+            self.frames.read_ahead(Some(s));
             let res = panic::catch_unwind(AssertUnwindSafe(|| self.run_stages(gates)));
-            // Closes the readers' request channel, so the scope can join
-            // them, also after a panic.
-            self.prefetch = None;
+            // Stops the readers also after a panic, so the scope can join
+            // them.
+            self.frames.read_ahead(None);
             res.unwrap_or_else(|payload| panic::resume_unwind(payload))
         })
-    }
-
-    /// Compacts the spill log when the dead-space policy says a rewrite
-    /// pays for itself ([`SpillTier::should_compact`]). Failures leave the
-    /// log as it was (the rewrite goes to a temp file first) and only warn.
-    fn maybe_compact(&mut self) {
-        if !self.spill_tier.should_compact() {
-            return;
-        }
-        if let Err(e) = self.compact_now() {
-            eprintln!("warning: spill compaction failed (log left as-is): {e}");
-        }
-    }
-
-    fn compact_now(&mut self) -> std::io::Result<u64> {
-        let reclaimed = self.spill_tier.compact()?;
-        if reclaimed > 0 {
-            self.stats.compactions += 1;
-            self.stats.spill_reclaimed_bytes += reclaimed;
-            self.counters.compactions.inc();
-            for id in 0..self.chunks.len() {
-                if let Some(e) = self.spill_tier.entry(id) {
-                    journal::record(
-                        id as u64,
-                        EventKind::Compact,
-                        (e.len as usize + spill::RECORD_HEADER) as f64,
-                    );
-                }
-            }
-            self.sync_resident_stats();
-        }
-        Ok(reclaimed)
     }
 
     /// Gates this process applied to the state (a resumed state starts
@@ -793,20 +577,41 @@ impl<'a> CompressedState<'a> {
         self.ledger.summary()
     }
 
-    /// One guarded encode attempt of `data` into `bytes`. A worker panic
-    /// inside the codec kernel is converted into a per-chunk error (and
-    /// counted) instead of unwinding through the simulation.
+    /// One guarded kernel call — a chunk encode or decode, or a stage's
+    /// gates on a group buffer: a worker panic inside it becomes this
+    /// chunk's error, booked as a worker panic, instead of unwinding
+    /// through the simulation.
+    fn guarded(
+        &mut self,
+        what: &str,
+        call: impl FnOnce(&mut Self) -> Result<(), ContractError>,
+    ) -> Result<(), ContractError> {
+        panic::catch_unwind(AssertUnwindSafe(|| call(self))).unwrap_or_else(|_| {
+            self.faults.worker_panics += 1;
+            self.counters.worker_panics.inc();
+            Err(ContractError::Hook(format!("worker panic in chunk {what}")))
+        })
+    }
+
+    /// One guarded encode attempt of `data` into `bytes`.
     fn try_encode(&mut self, data: &[f64], bytes: &mut Vec<u8>) -> Result<(), ContractError> {
-        let (compressor, bound, stream) = (self.compressor, self.bound, &self.stream);
-        match panic::catch_unwind(AssertUnwindSafe(|| {
-            compressor.compress_into(data, bound, stream, bytes)
-        })) {
-            Ok(r) => r.map_err(|e| ContractError::Hook(format!("chunk compress: {e}"))),
-            Err(_) => {
-                self.note_worker_panics(1);
-                Err(ContractError::Hook("worker panic in chunk compress".into()))
-            }
-        }
+        self.guarded("compress", |s| {
+            s.compressor
+                .compress_into(data, s.bound, &s.stream, bytes)
+                .map_err(|e| ContractError::Hook(format!("chunk compress: {e}")))
+        })
+    }
+
+    /// One guarded, timed decode attempt of chunk `id`'s frame, appended to
+    /// `amps` ([`decode_chunk`]).
+    fn try_decode(&mut self, id: usize, amps: &mut Vec<Complex64>) -> Result<(), ContractError> {
+        let (counters, chunk_len) = (self.counters, self.chunk_len());
+        counters.decode_us.time_us(|| {
+            self.guarded("decode", |s| {
+                let frame = s.frames.get(id, &mut s.stats);
+                decode_chunk(s.compressor, &s.stream, chunk_len, frame, &mut s.flat, amps)
+            })
+        })
     }
 
     /// [`try_encode`](Self::try_encode) with one bounded retry: a
@@ -828,14 +633,6 @@ impl<'a> CompressedState<'a> {
         res
     }
 
-    /// Books `n` worker panics that were converted into per-chunk failures.
-    fn note_worker_panics(&mut self, n: u64) {
-        if n > 0 {
-            self.faults.worker_panics += n;
-            self.counters.worker_panics.add(n);
-        }
-    }
-
     /// Books a quarantine of chunk `id`, whose last-known squared norm is
     /// lost to the zero-fill.
     fn record_quarantine_loss(&mut self, id: usize) {
@@ -845,66 +642,6 @@ impl<'a> CompressedState<'a> {
         self.faults.lost_norm_sq += lost;
         self.ledger.record_quarantine(id, lost);
         journal::record(id as u64, EventKind::Quarantine, lost);
-    }
-
-    /// Chunk `id`'s sealed frame for a `&self` reader: the RAM copy, or
-    /// the disk-tier record read *in place* (counted in
-    /// `state.spill.reads` but not unspilled — read-only scans and
-    /// checkpoints must not mutate the tiers).
-    fn frame(&self, id: usize) -> std::io::Result<Cow<'_, [u8]>> {
-        match self.spill_tier.entry(id) {
-            Some(entry) => {
-                let bytes = self.spill_tier.read(entry)?;
-                self.counters.spill_reads.inc();
-                Ok(Cow::Owned(bytes))
-            }
-            None => Ok(Cow::Borrowed(&self.chunks[id])),
-        }
-    }
-
-    /// Appends chunk `id`'s amplitudes to `amps` for a `&self` reader: its
-    /// [`frame`](Self::frame) decoded through the `flat` scratch.
-    fn read_chunk(
-        &self,
-        id: usize,
-        flat: &mut Vec<f64>,
-        amps: &mut Vec<Complex64>,
-    ) -> Result<(), ContractError> {
-        let frame = self
-            .frame(id)
-            .map_err(|e| ContractError::Hook(format!("spill read: {e}")))?;
-        decode_chunk(
-            self.compressor,
-            &self.stream,
-            self.chunk_len(),
-            &frame,
-            flat,
-            amps,
-        )
-    }
-
-    /// One guarded decode attempt of chunk `id`, appended to `amps`
-    /// ([`decode_chunk`]). A worker panic inside the codec kernel is
-    /// converted into a per-chunk error (and counted) instead of unwinding
-    /// through the simulation.
-    fn try_decode(&mut self, id: usize, amps: &mut Vec<Complex64>) -> Result<(), ContractError> {
-        let chunk_len = self.chunk_len();
-        let compressor = self.compressor;
-        let stream = &self.stream;
-        let bytes = &self.chunks[id];
-        let flat = &mut self.flat;
-        let t0 = lat_start();
-        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            decode_chunk(compressor, stream, chunk_len, bytes, flat, amps)
-        }));
-        lat_end(&self.counters.decode_us, t0);
-        match caught {
-            Ok(r) => r,
-            Err(_) => {
-                self.note_worker_panics(1);
-                Err(ContractError::Hook("worker panic in chunk decode".into()))
-            }
-        }
     }
 
     /// Decodes chunk `id` through the recovery policy chain (see
@@ -918,15 +655,16 @@ impl<'a> CompressedState<'a> {
         id: usize,
         amps: &mut Vec<Complex64>,
     ) -> Result<bool, ContractError> {
-        let chunk_len = self.chunk_len() as f64;
-        self.fetch_if_spilled(id);
+        let chunk_len = self.chunk_len();
+        // A spilled frame comes back into RAM here, outside the decode timer.
+        let frame_len = self.frames.get(id, &mut self.stats).len();
         if self.try_decode(id, amps).is_ok() {
-            journal::record(id as u64, EventKind::Decode, chunk_len);
+            journal::record(id as u64, EventKind::Decode, chunk_len as f64);
             return Ok(true);
         }
         self.faults.decode_errors += 1;
         self.counters.decode_errors.inc();
-        journal::record(id as u64, EventKind::Fault, self.chunks[id].len() as f64);
+        journal::record(id as u64, EventKind::Fault, frame_len as f64);
         // 1. Bounded retry: transient faults (a panicked worker, an
         //    injected decode error) heal on a second attempt; persistent
         //    byte corruption does not.
@@ -941,7 +679,7 @@ impl<'a> CompressedState<'a> {
         //    bytes so later reads decode cleanly, account the lost norm,
         //    keep simulating.
         let start = amps.len();
-        amps.resize(start + self.chunk_len(), Complex64::ZERO);
+        amps.resize(start + chunk_len, Complex64::ZERO);
         self.record_quarantine_loss(id);
         self.write_back(id, &amps[start..])?;
         Ok(false)
@@ -969,7 +707,7 @@ impl<'a> CompressedState<'a> {
     ///
     /// Returns total bytes at the committed path.
     pub fn checkpoint(&self, path: &Path, app_meta: &[u8]) -> Result<u64, CkptError> {
-        let n_chunks = self.chunks.len();
+        let n_chunks = self.ledger.n_chunks();
         let mut body = Vec::new();
         body.extend_from_slice(checkpoint::SNAP_MAGIC);
         checkpoint::put_u32(&mut body, self.n as u32);
@@ -987,7 +725,7 @@ impl<'a> CompressedState<'a> {
         body.extend_from_slice(app_meta);
         let mut frame_lens = Vec::with_capacity(n_chunks);
         for id in 0..n_chunks {
-            let frame = self.frame(id).map_err(CkptError::Io)?;
+            let frame = self.frames.read(id).map_err(CkptError::Io)?;
             checkpoint::put_u32(&mut body, frame.len() as u32);
             body.extend_from_slice(&frame);
             checkpoint::put_f64(&mut body, self.chunk_norm[id]);
@@ -1119,18 +857,14 @@ impl<'a> CompressedState<'a> {
             chunk_qubits,
             compressor,
             bound,
-            chunks,
             chunk_norm,
             ErrorLedger::restore(records, lossy_events),
         );
         state.faults = faults;
-        for id in 0..state.chunks.len() {
-            let len = state.chunks[id].len();
-            state.resident.add(len as i64);
-            journal::record(id as u64, EventKind::Checkpoint, len as f64);
+        for (id, frame) in chunks.iter().enumerate() {
+            journal::record(id as u64, EventKind::Checkpoint, frame.len() as f64);
         }
-        state.sync_resident_stats();
-        state.enforce_budget();
+        state.frames.load(chunks, &mut state.stats);
         state.counters.ckpt_restores.inc();
         Ok((state, app_meta))
     }
@@ -1145,22 +879,23 @@ impl<'a> CompressedState<'a> {
     /// any gate outside the register is refused before any chunk is
     /// touched.
     fn run_stages(&mut self, gates: &[Gate]) -> Result<(), ContractError> {
-        let stages = chunk_groups(gates, self.chunk_qubits, self.chunks.len()).map_err(|gate| {
+        let n_chunks = self.ledger.n_chunks();
+        let stages = chunk_groups(gates, self.chunk_qubits, n_chunks).map_err(|gate| {
             ContractError::Hook(format!(
                 "gate {gate:?} acts outside the {}-qubit register",
                 self.n
             ))
         })?;
+        let counters = self.counters;
         for (stage, groups) in stages {
             let stage_gates = &gates[stage.start..stage.end];
             // The codec stream's kernel-event log is never read here;
             // clearing it once per stage keeps it from growing for the
             // state's whole life.
             self.stream.reset();
-            let t0 = lat_start();
-            let res = self.apply_stage(stage_gates, &stage.bits[..stage.nh], groups);
-            lat_end(&self.counters.apply_us, t0);
-            res?;
+            counters
+                .apply_us
+                .time_us(|| self.apply_stage(stage_gates, &stage.bits[..stage.nh], groups))?;
             self.gates_applied += stage_gates.len() as u64;
         }
         Ok(())
@@ -1169,10 +904,9 @@ impl<'a> CompressedState<'a> {
     /// One stage with gathered chunk-id `bits` (possibly none): each
     /// group's `2^|bits|` chunks are decoded once, straight into the group
     /// buffer, take all of the stage's gates, and are each encoded back
-    /// from the buffer once ([`write_back`](Self::write_back)). During a
-    /// prefetched run, the spilled chunks among the next
-    /// [`spill::PREFETCH_LOOKAHEAD`] touches are requested before each
-    /// group.
+    /// from the buffer once ([`write_back`](Self::write_back)). Before each
+    /// group the placement gets the stage's remaining touches to read
+    /// ahead in.
     fn apply_stage(
         &mut self,
         gates: &[Gate],
@@ -1189,27 +923,27 @@ impl<'a> CompressedState<'a> {
         let res = (|| {
             for (g, ids) in list.iter().enumerate() {
                 let members = &ids[..n_members];
-                if let Some(ra) = self.prefetch.as_mut() {
-                    // The look-ahead ends with the stage, which touches each
-                    // chunk once: no requested record is fetched or
-                    // re-spilled before its own touch.
-                    let touches = list[g..]
-                        .iter()
-                        .flat_map(|ids| ids[..n_members].iter().copied());
-                    ra.request(&self.spill_tier, touches.take(spill::PREFETCH_LOOKAHEAD));
-                }
+                // The look-ahead ends with the stage, which touches each
+                // chunk once: no requested record is fetched or re-spilled
+                // before its own touch.
+                let touches = list[g..]
+                    .iter()
+                    .flat_map(|ids| ids[..n_members].iter().copied());
+                self.frames.request(touches);
                 buffer.clear();
                 buffer.reserve(chunk_len << bits.len());
                 for &id in members {
-                    self.note_touch(id);
+                    self.frames.touch(id);
                     self.decode_healed(id, &mut buffer)?;
                     self.stats.decompressions += 1;
                 }
-                let gate_ok = panic::catch_unwind(AssertUnwindSafe(|| {
-                    apply_stage_gates(&mut buffer, c, bits, ids[0], gates);
-                }))
-                .is_ok();
-                if gate_ok {
+                let gates_ok = self
+                    .guarded("stage", |_| {
+                        apply_stage_gates(&mut buffer, c, bits, ids[0], gates);
+                        Ok(())
+                    })
+                    .is_ok();
+                if gates_ok {
                     // The stage mixed these chunks' amplitudes; redistribute
                     // their accumulated error accordingly (energy-preserving).
                     // A one-member group mixes nothing.
@@ -1219,7 +953,6 @@ impl<'a> CompressedState<'a> {
                 } else {
                     // A worker panicked mid-stage: the whole group buffer is
                     // garbage. Quarantine every member and store zeros.
-                    self.note_worker_panics(1);
                     buffer.iter_mut().for_each(|a| *a = Complex64::ZERO);
                     for &id in members {
                         self.record_quarantine_loss(id);
@@ -1236,30 +969,27 @@ impl<'a> CompressedState<'a> {
         res
     }
 
-    /// Recompresses `amps` into chunk `id`'s byte buffer (capacity reused),
-    /// keeping resident-bytes accounting exact. Every call is one ledger
+    /// Recompresses `amps` into chunk `id`'s byte buffer (capacity reused)
+    /// and puts the frame back in placement. Every call is one ledger
     /// event; under a lossy codec it is one *requantization*.
     ///
     /// The encode itself is guarded: a worker panic or codec error gets one
     /// retry, and if that also fails the chunk is quarantined (a zero
     /// chunk is encoded in its place) rather than failing the run.
     fn write_back(&mut self, id: usize, amps: &[Complex64]) -> Result<(), ContractError> {
-        // Fresh bytes supersede any on-disk record of this chunk.
-        if let Some(old) = self.spill_tier.invalidate(id) {
-            self.counters.spill_live_bytes.add(-i64::from(old.len));
-        }
-        let mut bytes = std::mem::take(&mut self.chunks[id]);
-        let old_len = bytes.len();
-        let t0 = lat_start();
-        let mut res = self.encode_with_retry(as_interleaved(amps), &mut bytes);
-        // Recovery exhausted: encode a zero chunk in place of the
-        // unencodable one (a single attempt) so the stored state stays
-        // decodable.
-        let quarantined = res.is_err()
-            && self
-                .try_encode(&vec![0.0; amps.len() * 2], &mut bytes)
-                .is_ok();
-        lat_end(&self.counters.encode_us, t0);
+        let mut bytes = self.frames.take(id, &mut self.stats);
+        let counters = self.counters;
+        let (mut res, quarantined) = counters.encode_us.time_us(|| {
+            let res = self.encode_with_retry(as_interleaved(amps), &mut bytes);
+            // Recovery exhausted: encode a zero chunk in place of the
+            // unencodable one (a single attempt) so the stored state stays
+            // decodable.
+            let quarantined = res.is_err()
+                && self
+                    .try_encode(&vec![0.0; amps.len() * 2], &mut bytes)
+                    .is_ok();
+            (res, quarantined)
+        });
         if quarantined {
             res = Ok(());
             self.record_quarantine_loss(id);
@@ -1294,27 +1024,15 @@ impl<'a> CompressedState<'a> {
             Some(_) => None,
         };
         self.ledger.record_requant(id, abs_bound, measured);
-        // Chaos site: corrupt one stored bit after a successful write-back.
-        // Byte 0 is skipped — clearing the frame-flag bit there would turn
-        // the stream into a legacy-v1 lookalike that decodes to garbage
-        // instead of failing its checksum, i.e. an *undetectable* fault,
-        // which is not the fault model (storage bit rot under an integrity
-        // frame is always detectable).
-        if res.is_ok() && bytes.len() > 1 {
-            if let Some(payload) = qcf_telemetry::faults::inject("state.chunk.bitflip") {
-                let bit = 8 + (payload as usize) % ((bytes.len() - 1) * 8);
-                bytes[bit / 8] ^= 1 << (bit % 8);
-            }
+        if res.is_ok() {
+            spill::inject_bitflip("state.chunk.bitflip", &mut bytes);
         }
         self.chunk_norm[id] = if quarantined {
             0.0
         } else {
             amps.iter().map(|a| a.norm_sq()).sum()
         };
-        self.resident.add(bytes.len() as i64 - old_len as i64);
-        self.chunks[id] = bytes;
-        self.sync_resident_stats();
-        self.enforce_budget();
+        self.frames.put(id, bytes, &mut self.stats);
         res
     }
 
@@ -1330,13 +1048,28 @@ impl<'a> CompressedState<'a> {
         Ok(state)
     }
 
+    /// Decodes every chunk in id order and hands `visit` its id and
+    /// amplitudes: the one chunk walk behind the read-only scans. Frames
+    /// are read in place ([`Frames::read`]), so a scan never moves one.
+    fn scan(&self, mut visit: impl FnMut(usize, &[Complex64])) -> Result<(), ContractError> {
+        let (codec, stream, chunk_len) = (self.compressor, &self.stream, self.chunk_len());
+        let (mut flat, mut amps) = (Vec::new(), Vec::new());
+        for id in 0..self.ledger.n_chunks() {
+            let frame = self
+                .frames
+                .read(id)
+                .map_err(|e| ContractError::Hook(format!("spill read: {e}")))?;
+            amps.clear();
+            decode_chunk(codec, stream, chunk_len, &frame, &mut flat, &mut amps)?;
+            visit(id, &amps);
+        }
+        Ok(())
+    }
+
     /// Materializes the dense state (testing / small n).
     pub fn to_statevector(&self) -> Result<StateVector, ContractError> {
         let mut amps = Vec::with_capacity(1usize << self.n);
-        let mut flat = Vec::new();
-        for id in 0..self.chunks.len() {
-            self.read_chunk(id, &mut flat, &mut amps)?;
-        }
+        self.scan(|_, chunk| amps.extend_from_slice(chunk))?;
         StateVector::from_amplitudes(self.n, amps).map_err(|e| ContractError::Hook(e.to_string()))
     }
 
@@ -1349,12 +1082,10 @@ impl<'a> CompressedState<'a> {
         let chunk_len = self.chunk_len();
         let edges = graph.edges();
         let mut zz = vec![0.0; edges.len()];
-        let (mut flat, mut buf, mut probs) = (Vec::new(), Vec::new(), Vec::new());
-        for chunk_id in 0..self.chunks.len() {
-            buf.clear();
-            self.read_chunk(chunk_id, &mut flat, &mut buf)?;
+        let mut probs = Vec::new();
+        self.scan(|chunk_id, amps| {
             probs.clear();
-            probs.extend(buf.iter().map(|a| a.norm_sq()));
+            probs.extend(amps.iter().map(|a| a.norm_sq()));
             let base = chunk_id * chunk_len;
             for (&(a, b), zz) in edges.iter().zip(&mut zz) {
                 let (ma, mb) = (1usize << a, 1usize << b);
@@ -1368,7 +1099,7 @@ impl<'a> CompressedState<'a> {
                     *zz += sign * p;
                 }
             }
-        }
+        })?;
         let mut energy = 0.0;
         for zz in zz {
             energy += 0.5 * (1.0 - zz);
@@ -1393,11 +1124,11 @@ impl<'a> CompressedState<'a> {
     /// tier for free — then re-tiered to the budget afterwards.
     pub fn verify(&mut self) -> Result<VerifyReport, ContractError> {
         let mut report = VerifyReport {
-            chunks: self.chunks.len(),
+            chunks: self.ledger.n_chunks(),
             ..VerifyReport::default()
         };
         let mut amps = std::mem::take(&mut self.group_buf);
-        for id in 0..self.chunks.len() {
+        for id in 0..report.chunks {
             let errors_before = self.faults.decode_errors;
             amps.clear();
             match self.decode_healed(id, &mut amps) {
@@ -1420,19 +1151,14 @@ impl<'a> CompressedState<'a> {
         }
         // The scrub fetched every spilled chunk into RAM; restore the
         // configured tiering.
-        self.enforce_budget();
+        self.frames.spill_to_budget(&mut self.stats);
         Ok(report)
     }
 
     /// Squared norm (drifts from 1 with the bound; a fidelity proxy).
     pub fn norm_sq(&self) -> Result<f64, ContractError> {
         let mut s = 0.0;
-        let (mut flat, mut buf) = (Vec::new(), Vec::new());
-        for id in 0..self.chunks.len() {
-            buf.clear();
-            self.read_chunk(id, &mut flat, &mut buf)?;
-            s += buf.iter().map(|a| a.norm_sq()).sum::<f64>();
-        }
+        self.scan(|_, amps| s += amps.iter().map(|a| a.norm_sq()).sum::<f64>())?;
         Ok(s)
     }
 }
@@ -1684,7 +1410,10 @@ mod tests {
         for g in circuit.gates() {
             cs.apply(g).unwrap();
         }
-        let total: usize = cs.chunks.iter().map(Vec::len).sum();
+        let n_chunks = cs.chunk_norm.len();
+        let total: usize = (0..n_chunks)
+            .map(|id| cs.frames.read(id).unwrap().len())
+            .sum();
         assert_eq!(cs.stats.resident_bytes, total);
         assert!(cs.stats.peak_resident_bytes >= cs.stats.resident_bytes);
     }
@@ -1703,7 +1432,7 @@ mod tests {
         // Every encode was still counted.
         assert_eq!(
             s.total_encodes,
-            cs.chunks.len() as u64 + cs.stats.recompressions
+            cs.chunk_norm.len() as u64 + cs.stats.recompressions
         );
     }
 
@@ -1724,7 +1453,7 @@ mod tests {
         assert!(s.accumulated_rss >= s.max_accumulated_bound);
         assert!(s.lossy);
         // Each chunk absorbed at least its initial quantization.
-        assert!(cs.ledger().lossy_events() >= cs.chunks.len() as u64);
+        assert!(cs.ledger().lossy_events() >= cs.chunk_norm.len() as u64);
     }
 
     #[test]

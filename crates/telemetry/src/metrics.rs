@@ -13,6 +13,7 @@ use crate::lock_unpoisoned;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// A monotone event counter.
 #[derive(Debug, Default)]
@@ -239,6 +240,20 @@ impl Histogram {
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         *lock_unpoisoned(&self.sum_bits) += v;
+    }
+
+    /// Runs `f` and, while telemetry is enabled, observes its wall time in
+    /// microseconds. Disabled, the timer is one relaxed load and reads no
+    /// clock.
+    #[inline]
+    pub fn time_us<R>(&self, f: impl FnOnce() -> R) -> R {
+        if !crate::enabled() {
+            return f();
+        }
+        let t0 = Instant::now();
+        let r = f();
+        self.observe(t0.elapsed().as_secs_f64() * 1e6);
+        r
     }
 
     /// Number of observations.
