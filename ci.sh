@@ -57,6 +57,14 @@ cargo test --release -q -p compressors --test kernel_proptests
 echo "== LZ77 matcher reference proptests (release) =="
 cargo test --release -q -p codec-kit --test lz77_reference
 
+# The frame checksum (XXH32 over 16-byte stripes of 32-bit words) must
+# keep its published vectors and catch every single-bit flip of v5 and v2
+# frames with optimizations on too: its word loads compile differently
+# there. The pinned frames show that no codec payload byte moved.
+echo "== integrity checksum (release) =="
+cargo test --release -q -p codec-kit --lib frame
+cargo test --release -q -p qcf-bench --test lossless_frames
+
 # The bitset elimination planner must return the adjacency-map reference
 # planner's orders and widths with optimizations on too: every
 # intermediate, frame and energy follows from the order.

@@ -164,7 +164,6 @@ pub fn info(input: &Path) -> Result<String, CliError> {
         .ok_or_else(|| CliError(format!("unknown stream id {id}")))?;
     // Frame first: a sealed stream's header lives inside the payload, and
     // unsealing also validates length + checksum (cheap integrity report).
-    let framed = codec_kit::frame::is_framed(&bytes);
     let payload =
         codec_kit::frame::unseal(&bytes).map_err(|e| CliError(format!("corrupt frame: {e}")))?;
     let mut pos = 1usize;
@@ -176,12 +175,17 @@ pub fn info(input: &Path) -> Result<String, CliError> {
         n,
         bytes.len(),
         (n as f64 * 8.0) / bytes.len() as f64,
-        if framed {
-            "sealed v2 frame (checksum verified)"
-        } else {
-            "legacy v1 stream (no integrity frame)"
+        match frame_version(&bytes) {
+            Some(v) => format!("sealed v{v} frame (checksum verified)"),
+            None => "legacy v1 stream (no integrity frame)".into(),
         }
     ))
+}
+
+/// The version byte of a sealed frame; `None` for a bare v1 stream.
+fn frame_version(bytes: &[u8]) -> Option<u8> {
+    let version = *bytes.get(1)?;
+    codec_kit::frame::is_framed(bytes).then_some(version)
 }
 
 /// Scrubs a compressed file: frame + checksum validation, then a full
@@ -189,7 +193,6 @@ pub fn info(input: &Path) -> Result<String, CliError> {
 /// `CliError` (the `qcfz verify <file>` exit-code contract).
 pub fn verify_file(input: &Path) -> Result<String, CliError> {
     let bytes = std::fs::read(input)?;
-    let framed = codec_kit::frame::is_framed(&bytes);
     codec_kit::frame::unseal(&bytes).map_err(|e| CliError(format!("corrupt frame: {e}")))?;
     let stream = Stream::new(DeviceSpec::a100());
     let values = compressed_values(&bytes, &stream)?;
@@ -197,10 +200,9 @@ pub fn verify_file(input: &Path) -> Result<String, CliError> {
         "{}: OK — {} values decoded, {}",
         input.display(),
         values.len(),
-        if framed {
-            "v2 frame checksum verified"
-        } else {
-            "legacy v1 stream (no checksum to verify)"
+        match frame_version(&bytes) {
+            Some(v) => format!("v{v} frame checksum verified"),
+            None => "legacy v1 stream (no checksum to verify)".into(),
         }
     ))
 }
@@ -868,6 +870,21 @@ mod tests {
         std::fs::write(path, bytes).unwrap();
     }
 
+    /// `qcfz compress --compressor LZ4 --abs 0` of the 16 values
+    /// `(i % 5) * 0.25` as a build before the v5 frame wrote it: a v2 frame
+    /// with an FNV-1a checksum.
+    const V2_FILE: [u8; 38] = [
+        0x84, 0x02, 0x1c, 0x00, 0x00, 0x00, 0x04, 0x10, 0x19, 0x19, 0x00, 0x01, 0x00, 0x22, 0xd0,
+        0x3f, 0x08, 0x00, 0x13, 0xe0, 0x08, 0x00, 0x13, 0xe8, 0x08, 0x00, 0x13, 0xf0, 0x08, 0x00,
+        0x0f, 0x28, 0x00, 0x3f, 0x8a, 0xe3, 0x96, 0xa7,
+    ];
+
+    fn v2_file(name: &str) -> std::path::PathBuf {
+        let path = tmp(name);
+        std::fs::write(&path, V2_FILE).unwrap();
+        path
+    }
+
     #[test]
     fn compress_decompress_roundtrip_lossless() {
         let input = tmp("in1.f64");
@@ -897,6 +914,20 @@ mod tests {
         let info_line = info(&comp).unwrap();
         assert!(info_line.contains("QCF-ratio"), "{info_line}");
         assert!(info_line.contains("2048"));
+        assert!(
+            info_line.contains("sealed v5 frame (checksum verified)"),
+            "{info_line}"
+        );
+        // A file from an older build reports the version it carries.
+        let info_line = info(&v2_file("info-v2.qcfz")).unwrap();
+        assert!(
+            info_line.contains("LZ4: 16 values, 38 bytes compressed"),
+            "{info_line}"
+        );
+        assert!(
+            info_line.contains("sealed v2 frame (checksum verified)"),
+            "{info_line}"
+        );
     }
 
     #[test]
@@ -921,7 +952,22 @@ mod tests {
         compress_file(&input, &comp, "LZ4", ErrorBound::Abs(0.0)).unwrap();
         let verdict = verify_file(&comp).unwrap();
         assert!(verdict.contains("OK"), "{verdict}");
-        assert!(verdict.contains("checksum verified"), "{verdict}");
+        assert!(verdict.contains("v5 frame checksum verified"), "{verdict}");
+        // A file from an older build verifies and decodes bit for bit.
+        let old = v2_file("verify-v2.qcfz");
+        let verdict = verify_file(&old).unwrap();
+        assert!(verdict.contains("OK — 16 values decoded"), "{verdict}");
+        assert!(verdict.contains("v2 frame checksum verified"), "{verdict}");
+        let back = tmp("verify-v2.f64");
+        assert_eq!(decompress_file(&old, &back).unwrap(), 16);
+        let want: Vec<u8> = (0..16)
+            .flat_map(|i| ((i % 5) as f64 * 0.25).to_le_bytes())
+            .collect();
+        assert_eq!(std::fs::read(&back).unwrap(), want);
+        let mut bytes = V2_FILE;
+        bytes[V2_FILE.len() / 2] ^= 0x10;
+        std::fs::write(&old, bytes).unwrap();
+        assert!(verify_file(&old).is_err(), "v2 corruption went undetected");
 
         // Flip one payload bit: the scrub must fail with a frame error.
         let mut bytes = std::fs::read(&comp).unwrap();

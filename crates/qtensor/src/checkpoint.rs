@@ -14,20 +14,27 @@
 //! app_meta_len u32 | app_meta bytes             caller-opaque blob (qcfz
 //!                                               stores circuit + progress)
 //! per chunk:
-//!   frame_len u32 | sealed v2 frame bytes       resident or read from spill
+//!   frame_len u32 | sealed frame bytes          resident or read from spill
 //!   chunk_norm f64
 //!   ledger record: encodes u64 | requants u64 | accumulated_bound f64 |
 //!     last_abs_bound f64 | max_measured_err f64 | measured u8 |
 //!     quarantines u64
 //! fault counters: decode_errors | retries_ok | 0 (a retired slot) |
 //!   quarantines | worker_panics (u64 each) | lost_norm_sq f64
-//! footer: fnv1a32 u32 over everything above | "QCFSEND1"
+//! footer: checksum u32 over everything above | "QCFSEND2"
 //! ```
 //!
-//! Every chunk payload is a sealed v2 frame carrying its own checksum, so
+//! Every chunk payload is a sealed frame carrying its own checksum, so
 //! the footer checksum guards the *manifest* (geometry, index, ledger)
 //! while per-chunk corruption still surfaces through the normal
 //! decode/heal/quarantine chain after resume.
+//!
+//! The footer checksum is the frames' XXH32 ([`codec_kit::frame::checksum`]),
+//! and the end magic names it: `"QCFSEND2"`. Snapshots written before it
+//! end in `"QCFSEND1"` behind an FNV-1a footer and hold v2 chunk frames;
+//! `read_snapshot` still accepts them, and the frames unseal as v2. The
+//! two end magics differ in two bits (`'1'` and `'2'`), so no single
+//! flipped bit moves a snapshot from one footer hash to the other.
 //!
 //! ## Commit protocol
 //!
@@ -56,14 +63,16 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-pub(crate) use codec_kit::frame::fnv1a32;
+use codec_kit::frame::{checksum, fnv1a32};
 
 /// Leading magic: snapshot file, format version 1.
 pub(crate) const SNAP_MAGIC: &[u8; 8] = b"QCFSNAP1";
-/// Trailing magic: the footer completed.
-pub(crate) const SNAP_END: &[u8; 8] = b"QCFSEND1";
-/// Footer bytes: fnv1a32 over the body + the end magic.
-pub(crate) const SNAP_FOOTER: usize = 4 + SNAP_END.len();
+/// Trailing magic: the footer completed, and its checksum is [`checksum`].
+const SNAP_END: &[u8; 8] = b"QCFSEND2";
+/// Trailing magic of snapshots whose footer checksum is [`fnv1a32`].
+const LEGACY_SNAP_END: &[u8; 8] = b"QCFSEND1";
+/// Footer bytes: the body's checksum + the end magic.
+const SNAP_FOOTER: usize = 4 + SNAP_END.len();
 
 /// Why a checkpoint or resume failed.
 #[derive(Debug)]
@@ -121,7 +130,7 @@ fn tmp_path(path: &Path, pid: u32) -> PathBuf {
 /// docs); `ckpt.torn_write` cuts the body write short while letting the
 /// commit complete, so the footer checksum catches it on resume.
 pub(crate) fn write_snapshot(path: &Path, body: &[u8]) -> Result<u64, CkptError> {
-    let crc = fnv1a32(body);
+    let crc = checksum(body);
     kill_point(1)?;
     // Sweep crashed writers' temp files in this directory first — the
     // drills re-run against the same path and must not leak disk.
@@ -166,7 +175,8 @@ pub(crate) fn write_snapshot(path: &Path, body: &[u8]) -> Result<u64, CkptError>
 }
 
 /// Reads and validates a snapshot's envelope: length, end magic, footer
-/// checksum. Returns the body bytes (everything before the footer).
+/// checksum (the hash the end magic names). Returns the body bytes
+/// (everything before the footer).
 pub(crate) fn read_snapshot(path: &Path) -> Result<Vec<u8>, CkptError> {
     let mut bytes = std::fs::read(path)?;
     if bytes.len() < SNAP_MAGIC.len() + SNAP_FOOTER {
@@ -176,11 +186,13 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<Vec<u8>, CkptError> {
         )));
     }
     let body_len = bytes.len() - SNAP_FOOTER;
-    if &bytes[body_len + 4..] != SNAP_END {
-        return Err(CkptError::Corrupt("missing end magic".into()));
-    }
+    let sum: fn(&[u8]) -> u32 = match &bytes[body_len + 4..] {
+        end if end == SNAP_END => checksum,
+        end if end == LEGACY_SNAP_END => fnv1a32,
+        _ => return Err(CkptError::Corrupt("missing end magic".into())),
+    };
     let stored = u32::from_le_bytes(bytes[body_len..body_len + 4].try_into().unwrap());
-    let actual = fnv1a32(&bytes[..body_len]);
+    let actual = sum(&bytes[..body_len]);
     if stored != actual {
         return Err(CkptError::Corrupt(format!(
             "footer checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"

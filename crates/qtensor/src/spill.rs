@@ -19,13 +19,17 @@
 //! record carries a monotone *generation*: crash recovery keeps the newest
 //! record of each chunk, and a read of an older generation than the
 //! chunk's current record is refused as stale. Each record is framed as
-//! `[magic u32][chunk u32][gen u64][len u32][fnv1a32(payload) u32]` +
-//! payload (24-byte header, little endian). In-session reads stay raw — a torn or corrupt payload fails
-//! its sealed frame's checksum downstream — and the header exists for
-//! [`SpillTier::open_recover`], which re-scans a log after a crash and
-//! truncates it at the first torn record (the `spill.torn_tail` fault site
-//! cuts a write short to model that crash). Logs are named with the owning
-//! pid; opening one sweeps leftovers whose owner is dead.
+//! `["QCR2" magic][chunk u32][gen u64][len u32][checksum(payload) u32]` +
+//! payload (24-byte header, little endian; the checksum is the frames'
+//! XXH32, [`codec_kit::frame::checksum`]). Only the process that wrote a
+//! log reads it (a dead owner's logs are swept), so there is no reader for
+//! the older FNV-1a records ("QFCR" magic). In-session reads stay raw — a
+//! torn or corrupt payload fails its sealed frame's checksum downstream —
+//! and the header exists for [`SpillTier::open_recover`], which re-scans
+//! a log after a crash and truncates it at the first torn record (the
+//! `spill.torn_tail` fault site cuts a write short to model that crash).
+//! Logs are named with the owning pid; opening one sweeps leftovers whose
+//! owner is dead.
 //!
 //! ## Readahead
 //!
@@ -39,7 +43,7 @@
 //! comparisons in tests and `qcfz report` can measure the overlap.
 
 use crate::compressed_state::{StateStats, TierBreakdown};
-use codec_kit::frame::fnv1a32;
+use codec_kit::frame::checksum;
 use qcf_telemetry::journal::{self, EventKind};
 use qcf_telemetry::{lock_unpoisoned, Counter, Gauge, GaugeTrack};
 use std::borrow::Cow;
@@ -82,8 +86,8 @@ pub(crate) fn inject_bitflip(site: &str, frame: &mut [u8]) {
 // ---------------------------------------------------------------------------
 
 /// On-disk record framing: `[magic u32][chunk u32][gen u64][len u32]
-/// [fnv1a32(payload) u32]`, all little-endian, payload follows.
-pub(crate) const RECORD_MAGIC: u32 = 0x5243_4651; // "QCFR" in LE byte order
+/// [checksum(payload) u32]`, all little-endian, payload follows.
+pub(crate) const RECORD_MAGIC: u32 = u32::from_le_bytes(*b"QCR2");
 /// Bytes of the per-record header.
 pub(crate) const RECORD_HEADER: usize = 24;
 
@@ -110,7 +114,7 @@ fn seal_record(rec: &mut [u8], chunk: u32, gen: u64) {
     header[4..8].copy_from_slice(&chunk.to_le_bytes());
     header[8..16].copy_from_slice(&gen.to_le_bytes());
     header[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[20..24].copy_from_slice(&fnv1a32(payload).to_le_bytes());
+    header[20..24].copy_from_slice(&checksum(payload).to_le_bytes());
 }
 
 /// Reads `entry`'s frame bytes from `file` after the simulated device
@@ -272,7 +276,7 @@ impl SpillTier {
             }
             let mut payload = vec![0u8; len as usize];
             f.read_exact(&mut payload)?;
-            if fnv1a32(&payload) != crc {
+            if checksum(&payload) != crc {
                 break;
             }
             let entry = SpillEntry {

@@ -11,9 +11,15 @@ use compressors::lz4::Lz4;
 use compressors::ErrorBound;
 use qcircuit::{qaoa_circuit, Graph, QaoaParams};
 use qtensor::{CompressedState, StateVector};
+use std::sync::Mutex;
 use std::time::Instant;
 
 const LATENCY_US: u64 = 250;
+
+/// The tests of this binary never overlap: the timing test compares two
+/// wall-clock runs, and the other test's all-spill run on a small host
+/// would slow whichever of them it overlapped.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn timed_run(prefetch: bool) -> (std::time::Duration, CompressedState<'static>) {
     static MEMCPY: Memcpy = Memcpy;
@@ -29,6 +35,7 @@ fn timed_run(prefetch: bool) -> (std::time::Duration, CompressedState<'static>) 
 
 #[test]
 fn async_prefetch_beats_synchronous_fetch_on_miss() {
+    let _serial = qcf_telemetry::lock_unpoisoned(&SERIAL);
     // Warm-up pass absorbs one-time costs (file creation, allocator).
     let _ = timed_run(false);
     let (sync_wall, sync_cs) = timed_run(false);
@@ -74,6 +81,7 @@ fn async_prefetch_beats_synchronous_fetch_on_miss() {
 
 #[test]
 fn prefetched_run_compacts_its_spill_log_mid_run() {
+    let _serial = qcf_telemetry::lock_unpoisoned(&SERIAL);
     let graph = Graph::random_regular(10, 3, 21);
     let circuit = qaoa_circuit(&graph, &QaoaParams::fixed_angles_3reg_p1());
     let comp = Lz4;
