@@ -71,6 +71,14 @@ cargo test --release -q -p qcf-bench --test lossless_frames
 echo "== ordering reference proptests (release) =="
 cargo test --release -q -p qtensor --test ordering_reference
 
+# Bucket elimination must hand its hook the plain fold's intermediates bit
+# for bit (exact and through QCF-ratio), and the stack-planned broadcast
+# kernels must equal their serial references, with optimizations on too:
+# the merged-axis loops compile differently there.
+echo "== bucket kernel reference (release) =="
+cargo test --release -q -p qtensor --test bucket_reference
+cargo test --release -q --test proptests
+
 # One pass over every bench workload with assertions instead of timing:
 # the vectorized codec kernels must stay bit-identical to their scalar
 # references, and parallel streams identical to serial ones.

@@ -2,7 +2,10 @@
 //!
 //! Variables are eliminated in a given order. Each variable owns a *bucket*
 //! of tensors; eliminating the variable multiplies its bucket together
-//! (elementwise over shared labels) and sums the variable out. Every
+//! (elementwise over shared labels) and sums the variable out. The leading
+//! members fold left to right with [`multiply_keep`], and the last multiply
+//! and the sum run as one walk, [`multiply_sum`], so a bucket's full
+//! product is never built; a one-tensor bucket is just summed. Every
 //! intermediate produced this way flows through a [`ContractionHook`] — the
 //! seam where the paper's framework plugs in: the compression hook replaces
 //! each intermediate with its decompressed reconstruction, so contraction
@@ -13,6 +16,7 @@ use qcf_telemetry::Gauge;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
+use tensornet::einsum::multiply_sum;
 use tensornet::{multiply_keep, Complex64, Ix, Tensor, TensorError};
 
 /// Workspace-wide gauge of bytes of intermediates live across all running
@@ -79,7 +83,10 @@ pub struct ContractionStats {
     pub eliminations: usize,
     /// Elements of the largest intermediate tensor.
     pub max_intermediate_elems: usize,
-    /// Peak bytes of tensors live at once (uncompressed accounting).
+    /// Peak bytes of tensors live at once (uncompressed accounting), each
+    /// kernel call's inputs and output counted together. A bucket's last
+    /// multiply is fused with its sum, so the bucket's full product is
+    /// never built and never counts.
     pub peak_live_bytes: usize,
     /// Total bytes of all intermediates produced.
     pub total_intermediate_bytes: usize,
@@ -128,17 +135,24 @@ pub fn contract_network(
             continue;
         }
         let var = order[step];
-        let mut iter = bucket.into_iter();
-        let mut acc = iter.next().expect("non-empty bucket");
-        for t in iter {
+        let mut members = bucket.into_iter();
+        let mut acc = members.next().expect("non-empty bucket");
+        let last = members.next_back();
+        for t in members {
             let next = multiply_keep(&acc, &t)?;
             live.add(next.nbytes() as i64);
             live.sub((acc.nbytes() + t.nbytes()) as i64);
             acc = next;
         }
-        let summed = acc.sum_over(var)?;
+        let (summed, consumed) = match last {
+            Some(last) => (
+                multiply_sum(&acc, &last, var)?,
+                acc.nbytes() + last.nbytes(),
+            ),
+            None => (acc.sum_over(var)?, acc.nbytes()),
+        };
         live.add(summed.nbytes() as i64);
-        live.sub(acc.nbytes() as i64);
+        live.sub(consumed as i64);
         drop(acc);
 
         stats.eliminations += 1;

@@ -33,14 +33,13 @@ fn timed_run(prefetch: bool) -> (std::time::Duration, CompressedState<'static>) 
     (t0.elapsed(), cs)
 }
 
-#[test]
-fn async_prefetch_beats_synchronous_fetch_on_miss() {
-    let _serial = qcf_telemetry::lock_unpoisoned(&SERIAL);
-    // Warm-up pass absorbs one-time costs (file creation, allocator).
-    let _ = timed_run(false);
-    let (sync_wall, sync_cs) = timed_run(false);
-    let (async_wall, async_cs) = timed_run(true);
+/// Timed runs of each side; their medians are compared.
+const RUNS: usize = 5;
 
+/// Everything a pair of runs must show apart from its clocks: the same
+/// disk-tier work, a prefetch that mostly hits, less stall, and identical
+/// physics.
+fn check_pair(sync_cs: &CompressedState, async_cs: &CompressedState) {
     // Both runs did real disk-tier work at the same budget.
     assert!(sync_cs.stats.fetches > 50, "workload too small to time");
     assert_eq!(
@@ -53,14 +52,6 @@ fn async_prefetch_beats_synchronous_fetch_on_miss() {
     assert!(
         hits * 10 >= (hits + misses) * 8,
         "prefetch hit rate below 80%: {hits} hits / {misses} misses"
-    );
-
-    // Two spill readers overlap reads with compute and with each other:
-    // ideal async wall ≈ sync/2. Assert a conservative 0.85 to keep the
-    // test robust under load.
-    assert!(
-        async_wall.as_secs_f64() < sync_wall.as_secs_f64() * 0.85,
-        "async {async_wall:?} not faster than sync {sync_wall:?}"
     );
     // Stall accounting agrees: the async run blocked for less total time.
     assert!(
@@ -77,6 +68,42 @@ fn async_prefetch_beats_synchronous_fetch_on_miss() {
         assert_eq!(x.re.to_bits(), y.re.to_bits());
         assert_eq!(x.im.to_bits(), y.im.to_bits());
     }
+}
+
+fn median(mut walls: Vec<f64>) -> f64 {
+    walls.sort_by(f64::total_cmp);
+    walls[walls.len() / 2]
+}
+
+#[test]
+fn async_prefetch_beats_synchronous_fetch_on_miss() {
+    let _serial = qcf_telemetry::lock_unpoisoned(&SERIAL);
+    // Warm-up pass absorbs one-time costs (file creation, allocator).
+    let _ = timed_run(false);
+    let (mut sync_walls, mut async_walls) = (Vec::new(), Vec::new());
+    for run in 0..RUNS {
+        // Alternate which side goes first, so load that comes and goes on
+        // the host falls on both sides alike.
+        let ((sync_wall, sync_cs), (async_wall, async_cs)) = if run % 2 == 0 {
+            let sync = timed_run(false);
+            (sync, timed_run(true))
+        } else {
+            let prefetched = timed_run(true);
+            (timed_run(false), prefetched)
+        };
+        check_pair(&sync_cs, &async_cs);
+        sync_walls.push(sync_wall.as_secs_f64());
+        async_walls.push(async_wall.as_secs_f64());
+    }
+
+    // Two spill readers overlap reads with compute and with each other:
+    // ideal async wall ≈ sync/2. Assert a conservative 0.85 on the
+    // medians of the runs, which one slow run cannot move.
+    let (sync_s, async_s) = (median(sync_walls), median(async_walls));
+    assert!(
+        async_s < sync_s * 0.85,
+        "async median {async_s:.4} s not faster than sync median {sync_s:.4} s"
+    );
 }
 
 #[test]

@@ -3,28 +3,33 @@
 //! framework's ratio dominance (claims C1/C2 at test scale).
 
 use qcf::prelude::*;
+use std::sync::OnceLock;
 use tensornet::planes::as_interleaved;
 
 /// Real intermediate tensors from a QAOA contraction — the *largest* ones,
 /// which are what the system compresses (small tensors sit under the
 /// compression threshold in practice, exactly as `CompressingHook`'s
-/// `min_elems` models).
-fn real_tensors() -> Vec<Vec<f64>> {
-    let graph = Graph::random_regular(38, 3, 2);
-    let params = QaoaParams::fixed_angles_3reg_p2();
-    let mut trace = TraceHook::new(2048, 0);
-    Simulator::default()
-        .energy_with_hook(&graph, &params, &mut trace)
-        .expect("trace run");
-    let mut captured = trace.into_captured();
-    captured.sort_by_key(|t| std::cmp::Reverse(t.len()));
-    captured.truncate(8);
-    let tensors: Vec<Vec<f64>> = captured
-        .iter()
-        .map(|t| as_interleaved(t.data()).to_vec())
-        .collect();
-    assert!(!tensors.is_empty(), "trace produced no tensors");
-    tensors
+/// `min_elems` models). Traced once per test binary and shared, since
+/// every test reads the same tensors.
+fn real_tensors() -> &'static [Vec<f64>] {
+    static TENSORS: OnceLock<Vec<Vec<f64>>> = OnceLock::new();
+    TENSORS.get_or_init(|| {
+        let graph = Graph::random_regular(38, 3, 2);
+        let params = QaoaParams::fixed_angles_3reg_p2();
+        let mut trace = TraceHook::new(2048, 0);
+        Simulator::default()
+            .energy_with_hook(&graph, &params, &mut trace)
+            .expect("trace run");
+        let mut captured = trace.into_captured();
+        captured.sort_by_key(|t| std::cmp::Reverse(t.len()));
+        captured.truncate(8);
+        let tensors: Vec<Vec<f64>> = captured
+            .iter()
+            .map(|t| as_interleaved(t.data()).to_vec())
+            .collect();
+        assert!(!tensors.is_empty(), "trace produced no tensors");
+        tensors
+    })
 }
 
 #[test]
@@ -35,7 +40,7 @@ fn every_compressor_honours_its_contract_on_real_tensors() {
     comps.push(Box::new(QcfCompressor::ratio()));
     comps.push(Box::new(QcfCompressor::speed()));
     for comp in &comps {
-        for t in &tensors {
+        for t in tensors {
             let r = round_trip(comp.as_ref(), t, ErrorBound::Abs(eb)).expect("round trip");
             match comp.kind() {
                 CompressorKind::Lossless => {
@@ -104,7 +109,7 @@ fn speed_mode_beats_cuszx_ratio_at_comparable_time() {
     let (mut qcf_time, mut szx_time) = (0.0f64, 0.0f64);
     let qcf = QcfCompressor::speed();
     let szx = by_name("cuSZx").unwrap();
-    for t in &tensors {
+    for t in tensors {
         let r1 = round_trip(&qcf, t, bound).unwrap();
         let r2 = round_trip(szx.as_ref(), t, bound).unwrap();
         qcf_bytes += r1.compressed_bytes;

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use qcf::prelude::*;
+use qcf::tensornet::einsum::multiply_sum;
 use qcf::tensornet::{contract, contract_serial, multiply_keep, multiply_keep_serial};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -28,6 +29,14 @@ fn assert_tensors_bit_identical(par: &Tensor, ser: &Tensor, what: &str) {
     }
 }
 
+/// `multiply_sum(a, b, var)` against the fold it replaces:
+/// `multiply_keep_serial(a, b)` then `sum_over(var)`.
+fn assert_fused_sum_bit_identical(a: &Tensor, b: &Tensor, var: u32) {
+    let fused = multiply_sum(a, b, var).unwrap();
+    let fold = multiply_keep_serial(a, b).unwrap().sum_over(var).unwrap();
+    assert_tensors_bit_identical(&fused, &fold, &format!("multiply_sum over {var}"));
+}
+
 /// Forces the block-parallel GEMM, permute and broadcast kernels (well past
 /// `PAR_MIN_ELEMS`) and checks them bit-for-bit against the serial walk.
 #[test]
@@ -46,6 +55,16 @@ fn large_contract_and_multiply_bit_identical_to_serial() {
         &multiply_keep_serial(&a, &b).unwrap(),
         "multiply_keep",
     );
+    // The fused last step past `PAR_MIN_ELEMS`: a dim-2 label shared by
+    // both sides summed out of a 32·16·16·32 = 262144-element output
+    // (dozens of blocks), then each label of a and b (8192 or 16384
+    // output elements of 16 or 32 terms).
+    let a4 = random_tensor(&[0, 1, 2, 4], &dim_of, 13);
+    let b4 = random_tensor(&[3, 4, 2], &dim_of, 14);
+    assert_fused_sum_bit_identical(&a4, &b4, 4);
+    for var in [2, 1, 3] {
+        assert_fused_sum_bit_identical(&a, &b, var);
+    }
     // Permuted operands (no identity fast path on either side).
     let ap = a.permuted(&[2, 0, 1]).unwrap();
     let bp = b.permuted(&[3, 2]).unwrap();
@@ -96,6 +115,12 @@ proptest! {
         let par = multiply_keep(&a, &b).unwrap();
         let ser = multiply_keep_serial(&a, &b).unwrap();
         assert_tensors_bit_identical(&par, &ser, "multiply_keep");
+
+        // Every label of a ∪ b summed out by the fused kernel; runs of
+        // labels both operands hold in the same order exercise the merge.
+        for var in (0..6).filter(|i| (a_mask | b_mask) & (1 << i) != 0) {
+            assert_fused_sum_bit_identical(&a, &b, var);
+        }
     }
 
     #[test]
