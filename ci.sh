@@ -17,6 +17,14 @@ cargo build --release --workspace
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+# perfbench is a package of its own outside the workspace, so no step
+# above compiles it. Type-check it against the engine, so that a deleted
+# or renamed public item it names fails here rather than in a benchmark
+# run. `--locked` and the ignored target directory leave every file
+# under perfbench/ untouched.
+echo "== perfbench type-check =="
+cargo check --offline --locked --manifest-path perfbench/Cargo.toml --target-dir target/perfbench-check
+
 echo "== test (default workers) =="
 cargo test -q --workspace
 

@@ -25,9 +25,7 @@ use gpu_model::exec::{with_serial_workers, worker_count};
 use gpu_model::{DeviceSpec, Stream};
 use qcf_core::{dict, QcfCompressor};
 use rand::{Rng, SeedableRng};
-use tensornet::{
-    contract, contract_serial, multiply_keep, multiply_keep_serial, Complex64, Tensor,
-};
+use tensornet::{multiply_keep, multiply_keep_serial, Complex64, Tensor};
 
 fn random_tensor(labels: &[u32], dims: &[usize], seed: u64) -> Tensor {
     let total: usize = dims.iter().product();
@@ -67,24 +65,6 @@ fn huffman_workload(n: usize) -> (Vec<u32>, Vec<u8>, HuffmanDecoder) {
     enc.encode_all(&mut w, &symbols);
     let dec = HuffmanDecoder::from_lengths(enc.lengths()).unwrap();
     (symbols, w.finish(), dec)
-}
-
-fn bench_contract(c: &mut Criterion) {
-    // m = 2048, n = 64, k = 32: well past the parallel cutover.
-    let a = random_tensor(&[0, 1, 2], &[64, 32, 32], 41);
-    let b = random_tensor(&[2, 3], &[32, 64], 42);
-    let mut group = c.benchmark_group("parallel/contract");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.throughput(Throughput::Elements((2048 * 64 * 32) as u64));
-    group.bench_function("serial", |bch| {
-        bch.iter(|| contract_serial(black_box(&a), black_box(&b)).unwrap())
-    });
-    group.bench_function("parallel", |bch| {
-        bch.iter(|| contract(black_box(&a), black_box(&b)).unwrap())
-    });
-    group.finish();
 }
 
 fn bench_multiply_keep(c: &mut Criterion) {
@@ -384,10 +364,6 @@ fn smoke() {
     let a = random_tensor(&[0, 1, 2], &[8, 8, 8], 41);
     let b = random_tensor(&[2, 3], &[8, 8], 42);
     assert_eq!(
-        contract(&a, &b).unwrap().data(),
-        contract_serial(&a, &b).unwrap().data()
-    );
-    assert_eq!(
         multiply_keep(&a, &b).unwrap().data(),
         multiply_keep_serial(&a, &b).unwrap().data()
     );
@@ -405,7 +381,6 @@ fn main() {
     }
     eprintln!("parallel bench context: worker_count={}", worker_count());
     let mut criterion = Criterion::default();
-    bench_contract(&mut criterion);
     bench_multiply_keep(&mut criterion);
     bench_qcf_compress(&mut criterion);
     bench_kernels(&mut criterion);

@@ -733,7 +733,6 @@ impl RunReport {
             ("u32", compressors::scratch::u32s().stats()),
             ("u64", compressors::scratch::u64s().stats()),
             ("f64", compressors::scratch::f64s().stats()),
-            ("complex", tensornet::einsum::scratch().stats()),
         ];
         let pools: Vec<String> = pools
             .iter()

@@ -7,7 +7,6 @@
 //! * [`huffman`] — length-limited canonical Huffman with table decode.
 //! * [`chunked`] — chunked Huffman with a gap array (GPU-parallel decode).
 //! * [`lz77`] — hash-chain greedy match finder.
-//! * [`rle`] — run-length + delta transforms (Cascaded's stages).
 //! * [`bitpack`] — fixed-width integer packing (cuSZx/Bitcomp residuals).
 //! * [`varint`] — LEB128 + zigzag.
 //!
@@ -20,7 +19,6 @@ pub mod error;
 pub mod frame;
 pub mod huffman;
 pub mod lz77;
-pub mod rle;
 pub mod varint;
 
 pub use bitio::{BitReader, BitWriter};

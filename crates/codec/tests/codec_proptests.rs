@@ -5,7 +5,6 @@ use codec_kit::bitpack::{pack, required_width, unpack};
 use codec_kit::chunked::{decode_chunk_at, decode_chunked, encode_chunked};
 use codec_kit::huffman::{histogram, HuffmanDecoder, HuffmanEncoder};
 use codec_kit::lz77::{expand, find_matches, LzConfig};
-use codec_kit::rle::{delta_decode, delta_encode, rle_decode, rle_encode};
 use codec_kit::varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
 use proptest::prelude::*;
 
@@ -64,22 +63,6 @@ proptest! {
     }
 
     #[test]
-    fn rle_roundtrips(values in prop::collection::vec(0u32..50, 0..400)) {
-        let mut buf = Vec::new();
-        rle_encode(&values, &mut buf);
-        let mut pos = 0;
-        prop_assert_eq!(rle_decode(&buf, &mut pos).unwrap(), values);
-    }
-
-    #[test]
-    fn delta_roundtrips(values in prop::collection::vec(any::<u32>(), 0..400)) {
-        let mut v = values.clone();
-        delta_encode(&mut v);
-        delta_decode(&mut v);
-        prop_assert_eq!(v, values);
-    }
-
-    #[test]
     fn lz77_expand_inverts_parse(data in prop::collection::vec(any::<u8>(), 0..2000)) {
         let tokens = find_matches(&data, &LzConfig::default());
         prop_assert_eq!(expand(&tokens, &data), data);
@@ -133,8 +116,6 @@ proptest! {
         // success must at least return something well-formed.
         let mut pos = 0;
         let _ = read_uvarint(&garbage, &mut pos);
-        let mut pos = 0;
-        let _ = rle_decode(&garbage, &mut pos);
         let _ = decode_chunked(&garbage);
         let mut pos = 0;
         let _ = HuffmanDecoder::read_table(&garbage, &mut pos);

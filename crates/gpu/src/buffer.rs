@@ -1,9 +1,9 @@
 //! Scratch-buffer reuse.
 //!
 //! [`ScratchPool`]: hot loops (the codecs' symbol planes and payloads, the
-//! framework's value planes, `einsum`'s permute buffers) check same-typed
-//! `Vec`s back in after use instead of reallocating one per call, mirroring
-//! how the CUDA implementations keep one workspace per stream.
+//! framework's value planes) check same-typed `Vec`s back in after use
+//! instead of reallocating one per call, mirroring how the CUDA
+//! implementations keep one workspace per stream.
 
 use qcf_telemetry::{lock_unpoisoned, Counter};
 use std::sync::{Arc, Mutex};

@@ -42,8 +42,6 @@ pub struct DeviceSpec {
     pub fp32_flops: f64,
     /// Fixed kernel-launch latency in seconds.
     pub launch_latency_s: f64,
-    /// Host↔device copy bandwidth in bytes per second (PCIe 4.0 x16).
-    pub pcie_bytes_per_sec: f64,
     /// Bandwidth efficiency for each [`MemoryPattern`], in [0, 1].
     pub eff_streaming: f64,
     /// See `eff_streaming`.
@@ -64,7 +62,6 @@ impl DeviceSpec {
             fp64_flops: 9.7e12,
             fp32_flops: 19.5e12,
             launch_latency_s: 4.0e-6,
-            pcie_bytes_per_sec: 26.0e9,
             eff_streaming: 0.85,
             eff_strided: 0.55,
             eff_random: 0.14,

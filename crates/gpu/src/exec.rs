@@ -557,7 +557,8 @@ pub fn par_map_blocks<T: Sync, R: Send + Default + Clone>(
 ///
 /// This is the in-place mutation analogue of [`par_map_blocks`]: each
 /// chunk is owned by exactly one worker, so kernels like zero-collapse or
-/// a GEMM row loop can write their slice without synchronization.
+/// a per-chunk Huffman encode can write their slice without
+/// synchronization.
 pub fn par_chunks_mut<T: Send, F>(data: &mut [T], block_len: usize, f: F)
 where
     F: Fn(usize, &mut [T]) + Sync,
@@ -585,7 +586,8 @@ pub fn par_map_chunks_mut<T: Send, R: Send + Default + Clone>(
 /// the chunk in the full slice. Parallel over blocks.
 ///
 /// A convenience over [`par_chunks_mut`] for gather-style kernels
-/// (de-interleave, permutation) that need the absolute offset.
+/// (de-interleave, broadcast products, axis sums) that need the absolute
+/// offset.
 pub fn par_fill_blocks<T: Send, F>(out: &mut [T], block_len: usize, f: F)
 where
     F: Fn(usize, Range, &mut [T]) + Sync,

@@ -14,8 +14,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 struct KernelCounters {
     launches: Arc<Counter>,
     launch_bytes: Arc<Counter>,
-    transfers: Arc<Counter>,
-    transfer_bytes: Arc<Counter>,
 }
 
 fn kernel_counters() -> &'static KernelCounters {
@@ -25,8 +23,6 @@ fn kernel_counters() -> &'static KernelCounters {
         KernelCounters {
             launches: r.counter("gpu.kernel.launches"),
             launch_bytes: r.counter("gpu.kernel.bytes"),
-            transfers: r.counter("gpu.transfer.count"),
-            transfer_bytes: r.counter("gpu.transfer.bytes"),
         }
     })
 }
@@ -123,17 +119,6 @@ impl Stream {
             c.launch_bytes.add(bytes);
         }
         body()
-    }
-
-    /// Charges a host→device or device→host copy of `bytes`.
-    pub fn transfer(&self, name: &'static str, bytes: u64) {
-        let duration = bytes as f64 / self.device.pcie_bytes_per_sec;
-        self.charge(name, duration, bytes);
-        if qcf_telemetry::enabled() {
-            let c = kernel_counters();
-            c.transfers.inc();
-            c.transfer_bytes.add(bytes);
-        }
     }
 
     /// Current simulated time in seconds.
@@ -294,13 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn transfer_uses_pcie_bandwidth() {
-        let s = Stream::new(DeviceSpec::a100());
-        s.transfer("h2d", 26_000_000_000);
-        assert!((s.elapsed_s() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn reset_clears() {
         let s = Stream::new(DeviceSpec::a100());
         s.launch(&KernelSpec::streaming("x", 1 << 20, 0), || ());
@@ -370,15 +348,17 @@ mod tests {
 
     #[test]
     fn telemetry_lane_scales_to_micros() {
-        let s = Stream::new(DeviceSpec::a100());
-        s.transfer("h2d", 26_000_000_000); // exactly 1 simulated second
+        let device = DeviceSpec::a100();
+        let spec = KernelSpec::streaming("lorenzo_quant", 1 << 30, 1 << 30);
+        let s = Stream::new(device.clone());
+        s.launch(&spec, || ());
         let lane = s.telemetry_lane("A100 stream 0");
         assert_eq!(lane.name, "A100 stream 0");
         assert_eq!(lane.events.len(), 1);
-        assert_eq!(lane.events[0].name, "h2d");
+        assert_eq!(lane.events[0].name, "lorenzo_quant");
         assert_eq!(lane.events[0].start_us, 0);
-        assert_eq!(lane.events[0].dur_us, 1_000_000);
-        assert_eq!(lane.events[0].bytes, 26_000_000_000);
+        assert_eq!(lane.events[0].dur_us, (spec.time_on(&device) * 1e6) as u64);
+        assert_eq!(lane.events[0].bytes, 1 << 31);
     }
 
     #[test]

@@ -183,7 +183,6 @@ pub fn contract_network(
 mod tests {
     use super::*;
     use crate::ordering::{InteractionGraph, OrderingHeuristic};
-    use tensornet::contract;
 
     fn t(ix: Vec<Ix>, vals: Vec<f64>) -> Tensor {
         Tensor::qubit(ix, vals.into_iter().map(Complex64::real).collect()).unwrap()
@@ -229,12 +228,10 @@ mod tests {
             t(vec![2, 3], vec![-1.0, 0.5, 0.25, 2.0]),
             t(vec![3, 0], vec![2.0, 1.0, 0.0, -0.5]),
         ];
-        let pairwise = {
-            let a = contract(&ts[0], &ts[1]).unwrap();
-            let b = contract(&a, &ts[2]).unwrap();
-            let c = contract(&b, &ts[3]).unwrap();
-            c.get(&[])
-        };
+        // The loop is the trace of the matrix product T1·T2·T3·T4:
+        // T1·T2 = [[-2.5, -3], [6.5, 10]], ·T3 = [[1.75, -7.25], [-4, 23.25]],
+        // ·T4 = [[3.5, 5.375], [-8, -15.625]], whose trace is -12.125.
+        let pairwise = Complex64::real(-12.125);
         let order = order_for(&ts);
         let (val, _) = contract_network(ts, &order, &mut NoopHook).unwrap();
         assert!(

@@ -7,7 +7,7 @@
 //! * [`Complex64`] — `#[repr(C)]` complex doubles, reinterpretable as
 //!   interleaved `f64` (the on-the-wire layout compressors see).
 //! * [`Tensor`] — row-major dense tensor whose axes carry integer labels.
-//! * [`einsum`] — pairwise contraction (GEMM-backed) and broadcast multiply.
+//! * [`einsum`] — broadcast multiply, with or without one summed label.
 //! * [`planes`] — interleaved ↔ split real/imag plane conversions.
 //! * [`stats`] — value-distribution characterization (experiment E1).
 
@@ -18,5 +18,5 @@ pub mod stats;
 pub mod tensor;
 
 pub use complex::Complex64;
-pub use einsum::{contract, contract_serial, multiply_keep, multiply_keep_serial, shared_indices};
+pub use einsum::{multiply_keep, multiply_keep_serial, shared_indices};
 pub use tensor::{Ix, Tensor, TensorError};

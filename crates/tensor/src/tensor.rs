@@ -17,10 +17,6 @@ pub(crate) const PAR_MIN_ELEMS: usize = 1 << 12;
 /// Output elements per parallel block for the element-wise kernels.
 pub(crate) const PAR_BLOCK: usize = 1 << 13;
 
-/// `(new_dims, contrib)` of a non-identity permutation: the permuted shape
-/// and, per output axis, its source linear-stride contribution.
-pub(crate) type PermutePlan = (Vec<usize>, Vec<usize>);
-
 /// An index label. Labels are allocated by the network builder and are unique
 /// per logical variable (wire segment) in the tensor network.
 pub type Ix = u32;
@@ -36,8 +32,6 @@ pub enum TensorError {
     MissingIndex(Ix),
     /// Two tensors disagree on the dimension of a shared label.
     DimConflict { index: Ix, a: usize, b: usize },
-    /// A permutation did not name every axis exactly once.
-    BadPermutation,
 }
 
 impl fmt::Display for TensorError {
@@ -54,7 +48,6 @@ impl fmt::Display for TensorError {
             TensorError::DimConflict { index, a, b } => {
                 write!(f, "index {index} has conflicting dimensions {a} and {b}")
             }
-            TensorError::BadPermutation => write!(f, "permutation must name every axis once"),
         }
     }
 }
@@ -175,11 +168,6 @@ impl Tensor {
         self.data.len() * std::mem::size_of::<Complex64>()
     }
 
-    /// Row-major strides for the current dims.
-    pub fn strides(&self) -> Vec<usize> {
-        strides_of(&self.dims)
-    }
-
     /// Element access by multi-index (debug/test oriented; O(rank)).
     pub fn get(&self, idx: &[usize]) -> Complex64 {
         debug_assert_eq!(idx.len(), self.rank());
@@ -200,48 +188,6 @@ impl Tensor {
             lin = lin * self.dims[axis] + i;
         }
         self.data[lin] = value;
-    }
-
-    /// Computes the permutation plan for `order`: `None` when `order` is the
-    /// identity, otherwise `(new_dims, contrib)` where `contrib[new_axis]`
-    /// is the source linear-stride contribution of that output axis.
-    pub(crate) fn permute_plan(&self, order: &[Ix]) -> Result<Option<PermutePlan>, TensorError> {
-        if order.len() != self.rank() {
-            return Err(TensorError::BadPermutation);
-        }
-        // perm[new_axis] = old_axis
-        let mut perm = Vec::with_capacity(order.len());
-        for &ix in order {
-            match self.position(ix) {
-                Some(p) if !perm.contains(&p) => perm.push(p),
-                _ => return Err(TensorError::BadPermutation),
-            }
-        }
-        if perm.iter().enumerate().all(|(new, &old)| new == old) {
-            return Ok(None);
-        }
-        let new_dims: Vec<usize> = perm.iter().map(|&p| self.dims[p]).collect();
-        let old_strides = self.strides();
-        let contrib: Vec<usize> = perm.iter().map(|&p| old_strides[p]).collect();
-        Ok(Some((new_dims, contrib)))
-    }
-
-    /// Returns a tensor with axes re-ordered so labels appear as in `order`.
-    ///
-    /// `order` must contain exactly the tensor's labels. Large tensors run
-    /// the gather block-parallel; the output is bit-identical to the serial
-    /// walk because every element is an independent copy.
-    pub fn permuted(&self, order: &[Ix]) -> Result<Tensor, TensorError> {
-        let Some((new_dims, contrib)) = self.permute_plan(order)? else {
-            return Ok(self.clone());
-        };
-        let mut out = vec![Complex64::ZERO; self.data.len()];
-        permute_kernel(&self.data, &new_dims, &contrib, &mut out);
-        Ok(Tensor {
-            indices: order.to_vec(),
-            dims: new_dims,
-            data: out,
-        })
     }
 
     /// Sums the tensor over axis `ix`, removing it.
@@ -292,73 +238,6 @@ impl fmt::Debug for Tensor {
             self.dims,
             self.len()
         )
-    }
-}
-
-/// Gathers the permuted layout into `out`: output element `j` (row-major
-/// in `new_dims`) reads `src[Σ digit_k(j)·contrib[k]]`. Block-parallel for
-/// large tensors, serial below [`PAR_MIN_ELEMS`]; identical output either
-/// way since every element is an independent gather.
-pub(crate) fn permute_kernel(
-    src: &[Complex64],
-    new_dims: &[usize],
-    contrib: &[usize],
-    out: &mut [Complex64],
-) {
-    if out.len() >= PAR_MIN_ELEMS {
-        par_fill_blocks(out, PAR_BLOCK, |_, range, chunk| {
-            permute_range(src, new_dims, contrib, range.start, chunk);
-        });
-    } else if !out.is_empty() {
-        permute_range(src, new_dims, contrib, 0, out);
-    }
-}
-
-/// Single-threaded full-range gather: the reference against which the
-/// block-parallel [`permute_kernel`] is asserted bit-identical.
-pub(crate) fn permute_range_serial(
-    src: &[Complex64],
-    new_dims: &[usize],
-    contrib: &[usize],
-    out: &mut [Complex64],
-) {
-    if !out.is_empty() {
-        permute_range(src, new_dims, contrib, 0, out);
-    }
-}
-
-/// Serial gather of `chunk.len()` permuted elements starting at output
-/// offset `start`: the odometer walk of `Tensor::permuted`, made
-/// restartable by decomposing `start` into per-axis counters once.
-fn permute_range(
-    src: &[Complex64],
-    new_dims: &[usize],
-    contrib: &[usize],
-    start: usize,
-    chunk: &mut [Complex64],
-) {
-    let rank = new_dims.len();
-    let mut counters = vec![0usize; rank];
-    let mut src_off = 0usize;
-    let mut rem = start;
-    for axis in (0..rank).rev() {
-        let digit = rem % new_dims[axis];
-        rem /= new_dims[axis];
-        counters[axis] = digit;
-        src_off += digit * contrib[axis];
-    }
-    for slot in chunk.iter_mut() {
-        *slot = src[src_off];
-        // increment odometer from the last axis
-        for axis in (0..rank).rev() {
-            counters[axis] += 1;
-            src_off += contrib[axis];
-            if counters[axis] < new_dims[axis] {
-                break;
-            }
-            src_off -= contrib[axis] * new_dims[axis];
-            counters[axis] = 0;
-        }
     }
 }
 
@@ -440,45 +319,6 @@ mod tests {
         assert_eq!(t.get(&[1, 2]), c(5.0));
         t.set(&[1, 2], c(-1.0));
         assert_eq!(t.get(&[1, 2]), c(-1.0));
-    }
-
-    #[test]
-    fn permute_transposes_matrix() {
-        let t = Tensor::new(vec![0, 1], vec![2, 3], iota(6)).unwrap();
-        let p = t.permuted(&[1, 0]).unwrap();
-        assert_eq!(p.dims(), &[3, 2]);
-        for i in 0..2 {
-            for j in 0..3 {
-                assert_eq!(p.get(&[j, i]), t.get(&[i, j]));
-            }
-        }
-    }
-
-    #[test]
-    fn permute_identity_is_clone() {
-        let t = Tensor::new(vec![3, 5], vec![2, 2], iota(4)).unwrap();
-        assert_eq!(t.permuted(&[3, 5]).unwrap(), t);
-    }
-
-    #[test]
-    fn permute_rank3_matches_manual() {
-        let t = Tensor::new(vec![0, 1, 2], vec![2, 3, 2], iota(12)).unwrap();
-        let p = t.permuted(&[2, 0, 1]).unwrap();
-        for a in 0..2 {
-            for b in 0..3 {
-                for d in 0..2 {
-                    assert_eq!(p.get(&[d, a, b]), t.get(&[a, b, d]));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn permute_rejects_bad_orders() {
-        let t = Tensor::new(vec![0, 1], vec![2, 2], iota(4)).unwrap();
-        assert!(t.permuted(&[0]).is_err());
-        assert!(t.permuted(&[0, 0]).is_err());
-        assert!(t.permuted(&[0, 9]).is_err());
     }
 
     #[test]

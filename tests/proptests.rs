@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use qcf::prelude::*;
 use qcf::tensornet::einsum::multiply_sum;
-use qcf::tensornet::{contract, contract_serial, multiply_keep, multiply_keep_serial};
+use qcf::tensornet::{multiply_keep, multiply_keep_serial};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
@@ -37,18 +37,14 @@ fn assert_fused_sum_bit_identical(a: &Tensor, b: &Tensor, var: u32) {
     assert_tensors_bit_identical(&fused, &fold, &format!("multiply_sum over {var}"));
 }
 
-/// Forces the block-parallel GEMM, permute and broadcast kernels (well past
-/// `PAR_MIN_ELEMS`) and checks them bit-for-bit against the serial walk.
+/// Forces the block-parallel broadcast kernels (well past `PAR_MIN_ELEMS`)
+/// and checks them bit-for-bit against the serial walk.
 #[test]
-fn large_contract_and_multiply_bit_identical_to_serial() {
+fn large_multiply_kernels_bit_identical_to_serial() {
     let dim_of = [32usize, 16, 16, 32, 2, 2];
     let a = random_tensor(&[0, 1, 2], &dim_of, 11); // 8192 elements
     let b = random_tensor(&[2, 3], &dim_of, 12); // 512 elements, shares label 2
-    assert_tensors_bit_identical(
-        &contract(&a, &b).unwrap(),
-        &contract_serial(&a, &b).unwrap(),
-        "contract",
-    );
+
     // Union output: 32·16·16·32 = 262144 elements — dozens of blocks.
     assert_tensors_bit_identical(
         &multiply_keep(&a, &b).unwrap(),
@@ -65,14 +61,6 @@ fn large_contract_and_multiply_bit_identical_to_serial() {
     for var in [2, 1, 3] {
         assert_fused_sum_bit_identical(&a, &b, var);
     }
-    // Permuted operands (no identity fast path on either side).
-    let ap = a.permuted(&[2, 0, 1]).unwrap();
-    let bp = b.permuted(&[3, 2]).unwrap();
-    assert_tensors_bit_identical(
-        &contract(&ap, &bp).unwrap(),
-        &contract_serial(&ap, &bp).unwrap(),
-        "contract permuted",
-    );
 }
 
 fn any_f64_buffer() -> impl Strategy<Value = Vec<f64>> {
@@ -99,7 +87,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         // Random label subsets of a 6-label universe (dims 2..=4 each), with
-        // b's axis order shuffled so permutation paths are exercised. Output
+        // b's axis order shuffled so shared axes meet in any order. Output
         // sizes stay ≤ 4096, bracketing the parallel cutover threshold.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let labels_a: Vec<u32> = (0..6).filter(|i| a_mask & (1 << i) != 0).collect();
@@ -107,10 +95,6 @@ proptest! {
         labels_b.shuffle(&mut rng);
         let a = random_tensor(&labels_a, &dim_picks, seed.wrapping_mul(2) + 1);
         let b = random_tensor(&labels_b, &dim_picks, seed.wrapping_mul(2) + 2);
-
-        let par = contract(&a, &b).unwrap();
-        let ser = contract_serial(&a, &b).unwrap();
-        assert_tensors_bit_identical(&par, &ser, "contract");
 
         let par = multiply_keep(&a, &b).unwrap();
         let ser = multiply_keep_serial(&a, &b).unwrap();
